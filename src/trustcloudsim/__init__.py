@@ -46,10 +46,10 @@ from .protocol import (
 )
 from .runtime import (
     Classification,
-    TrustStore,
+    TrustState,
     UpdateAccumulators,
     accumulate_and_maybe_update,
-    classify,
+    classify_pairs,
     recommend_trust,
     record_trust,
     update_standard_cloud,

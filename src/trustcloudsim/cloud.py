@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, InsufficientDataError, ZeroEntropyError
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -112,6 +114,32 @@ def backward_cloud(drops: Sequence[float]) -> TrustCloud:
     var = sq_dev / (n - 1)
     he = math.sqrt(max(var - en * en, 0.0))
     return TrustCloud(ex, en, he)
+
+
+def backward_clouds(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """backward_cloud over the columns of a (n, k) array of oldest-first drops.
+
+    Returns the (ex, en, he) arrays of the k windows, equal bit for bit to
+    backward_cloud of each column: every sum runs row by row from 0.0 in
+    window order, as the scalar loop does (numpy's own reductions may sum
+    pairwise, which rounds differently).  The drops are not range-checked.
+    """
+    n = len(windows)
+    if n < 2:
+        raise InsufficientDataError(f"need at least 2 drops, got {n}")
+
+    def sequential_sum(rows) -> np.ndarray:
+        total = np.zeros(windows.shape[1])
+        for row in rows:
+            total += row
+        return total
+
+    ex = sequential_sum(windows) / n
+    dev = windows - ex
+    en = SQRT_HALF_PI * (sequential_sum(np.abs(dev)) / n)
+    var = sequential_sum(dev * dev) / (n - 1)
+    he = np.sqrt(np.maximum(var - en * en, 0.0))
+    return ex, en, he
 
 
 def generate_drop(cloud: TrustCloud, rng: Random) -> float:

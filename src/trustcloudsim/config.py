@@ -14,7 +14,6 @@ to SI on load.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -242,33 +241,6 @@ def load_config(path: str) -> ScenarioConfig:
     if "device_count" not in values:
         raise ConfigError("required field missing", field="scenario.devices")
     return ScenarioConfig(**values).validate()
-
-
-def dump_config(cfg: ScenarioConfig) -> str:
-    """Render a config back to the INI scenario format."""
-    parser = configparser.ConfigParser()
-    sections: dict[str, dict[str, str]] = {}
-    reverse = {name: (sec, key) for (sec, key), (name, _) in _FILE_KEYS.items()}
-    for f in fields(cfg):
-        if f.name == "phases":
-            continue
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        sec, key = reverse[f.name]
-        if f.name in ("e_elec", "e_da", "e_h", "e_m"):
-            value = value / _SCALE_NANO
-        elif f.name in ("eps_fs", "eps_amp"):
-            value = value / _SCALE_PICO
-        sections.setdefault(sec, {})[key] = repr(value)
-    sections.setdefault("channel", {})["phases"] = ", ".join(
-        f"{p.start_round}:{p.alpha0:g}:{p.alpha1:g}" for p in cfg.channel_schedule()
-    )
-    for sec in sorted(sections):
-        parser[sec] = sections[sec]
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
 
 
 def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:

@@ -29,7 +29,7 @@ from .protocol import (
     NetworkState,
     run_round,
 )
-from .runtime import Classification, TrustStore, UpdateAccumulators
+from .runtime import UpdateAccumulators
 from .training import (
     StandardClouds,
     TrainingState,
@@ -63,8 +63,8 @@ class RoundStats:
     direct_to_sink: int
     decisions: int
     correct_decisions: int
-    # (observer, target, classified_malicious, target_is_malicious)
-    decision_detail: list[tuple[int, int, bool, bool]] = field(default_factory=list)
+    #: decisions that judged the target malicious
+    malicious_verdicts: int
 
 
 @dataclass
@@ -115,7 +115,6 @@ def build_scenario(cfg: ScenarioConfig, rng: Random) -> NetworkState:
                 x=x,
                 y=y,
                 energy=cfg.e0,
-                store=TrustStore(cfg.thr_drp),
                 accumulators=UpdateAccumulators(
                     malicious_pool=DropSet(cfg.max_drp),
                     normal_pool=DropSet(cfg.max_drp),
@@ -186,7 +185,6 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
                 clouds=state.standard_clouds(),
             )
         )
-        dev.forced_terminated = not boundary_ok
 
     # Every trained device recommends its clouds to neighbors; each device
     # averages its own with everything received.
@@ -224,6 +222,7 @@ def run_simulation(
         attacker_class={d.id: d.attacker for d in net.devices},
         training=training,
     )
+    is_malicious = np.array([d.is_malicious for d in net.devices], dtype=bool)
     for r in range(cfg.max_rounds):
         if net.alive_count() == 0:
             break
@@ -244,10 +243,9 @@ def run_simulation(
         malicious_clusters = sum(
             1 for h in with_members if net.devices[h].is_malicious
         )
-        correct = sum(
-            1
-            for d in outcome.decisions
-            if (d.verdict is Classification.MALICIOUS) == d.target_malicious
+        verdicts = outcome.decisions.malicious
+        correct = np.count_nonzero(
+            verdicts == is_malicious[outcome.decisions.target]
         )
         log.round_stats.append(
             RoundStats(
@@ -268,17 +266,9 @@ def run_simulation(
                 attack_drops=outcome.attack_drops,
                 attack_delays=outcome.attack_delays,
                 direct_to_sink=len(outcome.direct_to_sink),
-                decisions=len(outcome.decisions),
-                correct_decisions=correct,
-                decision_detail=[
-                    (
-                        d.observer,
-                        d.target,
-                        d.verdict is Classification.MALICIOUS,
-                        d.target_malicious,
-                    )
-                    for d in outcome.decisions
-                ],
+                decisions=len(verdicts),
+                correct_decisions=int(correct),
+                malicious_verdicts=int(np.count_nonzero(verdicts)),
             )
         )
     log.death_round = {

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, NamedTuple, Optional
 
-from .cloud import TrustCloud
+import numpy as np
+
 from .config import ScenarioConfig
 from .fuzzy import EvidenceWindow, compute_attributes, infer_trust
 from .medium import (
@@ -30,13 +31,13 @@ from .medium import (
 )
 from .runtime import (
     Classification,
-    TrustStore,
+    TrustState,
     UpdateAccumulators,
     accumulate_and_maybe_update,
-    classify,
-    classify_batch,
+    classify_pairs,
     record_trust,
     recommend_trust,
+    standard_table,
 )
 from .training import StandardClouds, TrainingState
 
@@ -51,7 +52,10 @@ ATTACK_MULTIPLIER = {HONEST: 0.0, GENERIC: 2.0, ADVANCED: 4.0, SUPER: 6.0}
 
 @dataclass(slots=True)
 class DeviceState:
-    """One device: identity, radio position, energy, role, and trust state."""
+    """One device: identity, radio position, energy, role, and trust standards.
+
+    Its trust in other devices is row ``id`` of the network's TrustState.
+    """
 
     id: int
     x: float
@@ -60,11 +64,9 @@ class DeviceState:
     attacker: str = HONEST
     alive: bool = True
     last_head_round: Optional[int] = None
-    store: TrustStore = field(default_factory=TrustStore)
     stds: Optional[StandardClouds] = None
     accumulators: UpdateAccumulators = field(default_factory=UpdateAccumulators)
     training: TrainingState = field(default_factory=TrainingState)
-    forced_terminated: bool = False
     death_round: Optional[int] = None
 
     @property
@@ -107,12 +109,17 @@ class TransferRecord:
     attack_delay: bool = False
 
 
-@dataclass(slots=True)
-class DecisionRecord:
-    observer: int
-    target: int
-    verdict: Classification
-    target_malicious: bool
+def _no_pairs() -> np.ndarray:
+    return np.zeros(0, dtype=np.intp)
+
+
+class Decisions(NamedTuple):
+    """A round's classification decisions, one entry per (observer, target)."""
+
+    observer: np.ndarray
+    target: np.ndarray
+    #: True where the observer judged the target malicious
+    malicious: np.ndarray
 
 
 @dataclass
@@ -121,16 +128,19 @@ class ClusterRoundOutcome:
 
     round_index: int
     clusters: dict[int, list[int]] = field(default_factory=dict)
-    rule_c_heads: list[int] = field(default_factory=list)
     direct_to_sink: list[int] = field(default_factory=list)
     transfers: list[TransferRecord] = field(default_factory=list)
     attack_drops: int = 0
     attack_delays: int = 0
-    decisions: list[DecisionRecord] = field(default_factory=list)
+    decisions: Decisions = field(
+        default_factory=lambda: Decisions(
+            _no_pairs(), _no_pairs(), np.zeros(0, dtype=bool)
+        )
+    )
 
 
 class NetworkState:
-    """Devices plus the static topology and scenario parameters."""
+    """Devices, the static topology, scenario parameters and all trust state."""
 
     def __init__(self, cfg: ScenarioConfig, devices: list[DeviceState]):
         self.cfg = cfg
@@ -144,7 +154,6 @@ class NetworkState:
         ]
         radius = cfg.neighbor_radius
         self.neighbors: list[list[tuple[int, float]]] = []
-        self.neighbor_sets: list[frozenset[int]] = []
         for d in devices:
             near = []
             for other in devices:
@@ -155,7 +164,11 @@ class NetworkState:
                     near.append((other.id, dist))
             near.sort()
             self.neighbors.append(near)
-            self.neighbor_sets.append(frozenset(n for n, _ in near))
+        n = len(devices)
+        self.neighbor_mask = np.zeros((n, n), dtype=bool)
+        for d, near in zip(devices, self.neighbors):
+            self.neighbor_mask[d.id, [nid for nid, _ in near]] = True
+        self.trust = TrustState(n, cfg.thr_drp)
 
     def phase_for(self, r: int) -> ChannelPhase:
         current = self.phases[0]
@@ -210,50 +223,43 @@ def decide_head(
 def choose_cluster(
     member: DeviceState,
     candidates: list[tuple[DeviceState, float]],
-    rng: Random,
+    verdicts: list[Optional[Classification]],
+    trust: TrustState,
     *,
     r: int,
     epoch: int,
-    kappa: float,
-    n_drp: int,
-    decision_of: Optional[Callable[[DeviceState], Optional[Classification]]] = None,
 ) -> ClusterChoice:
     """Pick a head among broadcast candidates, else self-elect or go direct.
 
-    Candidates with individual clouds are classified and the nearest normal
-    one wins (ties to the lowest id).  With no clouds anywhere, the nearest
-    never-interacted candidate is preferred, then the highest trust estimate.
+    ``verdicts`` holds the member's classification of each candidate, None
+    where it has no individual cloud for it.  The nearest normal candidate
+    wins (ties to the lowest id).  With no clouds anywhere, the nearest
+    never-recorded candidate is preferred, then the highest trust estimate.
     When nothing survives, an eligible member becomes a head itself.
     """
-
-    def default_decision(head: DeviceState) -> Optional[Classification]:
-        itc = member.store.cloud(head.id)
-        if itc is None or member.stds is None:
-            return None
-        return classify(itc, member.stds, rng, kappa=kappa, n_drp=n_drp)
-
-    decide = decision_of if decision_of is not None else default_decision
-
-    decisions = [(head, dist, decide(head)) for head, dist in candidates]
-    normal = [(d, h.id) for h, d, v in decisions if v is Classification.NORMAL]
+    normal = [
+        (dist, head.id)
+        for (head, dist), v in zip(candidates, verdicts)
+        if v is Classification.NORMAL
+    ]
     if normal:
         normal.sort()
         return ClusterChoice("join", normal[0][1])
     # Candidates classified malicious are discarded; the unclassifiable rest
     # (no individual cloud yet) fall back to first-hand heuristics.
-    survivors = [(h, d) for h, d, v in decisions if v is None]
+    survivors = [(h, d) for (h, d), v in zip(candidates, verdicts) if v is None]
     if survivors:
         fresh = [
             (dist, head.id)
             for head, dist in survivors
-            if member.store.get(head.id) is None
-            or not member.store.get(head.id).interacted
+            if trust.count[member.id, head.id] == 0
         ]
         if fresh:
             fresh.sort()
             return ClusterChoice("join", fresh[0][1])
         ranked = [
-            (-member.store.mean_trust(head.id), head.id) for head, _ in survivors
+            (-float(trust.mean[member.id, head.id]), head.id)
+            for head, _ in survivors
         ]
         ranked.sort()
         return ClusterChoice("join", ranked[0][1])
@@ -424,62 +430,65 @@ def run_round(
         candidates[dev.id] = seen
 
     # --- cluster joining --------------------------------------------------
-    emitted: set[tuple[int, int]] = set()
+    # Trust is read and written one batch of distinct (observer, target)
+    # pairs at a time.  Standard clouds only change in the update step at
+    # the end of the round, so one table of them serves both classifications.
+    trust = net.trust
+    n = len(net.devices)
+    stds = standard_table([d.stds for d in net.devices])
 
-    def emit(observer: DeviceState, target: DeviceState, verdict: Classification):
-        key = (observer.id, target.id)
-        if key in emitted:
-            return
-        emitted.add(key)
-        outcome.decisions.append(
-            DecisionRecord(observer.id, target.id, verdict, target.is_malicious)
+    def judgeable(obs: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+        return trust.full[obs, tgt] & ~np.isnan(stds[obs, 0])
+
+    def judge(obs: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+        """True where the observer classifies the target malicious."""
+        if classifier_override is None:
+            return classify_pairs(
+                trust, stds, obs, tgt, np_rng, kappa=cfg.kappa, n_drp=cfg.n_drp
+            )
+        return np.array(
+            [
+                classifier_override(net.devices[o], net.devices[t])
+                is Classification.MALICIOUS
+                for o, t in zip(obs.tolist(), tgt.tolist())
+            ],
+            dtype=bool,
         )
 
-    join_requests: list[tuple[int, int]] = []
-    join_itcs: list[TrustCloud] = []
-    join_stds: list[StandardClouds] = []
-    for dev_id in sorted(candidates):
-        member = net.devices[dev_id]
-        for head, _dist in candidates[dev_id]:
-            itc = member.store.cloud(head.id)
-            if itc is not None and member.stds is not None:
-                join_requests.append((dev_id, head.id))
-                join_itcs.append(itc)
-                join_stds.append(member.stds)
-    if classifier_override is None:
-        verdicts = classify_batch(
-            join_itcs, join_stds, np_rng, kappa=cfg.kappa, n_drp=cfg.n_drp
-        )
-    else:
-        verdicts = [
-            classifier_override(net.devices[m], net.devices[h])
-            for m, h in join_requests
-        ]
-    join_decisions = {pair: v for pair, v in zip(join_requests, verdicts)}
-    for (m, h), verdict in zip(join_requests, verdicts):
-        emit(net.devices[m], net.devices[h], verdict)
+    members = sorted(candidates)
+    cand_obs = np.array(
+        [m for m in members for _ in candidates[m]], dtype=np.intp
+    )
+    cand_tgt = np.array(
+        [h.id for m in members for h, _ in candidates[m]], dtype=np.intp
+    )
+    judged = np.flatnonzero(judgeable(cand_obs, cand_tgt))
+    join_obs, join_tgt = cand_obs[judged], cand_tgt[judged]
+    join_mal = judge(join_obs, join_tgt)
+    verdicts: list[Optional[Classification]] = [None] * len(cand_obs)
+    for i, mal in zip(judged.tolist(), join_mal.tolist()):
+        verdicts[i] = Classification.MALICIOUS if mal else Classification.NORMAL
 
     clusters: dict[int, list[int]] = {h: [] for h in heads}
-    for dev_id in sorted(candidates):
+    stop = 0
+    for dev_id in members:
+        start, stop = stop, stop + len(candidates[dev_id])
         member = net.devices[dev_id]
         if not member.alive:
             continue
         choice = choose_cluster(
             member,
             candidates[dev_id],
-            rng,
+            verdicts[start:stop],
+            trust,
             r=r,
             epoch=net.epoch,
-            kappa=cfg.kappa,
-            n_drp=cfg.n_drp,
-            decision_of=lambda head: join_decisions.get((member.id, head.id)),
         )
         if choice.kind == "join":
             clusters[choice.head].append(dev_id)
         elif choice.kind == "become_head":
             member.last_head_round = r
             member.spend(tx_energy(cfg.control_bits, cfg.neighbor_radius, energy))
-            outcome.rule_c_heads.append(dev_id)
             clusters[dev_id] = []
         else:
             outcome.direct_to_sink.append(dev_id)
@@ -496,20 +505,22 @@ def run_round(
             dev.spend(monitor_energy(cfg.monitor_seconds, energy))
 
     # --- trust inference on own head ---------------------------------------
-    # updated maps (observer, target) to the trust value computed this round;
-    # those values are both the new window drops and the std-update pool feed.
-    updated: dict[tuple[int, int], float] = {}
+    # Every pair written this round is distinct: a member infers trust in its
+    # own head only, and hears recommendations about other devices only.
+    inf_obs: list[int] = []
+    inf_tgt: list[int] = []
+    inf_val: list[float] = []
     for head_id in sorted(clusters):
         for member_id in sorted(clusters[head_id]):
-            member = net.devices[member_id]
-            if not member.alive:
+            if not net.devices[member_id].alive:
                 continue
             window = windows.get((member_id, head_id))
             if window is None or window.sent == 0:
                 continue
-            value = infer_trust(compute_attributes(window))
-            record_trust(member.store, head_id, value, direct=True)
-            updated[(member_id, head_id)] = value
+            inf_obs.append(member_id)
+            inf_tgt.append(head_id)
+            inf_val.append(infer_trust(compute_attributes(window)))
+    record_trust(trust, inf_obs, inf_tgt, inf_val, direct=True)
 
     # --- recommendations from the chosen head ------------------------------
     # A member asks its trusted head about the devices it must judge soon
@@ -517,72 +528,70 @@ def run_round(
     # cloud for yet.  The head only relays trust it formed by its own
     # overhearing, so recommendation chains cannot drift away from observed
     # behavior.
-    for head_id in sorted(clusters):
+    askers = [(h, m) for h in sorted(clusters) for m in sorted(clusters[h])]
+    ask_head = np.array([h for h, _ in askers], dtype=np.intp)
+    ask_mem = np.array([m for _, m in askers], dtype=np.intp)
+    t_ij = trust.mean[ask_mem, ask_head]
+    heard = np.zeros((n, n), dtype=bool)
+    heard[cand_obs, cand_tgt] = True
+    wanted = (
+        heard[ask_mem]
+        | (net.neighbor_mask[ask_mem] & ~trust.known[ask_mem])
+        | trust.immature[ask_mem]
+    )
+    rows = np.arange(len(askers))
+    wanted[rows, ask_head] = False
+    wanted[rows, ask_mem] = False
+    offers = wanted & (trust.fh_count[ask_head] > 0)
+    worth_asking = (offers.any(axis=1) & (t_ij > 0.0)).tolist()
+    asked: list[int] = []
+    for i, (head_id, member_id) in enumerate(askers):
+        member = net.devices[member_id]
         head = net.devices[head_id]
-        for member_id in sorted(clusters[head_id]):
-            member = net.devices[member_id]
-            if not member.alive or not head.alive:
-                continue
-            t_ij = member.store.mean_trust(head_id)
-            if t_ij <= 0.0:
-                continue
-            store = member.store
-            target_ids = {h.id for h, _ in candidates.get(member_id, [])}
-            target_ids.update(net.neighbor_sets[member_id] - store.known())
-            target_ids.update(store.immature)
-            target_ids.discard(head_id)
-            target_ids.discard(member_id)
-            offers = [
-                (t, head.store.firsthand_trust(t)) for t in sorted(target_ids)
-            ]
-            offers = [(t, v) for t, v in offers if v is not None]
-            if not offers:
-                continue
-            dist = math.hypot(member.x - head.x, member.y - head.y)
-            member.spend(tx_energy(cfg.control_bits, dist, energy))
-            if not (
-                head.spend(rx_energy(cfg.control_bits, energy))
-                and head.spend(tx_energy(cfg.control_bits, dist, energy))
-                and member.spend(rx_energy(cfg.control_bits, energy))
-            ):
-                continue
-            for target, t_jk in offers:
-                value = recommend_trust(
-                    member.store.mean_trust(target), t_jk, t_ij
-                )
-                record_trust(member.store, target, value)
-                updated[(member_id, target)] = value
+        if not member.alive or not head.alive or not worth_asking[i]:
+            continue
+        dist = math.hypot(member.x - head.x, member.y - head.y)
+        member.spend(tx_energy(cfg.control_bits, dist, energy))
+        if (
+            head.spend(rx_energy(cfg.control_bits, energy))
+            and head.spend(tx_energy(cfg.control_bits, dist, energy))
+            and member.spend(rx_energy(cfg.control_bits, energy))
+        ):
+            asked.append(i)
+    ask, rec_tgt = np.nonzero(offers[asked])
+    ask = np.asarray(asked, dtype=np.intp)[ask]
+    rec_obs = ask_mem[ask]
+    rec_val = recommend_trust(
+        trust.mean[rec_obs, rec_tgt],
+        trust.firsthand[ask_head[ask], rec_tgt],
+        t_ij[ask],
+    )
+    record_trust(trust, rec_obs, rec_tgt, rec_val)
 
     # --- classification and standard-cloud updates -------------------------
-    post_requests: list[tuple[int, int]] = []
-    post_itcs: list[TrustCloud] = []
-    post_stds: list[StandardClouds] = []
-    for member_id, target in sorted(updated):
+    upd_obs = np.concatenate([np.asarray(inf_obs, dtype=np.intp), rec_obs])
+    upd_tgt = np.concatenate([np.asarray(inf_tgt, dtype=np.intp), rec_tgt])
+    order = np.argsort(upd_obs * n + upd_tgt)
+    upd_obs, upd_tgt = upd_obs[order], upd_tgt[order]
+    judged = judgeable(upd_obs, upd_tgt)
+    post_obs, post_tgt = upd_obs[judged], upd_tgt[judged]
+    post_mal = judge(post_obs, post_tgt)
+
+    # A pair judged at joining keeps that decision.
+    fresh = ~np.isin(post_obs * n + post_tgt, join_obs * n + join_tgt)
+    outcome.decisions = Decisions(
+        np.concatenate([join_obs, post_obs[fresh]]),
+        np.concatenate([join_tgt, post_tgt[fresh]]),
+        np.concatenate([join_mal, post_mal[fresh]]),
+    )
+
+    values = trust.mean[post_obs, post_tgt].tolist()
+    for member_id, mal, value in zip(post_obs.tolist(), post_mal.tolist(), values):
         member = net.devices[member_id]
-        if member.stds is None:
-            continue
-        itc = member.store.cloud(target)
-        if itc is None:
-            continue
-        post_requests.append((member_id, target))
-        post_itcs.append(itc)
-        post_stds.append(member.stds)
-    if classifier_override is None:
-        post_verdicts = classify_batch(
-            post_itcs, post_stds, np_rng, kappa=cfg.kappa, n_drp=cfg.n_drp
-        )
-    else:
-        post_verdicts = [
-            classifier_override(net.devices[m], net.devices[t])
-            for m, t in post_requests
-        ]
-    for (member_id, target), verdict in zip(post_requests, post_verdicts):
-        member = net.devices[member_id]
-        emit(member, net.devices[target], verdict)
         member.accumulators, member.stds = accumulate_and_maybe_update(
             member.accumulators,
-            verdict,
-            member.store.mean_trust(target),
+            Classification.MALICIOUS if mal else Classification.NORMAL,
+            value,
             member.stds,
             alpha=cfg.alpha,
             beta=cfg.beta,

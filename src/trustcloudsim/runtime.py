@@ -3,18 +3,18 @@
 Each device keeps, per target, a sliding window of trust values (inferred
 directly or received as recommendations), the window mean as its current
 trust estimate, and an individual trust cloud rebuilt from the window once it
-is full.  Targets are classified against the device's standard clouds with an
-expectation-margin rule backed by a drop-sampled similarity comparison, and
-the classified trust values accumulate into pools that periodically refresh
-the standard clouds.
+is full.  The whole network's trust lives in one TrustState of n x n arrays,
+written and read a batch of distinct pairs at a time.  Targets are
+classified against the device's standard clouds with an expectation-margin
+rule backed by a drop-sampled similarity comparison, and the classified
+trust values accumulate into pools that periodically refresh the standard
+clouds.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from random import Random
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .cloud import (
     DropSet,
     TrustCloud,
     backward_cloud,
-    generate_drop,
+    backward_clouds,
 )
 from .errors import ConfigError, DomainError, InsufficientEvidenceError, ZeroEntropyError
 from .training import StandardClouds
@@ -41,139 +41,162 @@ class Classification(enum.Enum):
     NORMAL = "normal"
 
 
-class TargetRecord:
-    """One observer's view of one target device.
+class TrustState:
+    """Every observer's trust in every target, held in n x n arrays.
 
-    The drop window mixes inferred and recommended values; the first-hand
-    window keeps only directly inferred ones and is what the observer passes
-    on when asked for a recommendation.  The individual cloud is rebuilt
-    lazily: it always reflects the current window contents but is only
-    materialized when read.
+    Entry [o, t] is observer o's view of target t.  The drop window mixes
+    inferred and recommended values; the first-hand window keeps only
+    directly inferred ones and is what the observer passes on when asked for
+    a recommendation.  Both windows are rings of ``window`` slots with a
+    running sum, a fill count and their mean.  The individual cloud (ex, en,
+    he) of a pair with a full window is rebuilt from the window in one batch,
+    the first time clouds are read after the window changed.
     """
 
-    __slots__ = ("window", "firsthand", "mean", "interacted",
-                 "firsthand_value", "_sum", "_fh_sum", "_cloud", "_stale")
-
-    def __init__(self, window_size: int):
-        self.window = DropSet(window_size)
-        self.firsthand = DropSet(window_size)
-        self.mean = 0.0
-        self.interacted = False
-        self.firsthand_value: Optional[float] = None
-        self._sum = 0.0
-        self._fh_sum = 0.0
-        self._cloud: Optional[TrustCloud] = None
-        self._stale = False
-
-    def firsthand_mean(self) -> Optional[float]:
-        return self.firsthand_value
+    def __init__(self, n: int, window: int = THR_DRP):
+        if window < 2:
+            raise DomainError(f"window must hold at least 2 drops, got {window}")
+        self.window = window
+        self._ring = np.zeros((window, n, n))
+        self._sum = np.zeros((n, n))
+        #: drops written per pair; a window holds min(count, window) of them
+        self.count = np.zeros((n, n), dtype=np.int64)
+        self.mean = np.zeros((n, n))
+        self._fh_ring = np.zeros((window, n, n))
+        self._fh_sum = np.zeros((n, n))
+        self.fh_count = np.zeros((n, n), dtype=np.int64)
+        #: first-hand window mean; meaningful where fh_count > 0
+        self.firsthand = np.zeros((n, n))
+        self._ex = np.zeros((n, n))
+        self._en = np.zeros((n, n))
+        self._he = np.zeros((n, n))
+        self._stale: list[tuple[np.ndarray, np.ndarray]] = []
 
     @property
-    def cloud(self) -> Optional[TrustCloud]:
+    def known(self) -> np.ndarray:
+        """Pairs with at least one recorded drop."""
+        return self.count > 0
+
+    @property
+    def full(self) -> np.ndarray:
+        """Pairs whose window is full, i.e. that have an individual cloud."""
+        return self.count >= self.window
+
+    @property
+    def immature(self) -> np.ndarray:
+        """Pairs recorded but without a full window yet."""
+        return (self.count > 0) & (self.count < self.window)
+
+    def clouds(self, observers, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ex, en, he) of the given pairs, which must all have full windows."""
+        if not np.all(self.count[observers, targets] >= self.window):
+            raise InsufficientEvidenceError("no individual trust cloud for target")
         if self._stale:
-            self._cloud = backward_cloud(self.window.values)
-            self._stale = False
-        return self._cloud
+            obs = np.concatenate([o for o, _ in self._stale])
+            tgt = np.concatenate([t for _, t in self._stale])
+            self._stale.clear()
+            oldest = self.count[obs, tgt] % self.window
+            slots = (oldest + np.arange(self.window)[:, None]) % self.window
+            ex, en, he = backward_clouds(self._ring[slots, obs, tgt])
+            self._ex[obs, tgt] = ex
+            self._en[obs, tgt] = en
+            self._he[obs, tgt] = he
+        return (
+            self._ex[observers, targets],
+            self._en[observers, targets],
+            self._he[observers, targets],
+        )
 
 
-class TrustStore:
-    """Per-target trust bookkeeping for a single observer."""
-
-    __slots__ = ("window_size", "_records", "immature")
-
-    def __init__(self, window_size: int = THR_DRP):
-        self.window_size = window_size
-        self._records: dict[int, TargetRecord] = {}
-        #: targets recorded but without a full window yet
-        self.immature: set[int] = set()
-
-    def record(self, target: int) -> TargetRecord:
-        rec = self._records.get(target)
-        if rec is None:
-            rec = TargetRecord(self.window_size)
-            self._records[target] = rec
-            self.immature.add(target)
-        return rec
-
-    def get(self, target: int) -> Optional[TargetRecord]:
-        return self._records.get(target)
-
-    def mean_trust(self, target: int) -> float:
-        rec = self._records.get(target)
-        return rec.mean if rec is not None else 0.0
-
-    def firsthand_trust(self, target: int) -> Optional[float]:
-        rec = self._records.get(target)
-        return rec.firsthand_value if rec is not None else None
-
-    def has_cloud(self, target: int) -> bool:
-        rec = self._records.get(target)
-        return rec is not None and rec.window.full
-
-    def cloud(self, target: int) -> Optional[TrustCloud]:
-        rec = self._records.get(target)
-        return rec.cloud if rec is not None else None
-
-    def known(self):
-        """View of all recorded target ids."""
-        return self._records.keys()
-
-    def targets(self) -> list[int]:
-        return sorted(self._records)
+def _slide(ring, sums, count, obs, tgt, values) -> np.ndarray:
+    """Write one drop into each (distinct) pair's window; returns the fills."""
+    slot = count[obs, tgt] % ring.shape[0]
+    evicted = ring[slot, obs, tgt]  # 0.0 while the window is still filling
+    ring[slot, obs, tgt] = values
+    sums[obs, tgt] += values - evicted
+    count[obs, tgt] += 1
+    return np.minimum(count[obs, tgt], ring.shape[0])
 
 
-def recommend_trust(t_ik: float, t_jk: float, t_ij: float) -> float:
+def recommend_trust(t_ik, t_jk, t_ij):
     """Fuse own trust in a target with a head's recommended trust.
 
     With no prior record of the target (t_ik = 0) the recommendation is
     weighted by the trust in the recommender alone; otherwise it averages in
-    against the own estimate.
+    against the own estimate.  Takes scalars or equal-length arrays.
     """
+    t_ik, t_jk, t_ij = (np.asarray(v, dtype=float) for v in (t_ik, t_jk, t_ij))
     for name, v in (("t_ik", t_ik), ("t_jk", t_jk), ("t_ij", t_ij)):
-        if not 0.0 <= v <= 1.0:
+        if not np.all((v >= 0.0) & (v <= 1.0)):
             raise DomainError(f"{name} must be in [0, 1], got {v}")
-    if t_ik > 0.0:
-        return (t_ik + t_jk * t_ij) / (1.0 + t_ij)
-    return t_jk * t_ij
+    fused = np.where(t_ik > 0.0, (t_ik + t_jk * t_ij) / (1.0 + t_ij), t_jk * t_ij)
+    return fused[()]
 
 
 def record_trust(
-    store: TrustStore, target: int, value: float, *, direct: bool = False
-) -> TrustStore:
-    """Slide a trust value into a target's window and refresh its summary.
+    state: TrustState, observers, targets, values, *, direct: bool = False
+) -> TrustState:
+    """Slide one trust value into each pair's window and refresh its mean.
 
-    Directly inferred values additionally extend the first-hand window that
-    backs outgoing recommendations.
+    The pairs of one call must be distinct.  Directly inferred values
+    additionally extend the first-hand window that backs outgoing
+    recommendations.  Pairs whose window is full get their cloud rebuilt
+    before clouds are next read.
     """
-    rec = store.record(target)
-    evicted = rec.window.add(value)
-    rec._sum += value - (evicted or 0.0)
+    obs = np.asarray(observers, dtype=np.intp)
+    tgt = np.asarray(targets, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DomainError(f"drops must be in [0, 1], got {values}")
+    fill = _slide(state._ring, state._sum, state.count, obs, tgt, values)
+    state.mean[obs, tgt] = state._sum[obs, tgt] / fill
     if direct:
-        fh_evicted = rec.firsthand.add(value)
-        rec._fh_sum += value - (fh_evicted or 0.0)
-        rec.firsthand_value = rec._fh_sum / len(rec.firsthand)
-    rec.interacted = True
-    rec.mean = rec._sum / len(rec.window)
-    if rec.window.full:
-        rec._stale = True
-        store.immature.discard(target)
-    return store
+        fh_fill = _slide(
+            state._fh_ring, state._fh_sum, state.fh_count, obs, tgt, values
+        )
+        state.firsthand[obs, tgt] = state._fh_sum[obs, tgt] / fh_fill
+    full = fill >= state.window
+    if full.any():
+        state._stale.append((obs[full], tgt[full]))
+    return state
 
 
-def classify(
-    itc: TrustCloud,
-    std: StandardClouds,
-    rng: Random,
+def standard_table(stds: list[Optional[StandardClouds]]) -> np.ndarray:
+    """(n, 6) rows of malicious (ex, en, he) then normal (ex, en, he).
+
+    A device without standard clouds gets a row of NaN.
+    """
+    missing = (np.nan,) * 6
+    return np.array(
+        [
+            missing
+            if s is None
+            else (s.malicious.ex, s.malicious.en, s.malicious.he,
+                  s.normal.ex, s.normal.en, s.normal.he)
+            for s in stds
+        ],
+        dtype=float,
+    ).reshape(len(stds), 6)
+
+
+def classify_pairs(
+    state: TrustState,
+    stds: np.ndarray,
+    observers,
+    targets,
+    np_rng,
     *,
     kappa: float = MARGIN_KAPPA,
     n_drp: int = DEFAULT_SIMILARITY_DROPS,
-) -> Classification:
-    """Decide whether an individual trust cloud looks malicious or normal.
+) -> np.ndarray:
+    """Judge each observer's target; True where it looks malicious.
 
-    An expectation clearly below the malicious cloud (by kappa entropies) is
-    malicious, clearly above the normal cloud is normal; anything in between
-    is resolved by comparing drop-sampled similarities, with ties breaking to
-    malicious as the fail-safe.
+    ``stds`` is the standard_table of the observers.  An expectation clearly
+    below the malicious cloud (by kappa entropies) is malicious, clearly
+    above the normal cloud is normal; the rows in between are resolved by
+    comparing drop-sampled similarities, with ties breaking to malicious as
+    the fail-safe.  One (rows, n_drp) draw per sampling step covers all of
+    them, in row order.
 
     The two similarities are compared under a shared membership dispersion
     pooled from both standard clouds.  The update pools give the two
@@ -183,72 +206,18 @@ def classify(
     own center; pooling the dispersion keeps the comparison a proximity
     judgement.  With equal-entropy standards this is the plain comparison.
     """
-    if itc is None:
-        raise InsufficientEvidenceError("no individual trust cloud for target")
-    if itc.ex < std.malicious.ex - kappa * std.malicious.en:
-        return Classification.MALICIOUS
-    if itc.ex > std.normal.ex + kappa * std.normal.en:
-        return Classification.NORMAL
-    shared = TrustCloud(
-        0.0,
-        (std.malicious.en + std.normal.en) / 2.0,
-        (std.malicious.he + std.normal.he) / 2.0,
-    )
-    sim_m = 0.0
-    sim_n = 0.0
-    for _ in range(n_drp):
-        drop = generate_drop(itc, rng)
-        sigma_s = abs(rng.gauss(shared.en, shared.he))
-        sim_m += _membership_at(drop, std.malicious.ex, sigma_s)
-        sim_n += _membership_at(drop, std.normal.ex, sigma_s)
-    if sim_m >= sim_n:
-        return Classification.MALICIOUS
-    return Classification.NORMAL
-
-
-def _membership_at(drop: float, center: float, sigma_s: float) -> float:
-    if drop == center:
-        return 1.0
-    if sigma_s == 0.0:
-        raise ZeroEntropyError("zero pooled entropy with a non-matching drop")
-    return math.exp(-((drop - center) ** 2) / (2.0 * sigma_s * sigma_s))
-
-
-def classify_batch(
-    itcs: list[TrustCloud],
-    stds: list[StandardClouds],
-    np_rng,
-    *,
-    kappa: float = MARGIN_KAPPA,
-    n_drp: int = DEFAULT_SIMILARITY_DROPS,
-) -> list[Classification]:
-    """Classify many (individual, standards) pairs with vectorized sampling.
-
-    Decision logic matches classify(); the similarity sampling uses one numpy
-    generator so a round's worth of decisions costs a handful of array ops.
-    """
-    out: list[Optional[Classification]] = [None] * len(itcs)
-    gray: list[int] = []
-    for i, (itc, std) in enumerate(zip(itcs, stds)):
-        if itc.ex < std.malicious.ex - kappa * std.malicious.en:
-            out[i] = Classification.MALICIOUS
-        elif itc.ex > std.normal.ex + kappa * std.normal.en:
-            out[i] = Classification.NORMAL
-        else:
-            gray.append(i)
-    if gray:
+    ex, en, he = state.clouds(observers, targets)
+    ex_m, en_m, he_m, ex_n, en_n, he_n = stds[observers].T
+    if np.isnan(ex_m).any():
+        raise InsufficientEvidenceError("observer has no standard clouds")
+    malicious = ex < ex_m - kappa * en_m
+    gray = np.flatnonzero(~malicious & ~(ex > ex_n + kappa * en_n))
+    if len(gray):
         shape = (len(gray), n_drp)
-        ex_i = np.array([itcs[i].ex for i in gray])[:, None]
-        en_i = np.array([itcs[i].en for i in gray])[:, None]
-        he_i = np.array([itcs[i].he for i in gray])[:, None]
-        ex_m = np.array([stds[i].malicious.ex for i in gray])[:, None]
-        ex_n = np.array([stds[i].normal.ex for i in gray])[:, None]
-        en_p = np.array(
-            [(stds[i].malicious.en + stds[i].normal.en) / 2.0 for i in gray]
-        )[:, None]
-        he_p = np.array(
-            [(stds[i].malicious.he + stds[i].normal.he) / 2.0 for i in gray]
-        )[:, None]
+        ex_i, en_i, he_i = ex[gray, None], en[gray, None], he[gray, None]
+        ex_m, ex_n = ex_m[gray, None], ex_n[gray, None]
+        en_p = ((en_m + en_n) / 2.0)[gray, None]
+        he_p = ((he_m + he_n) / 2.0)[gray, None]
         sigma_i = np.abs(np_rng.standard_normal(shape) * he_i + en_i)
         drops = np.clip(np_rng.standard_normal(shape) * sigma_i + ex_i, 0.0, 1.0)
         sigma_s = np.abs(np_rng.standard_normal(shape) * he_p + en_p)
@@ -261,13 +230,8 @@ def classify_batch(
         sim_n = np.where(
             drops == ex_n, 1.0, np.exp(-((drops - ex_n) ** 2) / denom)
         ).mean(axis=1)
-        for j, i in enumerate(gray):
-            out[i] = (
-                Classification.MALICIOUS
-                if sim_m[j] >= sim_n[j]
-                else Classification.NORMAL
-            )
-    return out  # type: ignore[return-value]
+        malicious[gray] = sim_m >= sim_n
+    return malicious
 
 
 def update_standard_cloud(

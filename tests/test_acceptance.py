@@ -254,12 +254,7 @@ def test_zero_adversary_sanity():
     attacks = metric_total_attacks(log)
     timely = metric_timely_rate(log)
     decisions = sum(s.decisions for s in log.round_stats)
-    malicious_verdicts = sum(
-        1
-        for s in log.round_stats
-        for (_, _, as_malicious, _) in s.decision_detail
-        if as_malicious
-    )
+    malicious_verdicts = sum(s.malicious_verdicts for s in log.round_stats)
     ok = attacks == 0 and timely == 1.0 and decisions > 0 and malicious_verdicts == 0
     report(
         "zero adversary: no attacks, all-normal decisions, timely rate 1",

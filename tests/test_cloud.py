@@ -1,12 +1,14 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from trustcloudsim.cloud import (
     DropSet,
     TrustCloud,
     backward_cloud,
+    backward_clouds,
     generate_drop,
     membership_degree,
     similarity,
@@ -44,6 +46,38 @@ def test_backward_cloud_errors():
         backward_cloud([0.5])
     with pytest.raises(DomainError):
         backward_cloud([0.5, 1.5])
+
+
+def assert_columns_match_scalar(windows):
+    ex, en, he = backward_clouds(windows)
+    for j in range(windows.shape[1]):
+        c = backward_cloud(windows[:, j].tolist())
+        assert (ex[j], en[j], he[j]) == (c.ex, c.en, c.he)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 300])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 20, 25, 100])
+def test_backward_clouds_equal_scalar_bit_for_bit(n, k):
+    rng = np.random.default_rng(n * 1000 + k)
+    assert_columns_match_scalar(rng.random((n, k)))
+    # trust-like values: clustered near one end, with exact 0s and 1s
+    windows = np.clip(rng.normal(0.9, 0.2, (n, k)), 0.0, 1.0)
+    windows[rng.random((n, k)) < 0.1] = 0.0
+    assert_columns_match_scalar(windows)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.1, 1 / 3, 0.7, 1.0])
+def test_backward_clouds_constant_and_zero_windows(value):
+    windows = np.full((20, 5), value)
+    assert_columns_match_scalar(windows)
+    if value in (0.0, 1.0):  # sums of these are exact
+        ex, en, he = backward_clouds(windows)
+        assert np.all(ex == value) and np.all(en == 0.0) and np.all(he == 0.0)
+
+
+def test_backward_clouds_needs_two_drops():
+    with pytest.raises(InsufficientDataError):
+        backward_clouds(np.zeros((1, 3)))
 
 
 def test_backward_cloud_permutation_invariant():

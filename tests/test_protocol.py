@@ -19,7 +19,13 @@ from trustcloudsim.protocol import (
     run_data_phase,
     run_round,
 )
-from trustcloudsim.runtime import Classification, record_trust
+from trustcloudsim.runtime import (
+    Classification,
+    TrustState,
+    classify_pairs,
+    record_trust,
+    standard_table,
+)
 from trustcloudsim.training import StandardClouds
 
 REL = 1e-9
@@ -59,68 +65,72 @@ def make_member(mid=0):
     return member
 
 
-def candidate(cid, x, trust_values, member):
+def candidate(cid, x, trust_values, member, trust):
     head = DeviceState(id=cid, x=x, y=0.0, energy=1.0)
     for v in trust_values:
-        record_trust(member.store, cid, v)
+        record_trust(trust, [member.id], [cid], [v])
     return head
+
+
+def choose(member, candidates, trust, *, r=0, epoch=15):
+    """choose_cluster on the member's verdicts, classified as run_round does."""
+    heads = [h.id for h, _ in candidates]
+    judged = [i for i, h in enumerate(heads) if trust.full[member.id, h]]
+    table = standard_table([member.stds] * len(trust.count))
+    malicious = classify_pairs(
+        trust, table, [member.id] * len(judged), [heads[i] for i in judged],
+        np.random.default_rng(1),
+    )
+    verdicts = [None] * len(heads)
+    for i, mal in zip(judged, malicious):
+        verdicts[i] = Classification.MALICIOUS if mal else Classification.NORMAL
+    return choose_cluster(member, candidates, verdicts, trust, r=r, epoch=epoch)
 
 
 def test_choose_cluster_nearest_normal():
     member = make_member()
-    near = candidate(1, 10.0, [0.99] * 20, member)   # margin-normal
-    far = candidate(2, 20.0, [0.99] * 20, member)
-    choice = choose_cluster(
-        member, [(near, 10.0), (far, 20.0)], Random(1),
-        r=0, epoch=15, kappa=3.0, n_drp=50,
-    )
+    trust = TrustState(4)
+    near = candidate(1, 10.0, [0.99] * 20, member, trust)   # margin-normal
+    far = candidate(2, 20.0, [0.99] * 20, member, trust)
+    choice = choose(member, [(near, 10.0), (far, 20.0)], trust)
     assert choice == ClusterChoice("join", 1)
 
 
 def test_choose_cluster_all_malicious_becomes_head():
     member = make_member()
-    bad = candidate(1, 10.0, [0.05] * 20, member)    # margin-malicious
-    choice = choose_cluster(
-        member, [(bad, 10.0)], Random(1), r=0, epoch=15, kappa=3.0, n_drp=50
-    )
+    trust = TrustState(4)
+    bad = candidate(1, 10.0, [0.05] * 20, member, trust)    # margin-malicious
+    choice = choose(member, [(bad, 10.0)], trust)
     assert choice == ClusterChoice("become_head", None)
     # ineligible member falls back to the sink
     member2 = make_member(3)
-    bad2 = candidate(1, 10.0, [0.05] * 20, member2)
+    bad2 = candidate(1, 10.0, [0.05] * 20, member2, trust)
     member2.last_head_round = 0
-    choice2 = choose_cluster(
-        member2, [(bad2, 10.0)], Random(1), r=3, epoch=15, kappa=3.0, n_drp=50
-    )
+    choice2 = choose(member2, [(bad2, 10.0)], trust, r=3)
     assert choice2 == ClusterChoice("sink", None)
 
 
 def test_choose_cluster_prefers_fresh_candidate_without_clouds():
     member = make_member()
-    known = candidate(1, 10.0, [0.8] * 5, member)    # interacted, no cloud yet
+    trust = TrustState(4)
+    known = candidate(1, 10.0, [0.8] * 5, member, trust)    # recorded, no cloud yet
     fresh = DeviceState(id=2, x=15.0, y=0.0, energy=1.0)
-    choice = choose_cluster(
-        member, [(known, 10.0), (fresh, 15.0)], Random(1),
-        r=0, epoch=15, kappa=3.0, n_drp=50,
-    )
+    choice = choose(member, [(known, 10.0), (fresh, 15.0)], trust)
     assert choice == ClusterChoice("join", 2)
 
 
 def test_choose_cluster_highest_mean_when_all_interacted():
     member = make_member()
-    low = candidate(1, 10.0, [0.4] * 5, member)
-    high = candidate(2, 20.0, [0.9] * 5, member)
-    choice = choose_cluster(
-        member, [(low, 10.0), (high, 20.0)], Random(1),
-        r=0, epoch=15, kappa=3.0, n_drp=50,
-    )
+    trust = TrustState(4)
+    low = candidate(1, 10.0, [0.4] * 5, member, trust)
+    high = candidate(2, 20.0, [0.9] * 5, member, trust)
+    choice = choose(member, [(low, 10.0), (high, 20.0)], trust)
     assert choice == ClusterChoice("join", 2)
 
 
 def test_choose_cluster_no_candidates():
     member = make_member()
-    assert choose_cluster(
-        member, [], Random(1), r=0, epoch=15, kappa=3.0, n_drp=50
-    ) == ClusterChoice("become_head", None)
+    assert choose(member, [], TrustState(4)) == ClusterChoice("become_head", None)
 
 
 def small_net(cfg=None, **overrides):
@@ -180,7 +190,8 @@ def test_run_round_zero_alive():
     for d in net.devices:
         d.alive = False
     out = run_round(net, 0, Random(1), np.random.default_rng(1))
-    assert out.clusters == {} and out.transfers == [] and out.decisions == []
+    assert out.clusters == {} and out.transfers == []
+    assert len(out.decisions.observer) == 0
 
 
 def test_run_round_all_recently_heads_direct_to_sink():
@@ -228,12 +239,12 @@ def test_run_round_detects_malicious_around_round_60():
         run_training_phase(net, Random(cfg.seed))
         rng = Random(cfg.seed)
         np_rng = np.random.default_rng(cfg.seed)
+        is_malicious = np.array([d.is_malicious for d in net.devices])
         flagged = False
         for r in range(66):
             out = run_round(net, r, rng, np_rng)
             if 55 <= r <= 65:
-                for d in out.decisions:
-                    if d.target_malicious and d.verdict is Classification.MALICIOUS:
-                        flagged = True
+                caught = out.decisions.malicious & is_malicious[out.decisions.target]
+                flagged |= bool(caught.any())
         hits += flagged
     assert hits > 10

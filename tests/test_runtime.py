@@ -7,13 +7,13 @@ from trustcloudsim.cloud import TrustCloud, backward_cloud
 from trustcloudsim.errors import ConfigError, DomainError, InsufficientEvidenceError
 from trustcloudsim.runtime import (
     Classification,
-    TrustStore,
+    TrustState,
     UpdateAccumulators,
     accumulate_and_maybe_update,
-    classify,
-    classify_batch,
+    classify_pairs,
     record_trust,
     recommend_trust,
+    standard_table,
     update_standard_cloud,
 )
 from trustcloudsim.training import StandardClouds
@@ -29,15 +29,18 @@ def test_recommend_trust_examples():
 
 def test_recommend_trust_bounds_over_random_triples():
     rng = Random(6)
-    for _ in range(100_000):
-        t_ik, t_jk, t_ij = rng.random(), rng.random(), rng.random()
-        value = recommend_trust(t_ik, t_jk, t_ij)
-        assert 0.0 <= value <= 1.0
+    t_ik, t_jk, t_ij = np.array(
+        [(rng.random(), rng.random(), rng.random()) for _ in range(100_000)]
+    ).T
+    value = recommend_trust(t_ik, t_jk, t_ij)
+    assert np.all((0.0 <= value) & (value <= 1.0))
     # fresh-target branch never exceeds either input
-    for _ in range(1000):
-        t_jk, t_ij = rng.random(), rng.random()
-        v = recommend_trust(0.0, t_jk, t_ij)
-        assert v <= t_jk and v <= t_ij
+    t_jk, t_ij = np.array([(rng.random(), rng.random()) for _ in range(1000)]).T
+    v = recommend_trust(np.zeros(1000), t_jk, t_ij)
+    assert np.all((v <= t_jk) & (v <= t_ij))
+    # one array call gives what element-wise calls give
+    assert [recommend_trust(0.0, a, b) for a, b in zip(t_jk[:50], t_ij[:50])] \
+        == v[:50].tolist()
 
 
 def test_recommend_trust_rejects_out_of_range():
@@ -45,77 +48,97 @@ def test_recommend_trust_rejects_out_of_range():
         recommend_trust(1.2, 0.5, 0.5)
 
 
+STD = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
+
+
+def filled(windows, window=20):
+    """A TrustState where observer 0 holds windows[i] (oldest first) on target i."""
+    state = TrustState(max(len(windows), 2), window)
+    for target, values in enumerate(windows):
+        for v in values:
+            record_trust(state, [0], [target], [v])
+    return state
+
+
+def classify_windows(windows, np_rng, std=STD):
+    state = filled(windows)
+    targets = list(range(len(windows)))
+    table = standard_table([std] * len(state.count))
+    return classify_pairs(state, table, [0] * len(windows), targets, np_rng).tolist()
+
+
 def test_record_trust_window_and_cloud():
-    store = TrustStore(20)
+    state = TrustState(8, 20)
     for i in range(19):
-        record_trust(store, 7, 0.5)
-    assert store.cloud(7) is None
-    record_trust(store, 7, 0.5)
-    assert store.cloud(7) is not None
+        record_trust(state, [7], [3], [0.5])
+    assert not state.full[7, 3]
+    with pytest.raises(InsufficientEvidenceError):
+        state.clouds([7], [3])
+    record_trust(state, [7], [3], [0.5])
+    assert state.full[7, 3]
 
     # sliding: oldest evicted, cloud rebuilt over the latest 20
-    record_trust(store, 7, 1.0)
-    values = store.get(7).window.values
-    assert len(values) == 20
-    assert values[-1] == 1.0
+    record_trust(state, [7], [3], [1.0])
+    values = [0.5] * 19 + [1.0]
     expected = backward_cloud(values)
-    got = store.cloud(7)
-    assert got.ex == pytest.approx(expected.ex, rel=1e-12)
-    assert store.mean_trust(7) == pytest.approx(sum(values) / 20, rel=1e-9)
+    ex, en, he = state.clouds([7], [3])
+    assert (ex[0], en[0], he[0]) == (expected.ex, expected.en, expected.he)
+    assert state.mean[7, 3] == pytest.approx(sum(values) / 20, rel=1e-9)
+    assert state.count[7, 3] == 21 and not state.immature[7, 3]
 
 
 def test_record_trust_all_zero_window():
-    store = TrustStore(20)
-    for _ in range(20):
-        record_trust(store, 1, 0.0)
-    assert store.cloud(1) == TrustCloud(0.0, 0.0, 0.0)
+    state = filled([[0.0] * 20])
+    assert [float(a[0]) for a in state.clouds([0], [0])] == [0.0, 0.0, 0.0]
 
 
 def test_classify_margin_rules():
-    std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
     # margin decisions never touch the random source: seed-independent
     for seed in (8, 9, 1234):
-        rng = Random(seed)
-        assert (
-            classify(TrustCloud(0.05, 0.01, 0.0), std, rng)
-            is Classification.MALICIOUS
-        )
-        assert (
-            classify(TrustCloud(0.95, 0.01, 0.0), std, rng)
-            is Classification.NORMAL
-        )
+        np_rng = np.random.default_rng(seed)
+        before = np_rng.bit_generator.state
+        assert classify_windows([[0.05] * 20, [0.95] * 20], np_rng) == [True, False]
+        assert np_rng.bit_generator.state == before
 
 
 def test_classify_similarity_fallback():
-    std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
-    itc = TrustCloud(0.32, 0.03, 0.0)
-    assert classify(itc, std, Random(123)) is Classification.MALICIOUS
+    near_malicious = [0.29, 0.35] * 10  # cloud (0.32, 0.038, 0.0): no margin
+    np_rng = np.random.default_rng(123)
+    before = np_rng.bit_generator.state
+    assert classify_windows([near_malicious], np_rng) == [True]
+    assert np_rng.bit_generator.state != before
     # deterministic for a fixed seed
-    assert classify(itc, std, Random(9)) is classify(itc, std, Random(9))
+    assert classify_windows([near_malicious], np.random.default_rng(9)) == \
+        classify_windows([near_malicious], np.random.default_rng(9))
 
 
 def test_classify_requires_cloud():
-    std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
     with pytest.raises(InsufficientEvidenceError):
-        classify(None, std, Random(1))
+        classify_windows([[0.5] * 19], np.random.default_rng(1))
+    state = filled([[0.5] * 20])
+    no_standards = standard_table([None, STD])
+    with pytest.raises(InsufficientEvidenceError):
+        classify_pairs(state, no_standards, [0], [0], np.random.default_rng(1))
 
 
 def test_classify_batch_matches_scalar_on_margins():
-    std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
-    itcs = [TrustCloud(0.05, 0.01, 0.0), TrustCloud(0.95, 0.01, 0.0)]
-    out = classify_batch(itcs, [std, std], np.random.default_rng(1))
-    assert out == [Classification.MALICIOUS, Classification.NORMAL]
+    windows = [[0.05] * 20, [0.29, 0.35] * 10, [0.95] * 20, [0.66, 0.7] * 10]
+    state = filled(windows)
+    ex, en, _ = state.clouds([0] * 4, [0, 1, 2, 3])
+    out = classify_windows(windows, np.random.default_rng(1))
+    for i in range(4):
+        if ex[i] < STD.malicious.ex - 3.0 * STD.malicious.en:
+            assert out[i] is True
+        elif ex[i] > STD.normal.ex + 3.0 * STD.normal.en:
+            assert out[i] is False
+    assert out[0] is True and out[2] is False
 
 
 def test_classify_batch_gray_zone_agreement():
-    std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
-    near_mal = TrustCloud(0.35, 0.03, 0.0)
-    near_norm = TrustCloud(0.66, 0.03, 0.0)
-    out = classify_batch(
-        [near_mal, near_norm], [std, std], np.random.default_rng(2)
-    )
-    assert out[0] is Classification.MALICIOUS
-    assert out[1] is Classification.NORMAL
+    near_mal = [0.32, 0.38] * 10
+    near_norm = [0.63, 0.69] * 10
+    out = classify_windows([near_mal, near_norm], np.random.default_rng(2))
+    assert out == [True, False]
 
 
 def test_update_standard_cloud():

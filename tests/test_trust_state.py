@@ -1,0 +1,145 @@
+"""The array-backed TrustState against a per-pair reference model.
+
+The reference keeps each (observer, target) pair the plain way: a deque
+window, running sums updated as ``sum += value - evicted``, and the scalar
+backward_cloud over the window.  The state must agree with it exactly, not
+approximately, since the simulator's output is pinned bit for bit.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trustcloudsim.cloud import backward_cloud
+from trustcloudsim.errors import DomainError, InsufficientEvidenceError
+from trustcloudsim.runtime import TrustState, record_trust
+
+
+class ReferencePair:
+    """One observer's view of one target, one object per pair."""
+
+    def __init__(self, window: int):
+        self.window: deque = deque(maxlen=window)
+        self.firsthand: deque = deque(maxlen=window)
+        self.sum = 0.0
+        self.fh_sum = 0.0
+        self.mean = 0.0
+        self.fh_mean = None
+
+    def record(self, value: float, direct: bool) -> None:
+        evicted = self.window[0] if len(self.window) == self.window.maxlen else 0.0
+        self.window.append(value)
+        self.sum += value - evicted
+        self.mean = self.sum / len(self.window)
+        if direct:
+            fh = self.firsthand
+            evicted = fh[0] if len(fh) == fh.maxlen else 0.0
+            fh.append(value)
+            self.fh_sum += value - evicted
+            self.fh_mean = self.fh_sum / len(fh)
+
+    @property
+    def full(self) -> bool:
+        return len(self.window) == self.window.maxlen
+
+    def cloud(self):
+        return backward_cloud(tuple(self.window)) if self.full else None
+
+
+def assert_matches(state: TrustState, ref: dict, n: int) -> None:
+    known = np.zeros((n, n), dtype=bool)
+    immature = np.zeros((n, n), dtype=bool)
+    for (o, t), pair in ref.items():
+        known[o, t] = True
+        immature[o, t] = not pair.full
+        assert state.mean[o, t] == pair.mean
+        if pair.fh_mean is None:
+            assert state.fh_count[o, t] == 0
+        else:
+            assert state.firsthand[o, t] == pair.fh_mean
+    assert np.array_equal(state.known, known)
+    assert np.array_equal(state.immature, immature)
+    full = [(o, t) for (o, t), pair in ref.items() if pair.full]
+    if full:
+        obs, tgt = (list(x) for x in zip(*full))
+        ex, en, he = state.clouds(obs, tgt)
+        for i, (o, t) in enumerate(full):
+            c = ref[(o, t)].cloud()
+            assert (ex[i], en[i], he[i]) == (c.ex, c.en, c.he)
+
+
+drop_values = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+@st.composite
+def write_batches(draw):
+    """A window size, a network size and batches of distinct-pair writes."""
+    window = draw(st.integers(2, 25))
+    n = draw(st.integers(1, 3))
+    pairs = [(o, t) for o in range(n) for t in range(n)]
+    # enough batches for the windows to fill and slide
+    n_batches = draw(st.integers(1, window + 8))
+    batches = []
+    for _ in range(n_batches):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        batch = [(o, t, draw(drop_values), draw(st.booleans())) for o, t in chosen]
+        batches.append(batch)
+    return window, n, batches
+
+
+@settings(max_examples=150, deadline=None)
+@given(write_batches())
+def test_state_matches_reference_model(case):
+    window, n, batches = case
+    state = TrustState(n, window)
+    ref: dict[tuple[int, int], ReferencePair] = {}
+    for batch in batches:
+        # a batch writes all direct values in one call, the rest in another,
+        # as a round writes inferences and then recommendations
+        for direct in (True, False):
+            rows = [(o, t, v) for o, t, v, d in batch if d is direct]
+            for o, t, v in rows:
+                ref.setdefault((o, t), ReferencePair(window)).record(v, direct)
+            obs, tgt, values = (list(x) for x in zip(*rows)) if rows else ([], [], [])
+            record_trust(state, obs, tgt, values, direct=direct)
+        assert_matches(state, ref, n)
+
+
+def test_long_sliding_run_matches_reference():
+    rng = np.random.default_rng(5)
+    n, window = 4, 20
+    state = TrustState(n, window)
+    ref: dict[tuple[int, int], ReferencePair] = {}
+    pairs = [(o, t) for o in range(n) for t in range(n) if o != t]
+    for step in range(300):
+        chosen = [pairs[i] for i in rng.permutation(len(pairs))[: rng.integers(1, 8)]]
+        values = rng.random(len(chosen))
+        values[rng.random(len(chosen)) < 0.1] = 0.0
+        direct = bool(step % 3)
+        for (o, t), v in zip(chosen, values.tolist()):
+            ref.setdefault((o, t), ReferencePair(window)).record(v, direct)
+        record_trust(state, [o for o, _ in chosen], [t for _, t in chosen], values,
+                     direct=direct)
+        if step % 7 == 0:
+            assert_matches(state, ref, n)
+    assert_matches(state, ref, n)
+
+
+def test_clouds_need_full_windows():
+    state = TrustState(3, 4)
+    record_trust(state, [0, 1], [1, 2], [0.5, 0.5])
+    with pytest.raises(InsufficientEvidenceError):
+        state.clouds([0], [1])
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+def test_record_trust_rejects_out_of_range(bad):
+    state = TrustState(3, 4)
+    with pytest.raises(DomainError):
+        record_trust(state, [0, 1], [1, 2], [0.5, bad])
