@@ -17,7 +17,12 @@ import numpy as np
 
 from .cloud import DropSet
 from .config import ScenarioConfig, with_overrides
-from .errors import ConfigError, NoNeighborError, UndefinedMetricError
+from .errors import (
+    ConfigError,
+    NoNeighborError,
+    TrustCloudSimError,
+    UndefinedMetricError,
+)
 from .medium import monitor_energy
 from .protocol import (
     ADVANCED,
@@ -202,6 +207,7 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
             dev.stds = merge_recommendations(received[0], received[1:])
         else:
             dev.stds = None
+    net.refresh_standards()
     net.mark_deaths(0)
     return reports
 
@@ -409,10 +415,20 @@ def run_metrics(log: MetricsLog) -> dict[str, float]:
     return out
 
 
-def _replica_metrics(args: tuple[ScenarioConfig, int]) -> tuple[dict, list[float]]:
-    cfg, index = args
+def _replica_metrics(
+    cfg: ScenarioConfig,
+    index: int,
+    classifier_override: Optional[ClassifierOverride] = None,
+) -> tuple[dict, list[float]]:
+    """Metrics of replica ``index``; a failure names the replica's scenario."""
     run_cfg = with_overrides(cfg, seed=derive_seed(cfg.seed, index))
-    log = run_simulation(run_cfg)
+    try:
+        log = run_simulation(run_cfg, classifier_override=classifier_override)
+    except Exception as exc:
+        raise TrustCloudSimError(
+            f"replica {index} (seed {run_cfg.seed}, malicious fraction "
+            f"{cfg.malicious_fraction}) failed: {type(exc).__name__}: {exc}"
+        ) from exc
     return run_metrics(log), metric_malicious_clusters(log)
 
 
@@ -427,7 +443,8 @@ def replicate(
 
     Replications share no state, so they may fan out over worker processes;
     aggregation is ordered by run index either way.  A classifier override
-    forces the serial path (it may not be picklable).
+    forces the serial path (it may not be picklable).  A failing replica
+    raises a TrustCloudSimError that names its seed and malicious fraction.
     """
     if n_runs < 2:
         raise ConfigError("replication needs at least 2 runs")
@@ -436,18 +453,11 @@ def replicate(
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, n_runs)) as pool:
-            results = pool.map(_replica_metrics, jobs)
+            results = pool.starmap(_replica_metrics, jobs)
     else:
-        results = []
-        for job in jobs:
-            if classifier_override is None:
-                results.append(_replica_metrics(job))
-            else:
-                run_cfg = with_overrides(cfg, seed=derive_seed(cfg.seed, job[1]))
-                log = run_simulation(
-                    run_cfg, classifier_override=classifier_override
-                )
-                results.append((run_metrics(log), metric_malicious_clusters(log)))
+        results = [
+            _replica_metrics(c, i, classifier_override) for c, i in jobs
+        ]
 
     per_metric: dict[str, list[float]] = {m: [] for m in SCALAR_METRICS}
     censored = 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .errors import DomainError
@@ -45,14 +46,12 @@ def stationary_bad_prob(alpha0: float, alpha1: float) -> float:
     return alpha0 / (alpha0 + alpha1)
 
 
-def channel_ok(device_id: int | None, phase: ChannelPhase, rng: Random) -> bool:
-    """One independent reception/overhearing opportunity for a device.
+def channel_ok(phase: ChannelPhase, rng: Random) -> bool:
+    """One independent reception/overhearing opportunity.
 
     Each opportunity draws independently at the stationary bad probability,
-    so per-device channel quality is independent by construction; device_id
-    is accepted for interface symmetry and diagnostics only.
+    so per-device channel quality is independent by construction.
     """
-    del device_id
     p0 = phase.bad_prob
     if p0 == 0.0:
         return True
@@ -76,9 +75,12 @@ class EnergyParams:
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be non-negative")
 
-    @property
+    @cached_property
     def crossover_distance(self) -> float:
-        """Distance beyond which the multipath amplifier term applies."""
+        """Distance beyond which the multipath amplifier term applies.
+
+        Computed once per instance: every transmit cost compares against it.
+        """
         if self.eps_amp == 0.0:
             return math.inf
         return math.sqrt(self.eps_fs / self.eps_amp)

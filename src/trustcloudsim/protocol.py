@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -169,6 +169,14 @@ class NetworkState:
         for d, near in zip(devices, self.neighbors):
             self.neighbor_mask[d.id, [nid for nid, _ in near]] = True
         self.trust = TrustState(n, cfg.thr_drp)
+        #: standard_table of the devices' standard clouds, kept in step by
+        #: refresh_standards wherever a device's ``stds`` is reassigned
+        self.std_table = standard_table([d.stds for d in devices])
+
+    def refresh_standards(self, ids: Optional[Iterable[int]] = None) -> None:
+        """Rewrite the std_table rows of the given devices (default: all)."""
+        ids = list(range(len(self.devices)) if ids is None else ids)
+        self.std_table[ids] = standard_table([self.devices[i].stds for i in ids])
 
     def phase_for(self, r: int) -> ChannelPhase:
         current = self.phases[0]
@@ -279,9 +287,13 @@ def run_data_phase(
 
     Every member sends one data packet to its head; the head relays each
     received packet toward the sink in a single attempt while malicious heads
-    drop or delay with their class probabilities.  Members overhear both the uplinks and the relays through
-    independent channel draws, producing one evidence window per (observer,
-    head) pair for this round.
+    drop or delay with their class probabilities.  Members overhear both the
+    uplinks and the relays through independent channel draws, producing one
+    evidence window per (observer, head) pair for this round.
+
+    Overhearing is the bulk of the round's energy accounting, so its charge
+    is written out in both watcher loops; it does exactly what
+    ``DeviceState.spend`` does.
     """
     cfg = net.cfg
     energy = net.energy
@@ -291,18 +303,20 @@ def run_data_phase(
     overhear_cost = overhear_energy(bits, energy)
     rx_cost = rx_energy(bits, energy)
     aggregate_cost = aggregate_energy(bits, 1, energy)
-    # (observer, head) -> [sent, forwarded, timely]; folded into
-    # EvidenceWindow objects once the phase completes.
-    counters: dict[tuple[int, int], list[int]] = {}
+    windows: dict[tuple[int, int], EvidenceWindow] = {}
 
     for head_id in sorted(clusters):
         head = net.devices[head_id]
         member_ids = sorted(clusters[head_id])
         members = [net.devices[m] for m in member_ids]
         mult = ATTACK_MULTIPLIER[head.attacker]
-        sink_d = net.sink_dist[head_id]
+        sink_tx = tx_energy(bits, net.sink_dist[head_id], energy)
+        # Evidence counters by member position.
+        sent = [0] * len(members)
+        forwarded = [0] * len(members)
+        timely = [0] * len(members)
 
-        for member in members:
+        for i, member in enumerate(members):
             if not member.alive:
                 continue
             dist = math.hypot(member.x - head.x, member.y - head.y)
@@ -318,26 +332,29 @@ def run_data_phase(
 
             # Uplink overhearing: cluster mates that catch the transmission
             # know this packet awaits forwarding.
-            watchers = [member]
-            for o in members:
-                if (
-                    o.id != member.id
-                    and o.alive
-                    and (p0 == 0.0 or draw() >= p0)
-                    and o.spend(overhear_cost)
-                ):
-                    watchers.append(o)
+            watchers = [i]
+            for j, o in enumerate(members):
+                if j == i or not o.alive or (p0 != 0.0 and draw() < p0):
+                    continue
+                left = o.energy
+                if left >= overhear_cost:
+                    left -= overhear_cost
+                    if left <= 0.0:
+                        o.energy = 0.0
+                        o.alive = False
+                    else:
+                        o.energy = left
+                    watchers.append(j)
+                else:
+                    o.energy = 0.0
+                    o.alive = False
 
             if not received or (mult and draw() < mult * cfg.p_dp):
                 if received:
                     record.attack_drop = True
                     outcome.attack_drops += 1
-                for o in watchers:
-                    cnt = counters.get((o.id, head_id))
-                    if cnt is None:
-                        counters[(o.id, head_id)] = [1, 0, 0]
-                    else:
-                        cnt[0] += 1
+                for j in watchers:
+                    sent[j] += 1
                 continue
 
             attack_delayed = bool(mult) and draw() < mult * cfg.p_dy
@@ -349,7 +366,7 @@ def run_data_phase(
             # The head relays once; lost relays surface as drops, so a
             # delaying event can only come from an actual delaying attack.
             head.spend(aggregate_cost)
-            attempted = head.spend(tx_energy(bits, sink_d, energy))
+            attempted = head.spend(sink_tx)
             delivered = attempted and (p0 == 0.0 or draw() >= p0)
 
             if not attempted or not delivered:
@@ -359,30 +376,39 @@ def run_data_phase(
             else:
                 record.outcome = "timely"
 
-            for o in watchers:
-                saw = (
-                    attempted
-                    and (p0 == 0.0 or draw() >= p0)
-                    and o.spend(overhear_cost)
-                )
-                cnt = counters.get((o.id, head_id))
-                if cnt is None:
-                    cnt = [0, 0, 0]
-                    counters[(o.id, head_id)] = cnt
-                cnt[0] += 1
-                if saw:
-                    cnt[1] += 1
+            for j in watchers:
+                sent[j] += 1
+                if not attempted or (p0 != 0.0 and draw() < p0):
+                    continue
+                o = members[j]
+                if not o.alive:
+                    continue
+                left = o.energy
+                if left >= overhear_cost:
+                    left -= overhear_cost
+                    if left <= 0.0:
+                        o.energy = 0.0
+                        o.alive = False
+                    else:
+                        o.energy = left
+                    forwarded[j] += 1
                     if not attack_delayed:
-                        cnt[2] += 1
+                        timely[j] += 1
+                else:
+                    o.energy = 0.0
+                    o.alive = False
 
         # The head reports its own readings alongside the aggregate.
         if head.alive:
-            head.spend(tx_energy(bits, sink_d, energy))
+            head.spend(sink_tx)
 
-    return {
-        key: EvidenceWindow(sent, forwarded, timely)
-        for key, (sent, forwarded, timely) in counters.items()
-    }
+        for j, member_id in enumerate(member_ids):
+            if sent[j]:
+                windows[(member_id, head_id)] = EvidenceWindow(
+                    sent[j], forwarded[j], timely[j]
+                )
+
+    return windows
 
 
 def run_round(
@@ -435,7 +461,7 @@ def run_round(
     # the end of the round, so one table of them serves both classifications.
     trust = net.trust
     n = len(net.devices)
-    stds = standard_table([d.stds for d in net.devices])
+    stds = net.std_table
 
     def judgeable(obs: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         return trust.full[obs, tgt] & ~np.isnan(stds[obs, 0])
@@ -578,7 +604,9 @@ def run_round(
     post_mal = judge(post_obs, post_tgt)
 
     # A pair judged at joining keeps that decision.
-    fresh = ~np.isin(post_obs * n + post_tgt, join_obs * n + join_tgt)
+    joined = np.zeros((n, n), dtype=bool)
+    joined[join_obs, join_tgt] = True
+    fresh = ~joined[post_obs, post_tgt]
     outcome.decisions = Decisions(
         np.concatenate([join_obs, post_obs[fresh]]),
         np.concatenate([join_tgt, post_tgt[fresh]]),
@@ -586,16 +614,22 @@ def run_round(
     )
 
     values = trust.mean[post_obs, post_tgt].tolist()
+    updated: set[int] = set()
     for member_id, mal, value in zip(post_obs.tolist(), post_mal.tolist(), values):
         member = net.devices[member_id]
+        prior = member.stds
         member.accumulators, member.stds = accumulate_and_maybe_update(
             member.accumulators,
             Classification.MALICIOUS if mal else Classification.NORMAL,
             value,
-            member.stds,
+            prior,
             alpha=cfg.alpha,
             beta=cfg.beta,
         )
+        if member.stds is not prior:
+            updated.add(member_id)
+    if updated:
+        net.refresh_standards(updated)
 
     net.mark_deaths(r)
     return outcome

@@ -213,24 +213,42 @@ def classify_pairs(
     malicious = ex < ex_m - kappa * en_m
     gray = np.flatnonzero(~malicious & ~(ex > ex_n + kappa * en_n))
     if len(gray):
-        shape = (len(gray), n_drp)
-        ex_i, en_i, he_i = ex[gray, None], en[gray, None], he[gray, None]
+        # One draw fills the three sampling steps in C order, the same
+        # stream as three (rows, n_drp) draws; every step then works in
+        # place in its block.
+        sigma, drops, sigma_s = np_rng.standard_normal((3, len(gray), n_drp))
+        np.multiply(sigma, he[gray, None], out=sigma)
+        sigma += en[gray, None]
+        np.abs(sigma, out=sigma)
+        drops *= sigma
+        drops += ex[gray, None]
+        np.clip(drops, 0.0, 1.0, out=drops)
+        sigma_s *= ((he_m + he_n) / 2.0)[gray, None]
+        sigma_s += ((en_m + en_n) / 2.0)[gray, None]
+        np.abs(sigma_s, out=sigma_s)
+        denom = np.multiply(sigma_s, 2.0, out=sigma)
+        denom *= sigma_s
+        # A drop on a standard's expectation scores exp(-0.0 / denom) = 1.0
+        # wherever denom is positive; zero entropies (and a NaN or an
+        # underflowed denom) take the masked path.
+        degenerate = not denom.min() > 0.0
         ex_m, ex_n = ex_m[gray, None], ex_n[gray, None]
-        en_p = ((en_m + en_n) / 2.0)[gray, None]
-        he_p = ((he_m + he_n) / 2.0)[gray, None]
-        sigma_i = np.abs(np_rng.standard_normal(shape) * he_i + en_i)
-        drops = np.clip(np_rng.standard_normal(shape) * sigma_i + ex_i, 0.0, 1.0)
-        sigma_s = np.abs(np_rng.standard_normal(shape) * he_p + en_p)
-        if np.any((sigma_s == 0.0) & (drops != ex_m) & (drops != ex_n)):
-            raise ZeroEntropyError("zero pooled entropy in classification batch")
-        denom = np.where(sigma_s == 0.0, 1.0, 2.0 * sigma_s * sigma_s)
-        sim_m = np.where(
-            drops == ex_m, 1.0, np.exp(-((drops - ex_m) ** 2) / denom)
-        ).mean(axis=1)
-        sim_n = np.where(
-            drops == ex_n, 1.0, np.exp(-((drops - ex_n) ** 2) / denom)
-        ).mean(axis=1)
-        malicious[gray] = sim_m >= sim_n
+        if degenerate:
+            zero = sigma_s == 0.0
+            if np.any(zero & (drops != ex_m) & (drops != ex_n)):
+                raise ZeroEntropyError("zero pooled entropy in classification batch")
+            denom[zero] = 1.0
+        sims = []
+        for ex_s in (ex_m, ex_n):
+            sim = np.subtract(drops, ex_s, out=sigma_s)
+            np.square(sim, out=sim)
+            np.negative(sim, out=sim)
+            sim /= denom
+            np.exp(sim, out=sim)
+            if degenerate:
+                sim[drops == ex_s] = 1.0
+            sims.append(sim.mean(axis=1))
+        malicious[gray] = sims[0] >= sims[1]
     return malicious
 
 

@@ -112,7 +112,7 @@ def run_training_round(
     def send_to_router() -> bool:
         if not pay(initiator, tx_energy(bits, d_ij, energy) if energy else 0.0):
             return False
-        if not channel_ok(router.id, channel, rng):
+        if not channel_ok(channel, rng):
             return False
         return pay(router, rx_energy(bits, energy) if energy else 0.0)
 
@@ -123,10 +123,10 @@ def run_training_round(
         """
         if not pay(router, tx_energy(bits, d_jk, energy) if energy else 0.0):
             return ForwardingEvent.DROPPED, False
-        delivered = channel_ok(dest.id, channel, rng)
+        delivered = channel_ok(channel, rng)
         if delivered:
             pay(dest, rx_energy(bits, energy) if energy else 0.0)
-        if channel_ok(initiator.id, channel, rng):
+        if channel_ok(channel, rng):
             pay(initiator, overhear_energy(bits, energy) if energy else 0.0)
             event = (
                 ForwardingEvent.FORWARDED_DELAYED
@@ -167,7 +167,7 @@ def run_training_round(
         reply_seen = False
         if delivered:
             pay(dest, tx_energy(bits, d_jk, energy) if energy else 0.0)
-            reply_seen = channel_ok(router.id, channel, rng)
+            reply_seen = channel_ok(channel, rng)
             if reply_seen:
                 pay(router, rx_energy(bits, energy) if energy else 0.0)
         event = first

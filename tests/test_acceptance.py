@@ -144,7 +144,7 @@ def test_channel_stationarity():
         phase = ChannelPhase(alpha0, alpha1)
         rng = Random(alpha0 * 1000)
         n = 1_000_000
-        bad = sum(0 if channel_ok(0, phase, rng) else 1 for _ in range(n))
+        bad = sum(0 if channel_ok(phase, rng) else 1 for _ in range(n))
         err = abs(bad / n - phase.bad_prob)
         details.append(f"({alpha0},{alpha1}) err {err:.4f}")
         ok &= err <= 0.005

@@ -1,0 +1,172 @@
+"""classify_pairs against the sampling expressions it replaced.
+
+``reference_classify`` is the classifier as it was written before its kernel
+moved into place: three separate normal draws, temporary arrays for every
+step and ``np.where`` on each similarity.  On the same trust state, standard
+table and generator, the in-place kernel must return the same verdicts,
+raise in the same cases and leave the generator in the same state.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trustcloudsim.errors import InsufficientEvidenceError, ZeroEntropyError
+from trustcloudsim.runtime import TrustState, classify_pairs, record_trust
+
+
+def reference_classify(state, stds, observers, targets, np_rng, kappa, n_drp):
+    ex, en, he = state.clouds(observers, targets)
+    ex_m, en_m, he_m, ex_n, en_n, he_n = stds[observers].T
+    if np.isnan(ex_m).any():
+        raise InsufficientEvidenceError("observer has no standard clouds")
+    malicious = ex < ex_m - kappa * en_m
+    gray = np.flatnonzero(~malicious & ~(ex > ex_n + kappa * en_n))
+    if len(gray):
+        shape = (len(gray), n_drp)
+        ex_i, en_i, he_i = ex[gray, None], en[gray, None], he[gray, None]
+        ex_m, ex_n = ex_m[gray, None], ex_n[gray, None]
+        en_p = ((en_m + en_n) / 2.0)[gray, None]
+        he_p = ((he_m + he_n) / 2.0)[gray, None]
+        sigma_i = np.abs(np_rng.standard_normal(shape) * he_i + en_i)
+        drops = np.clip(np_rng.standard_normal(shape) * sigma_i + ex_i, 0.0, 1.0)
+        sigma_s = np.abs(np_rng.standard_normal(shape) * he_p + en_p)
+        if np.any((sigma_s == 0.0) & (drops != ex_m) & (drops != ex_n)):
+            raise ZeroEntropyError("zero pooled entropy in classification batch")
+        denom = np.where(sigma_s == 0.0, 1.0, 2.0 * sigma_s * sigma_s)
+        sim_m = np.where(
+            drops == ex_m, 1.0, np.exp(-((drops - ex_m) ** 2) / denom)
+        ).mean(axis=1)
+        sim_n = np.where(
+            drops == ex_n, 1.0, np.exp(-((drops - ex_n) ** 2) / denom)
+        ).mean(axis=1)
+        malicious[gray] = sim_m >= sim_n
+    return malicious
+
+
+def outcome(classify, state, stds, obs, tgt, seed, kappa, n_drp):
+    """(verdicts or the exception type, generator state afterwards)."""
+    np_rng = np.random.default_rng(seed)
+    try:
+        result = classify(state, stds, obs, tgt, np_rng, kappa=kappa, n_drp=n_drp)
+        result = result.tolist()
+    except ZeroEntropyError as exc:
+        result = type(exc)
+    return result, np_rng.bit_generator.state
+
+
+def assert_same(state, stds, obs, tgt, seed, kappa=3.0, n_drp=50):
+    obs, tgt = np.asarray(obs), np.asarray(tgt)
+    ours = outcome(classify_pairs, state, stds, obs, tgt, seed, kappa, n_drp)
+    ref = outcome(reference_classify, state, stds, obs, tgt, seed, kappa, n_drp)
+    assert ours == ref
+    return ours[0]
+
+
+#: Trust values with the window edges 0.0 and 1.0 well represented, so that
+#: sampled drops get clipped at both ends.
+values = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+
+#: Standard clouds: expectation, entropy and hyper-entropy of each standard.
+standard = st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 0.5), st.floats(0.0, 0.2),
+    st.floats(0.0, 1.0), st.floats(0.0, 0.5), st.floats(0.0, 0.2),
+)
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(2, 6))
+    window = draw(st.integers(2, 6))
+    state = TrustState(n, window)
+    obs, tgt = np.nonzero(~np.eye(n, dtype=bool))
+    for _ in range(window + draw(st.integers(0, 3))):
+        batch = draw(st.lists(values, min_size=len(obs), max_size=len(obs)))
+        record_trust(state, obs, tgt, batch)
+    stds = np.array(draw(st.lists(standard, min_size=n, max_size=n)))
+    rows = draw(st.lists(st.integers(0, len(obs) - 1), min_size=1, max_size=40))
+    return state, stds, obs[rows], tgt[rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    batches(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.0, 0.05, 0.3, 3.0)),
+    st.integers(1, 60),
+)
+def test_kernel_matches_reference(batch, seed, kappa, n_drp):
+    state, stds, obs, tgt = batch
+    assert_same(state, stds, obs, tgt, seed, kappa, n_drp)
+
+
+def constant_state(value, window=4):
+    """Observer 0 holds a constant window on target 1: en = he = 0."""
+    state = TrustState(2, window)
+    for _ in range(window):
+        record_trust(state, [0], [1], [value])
+    return state
+
+
+def test_small_kappa_settles_rows_without_sampling():
+    state = TrustState(3, 3)
+    for v in (0.1, 0.15, 0.12):
+        record_trust(state, [0, 0], [1, 2], [v, 1.0 - v])
+    stds = np.array([[0.5, 0.01, 0.001, 0.6, 0.01, 0.001]] * 3)
+    np_rng = np.random.default_rng(1)
+    before = np_rng.bit_generator.state
+    verdicts = classify_pairs(state, stds, [0, 0], [1, 2], np_rng, kappa=0.5)
+    assert verdicts.tolist() == [True, False]
+    assert np_rng.bit_generator.state == before
+    assert_same(state, stds, [0, 0], [1, 2], 1, kappa=0.5)
+
+
+def test_zero_pooled_entropy_raises_like_reference():
+    state = constant_state(0.5)
+    stds = np.array([[0.2, 0.0, 0.0, 0.9, 0.0, 0.0]] * 2)
+    assert assert_same(state, stds, [0], [1], 3) is ZeroEntropyError
+
+
+def test_zero_pooled_entropy_on_the_expectation_does_not_raise():
+    # Every drop lands on the malicious expectation, where the membership is
+    # 1.0 whatever the entropy, so the verdict is defined.
+    state = constant_state(0.5)
+    stds = np.array([[0.5, 0.0, 0.0, 0.9, 0.0, 0.0]] * 2)
+    assert assert_same(state, stds, [0], [1], 3) == [True]
+
+
+def test_zero_pooled_entropy_mixed_with_positive_rows():
+    state = TrustState(3, 4)
+    for v in (0.5, 0.5, 0.5, 0.5):
+        record_trust(state, [0, 1], [1, 2], [v, v])
+    for v in (0.55, 0.6, 0.65, 0.58):
+        record_trust(state, [0], [2], [v])
+    stds = np.array([
+        [0.5, 0.0, 0.0, 0.7, 0.0, 0.0],
+        [0.3, 0.05, 0.01, 0.5, 0.05, 0.01],
+        [0.3, 0.05, 0.01, 0.8, 0.05, 0.01],
+    ])
+    assert assert_same(state, stds, [0, 1], [1, 2], 7) == [True, False]
+    assert assert_same(state, stds, [0, 0], [1, 2], 7) is ZeroEntropyError
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_underflowing_denominator_matches_reference():
+    # 2 * sigma_s**2 underflows to 0.0 for a tiny but positive pooled
+    # entropy; a drop on the expectation still scores 1.0 and the others 0.
+    state = TrustState(2, 4)
+    for v in (0.5, 0.5, 0.5, 0.52):
+        record_trust(state, [0], [1], [v])
+    tiny = 1e-170
+    stds = np.array([[0.5, tiny, tiny, 0.52, tiny, tiny]] * 2)
+    assert_same(state, stds, [0], [1], 11, kappa=0.0)
+    assert_same(constant_state(0.5), stds, [0], [1], 11, kappa=0.0)
+
+
+def test_missing_standard_clouds_raise():
+    state = constant_state(0.5)
+    stds = np.full((2, 6), np.nan)
+    with pytest.raises(InsufficientEvidenceError):
+        classify_pairs(state, stds, [0], [1], np.random.default_rng(0))

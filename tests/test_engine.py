@@ -18,7 +18,7 @@ from trustcloudsim.engine import (
     run_metrics,
     run_simulation,
 )
-from trustcloudsim.errors import ConfigError, UndefinedMetricError
+from trustcloudsim.errors import ConfigError, TrustCloudSimError, UndefinedMetricError
 from trustcloudsim.medium import ChannelPhase
 from trustcloudsim.protocol import ADVANCED, GENERIC, HONEST, SUPER
 from trustcloudsim.runtime import Classification
@@ -134,6 +134,20 @@ def test_replicate_parallel_matches_serial():
     parallel = replicate(cfg, 2, workers=2)
     for name in serial.scalars:
         assert serial.scalars[name].values == parallel.scalars[name].values
+
+
+def test_replicate_failure_names_the_replica():
+    def broken(observer, target):
+        raise RuntimeError("classifier exploded")
+
+    cfg = small_cfg(max_rounds=60, malicious_fraction=0.3)
+    with pytest.raises(TrustCloudSimError) as info:
+        replicate(cfg, 2, classifier_override=broken)
+    message = str(info.value)
+    assert f"seed {derive_seed(cfg.seed, 0)}" in message
+    assert "malicious fraction 0.3" in message
+    assert "classifier exploded" in message
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_confidence_interval_scaling():

@@ -33,15 +33,15 @@ def test_channel_extremes():
     rng = Random(2)
     clear = ChannelPhase(0.0, 1.0)
     jammed = ChannelPhase(1.0, 0.0)
-    assert all(channel_ok(0, clear, rng) for _ in range(200))
-    assert not any(channel_ok(0, jammed, rng) for _ in range(200))
+    assert all(channel_ok(clear, rng) for _ in range(200))
+    assert not any(channel_ok(jammed, rng) for _ in range(200))
 
 
 def test_channel_empirical_fraction():
     rng = Random(17)
     phase = ChannelPhase(1, 9)
     n = 100_000
-    bad = sum(0 if channel_ok(0, phase, rng) else 1 for _ in range(n))
+    bad = sum(0 if channel_ok(phase, rng) else 1 for _ in range(n))
     assert abs(bad / n - 0.1) < 0.01
 
 
