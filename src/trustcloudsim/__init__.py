@@ -27,6 +27,7 @@ from .fuzzy import (
     compute_attributes,
     infer_trust,
     record_event,
+    trust_from_counts,
 )
 from .medium import (
     ChannelPhase,
@@ -39,7 +40,7 @@ from .protocol import (
     ClusterRoundOutcome,
     DeviceState,
     NetworkState,
-    choose_cluster,
+    choose_heads,
     decide_head,
     election_threshold,
     run_round,
@@ -47,8 +48,7 @@ from .protocol import (
 from .runtime import (
     Classification,
     TrustState,
-    UpdateAccumulators,
-    accumulate_and_maybe_update,
+    UpdatePools,
     classify_pairs,
     recommend_trust,
     record_trust,

@@ -20,7 +20,7 @@ from .config import ScenarioConfig, with_overrides
 from .errors import (
     ConfigError,
     NoNeighborError,
-    TrustCloudSimError,
+    ReplicationError,
     UndefinedMetricError,
 )
 from .medium import monitor_energy
@@ -34,7 +34,6 @@ from .protocol import (
     NetworkState,
     run_round,
 )
-from .runtime import UpdateAccumulators
 from .training import (
     StandardClouds,
     TrainingState,
@@ -120,10 +119,6 @@ def build_scenario(cfg: ScenarioConfig, rng: Random) -> NetworkState:
                 x=x,
                 y=y,
                 energy=cfg.e0,
-                accumulators=UpdateAccumulators(
-                    malicious_pool=DropSet(cfg.max_drp),
-                    normal_pool=DropSet(cfg.max_drp),
-                ),
                 training=TrainingState(
                     malicious_drops=DropSet(cfg.max_drp),
                     normal_drops=DropSet(cfg.max_drp),
@@ -420,16 +415,26 @@ def _replica_metrics(
     index: int,
     classifier_override: Optional[ClassifierOverride] = None,
 ) -> tuple[dict, list[float]]:
-    """Metrics of replica ``index``; a failure names the replica's scenario."""
+    """(metrics, malicious-cluster series) of replica ``index``."""
     run_cfg = with_overrides(cfg, seed=derive_seed(cfg.seed, index))
-    try:
-        log = run_simulation(run_cfg, classifier_override=classifier_override)
-    except Exception as exc:
-        raise TrustCloudSimError(
-            f"replica {index} (seed {run_cfg.seed}, malicious fraction "
-            f"{cfg.malicious_fraction}) failed: {type(exc).__name__}: {exc}"
-        ) from exc
+    log = run_simulation(run_cfg, classifier_override=classifier_override)
     return run_metrics(log), metric_malicious_clusters(log)
+
+
+def _cause(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _pooled_replica(cfg: ScenarioConfig, index: int):
+    """_replica_metrics in a worker process; a failure returns its cause.
+
+    ``starmap`` stops at the first worker that raises, so a failure comes
+    back as a value and every other replica still runs to the end.
+    """
+    try:
+        return _replica_metrics(cfg, index)
+    except Exception as exc:
+        return _cause(exc)
 
 
 def replicate(
@@ -443,21 +448,40 @@ def replicate(
 
     Replications share no state, so they may fan out over worker processes;
     aggregation is ordered by run index either way.  A classifier override
-    forces the serial path (it may not be picklable).  A failing replica
-    raises a TrustCloudSimError that names its seed and malicious fraction.
+    forces the serial path (it may not be picklable).  Every replica runs to
+    the end; if any failed, a ReplicationError names each failed replica's
+    index, seed, malicious fraction and cause, and carries the finished
+    replicas' results.
     """
     if n_runs < 2:
         raise ConfigError("replication needs at least 2 runs")
-    jobs = [(cfg, i) for i in range(n_runs)]
+    first_error: Optional[Exception] = None
     if workers > 1 and classifier_override is None:
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, n_runs)) as pool:
-            results = pool.starmap(_replica_metrics, jobs)
+            results = pool.starmap(
+                _pooled_replica, [(cfg, i) for i in range(n_runs)]
+            )
     else:
-        results = [
-            _replica_metrics(c, i, classifier_override) for c, i in jobs
-        ]
+        results = []
+        for i in range(n_runs):
+            try:
+                results.append(_replica_metrics(cfg, i, classifier_override))
+            except Exception as exc:
+                first_error = first_error or exc
+                results.append(_cause(exc))
+
+    failed = [i for i, result in enumerate(results) if isinstance(result, str)]
+    if failed:
+        raise ReplicationError(
+            "; ".join(
+                f"replica {i} (seed {derive_seed(cfg.seed, i)}, malicious "
+                f"fraction {cfg.malicious_fraction}) failed: {results[i]}"
+                for i in failed
+            ),
+            {i: r for i, r in enumerate(results) if not isinstance(r, str)},
+        ) from first_error
 
     per_metric: dict[str, list[float]] = {m: [] for m in SCALAR_METRICS}
     censored = 0

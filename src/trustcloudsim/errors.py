@@ -41,3 +41,15 @@ class ConfigError(TrustCloudSimError, ValueError):
 
 class UndefinedMetricError(TrustCloudSimError):
     """A metric has an empty denominator for this run."""
+
+
+class ReplicationError(TrustCloudSimError):
+    """One or more replicas of a replication failed.
+
+    ``results`` maps the index of each replica that finished to its
+    (metrics, malicious-cluster series).
+    """
+
+    def __init__(self, message: str, results: dict[int, tuple[dict, list[float]]]):
+        super().__init__(message)
+        self.results = results

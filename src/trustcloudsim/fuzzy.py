@@ -170,3 +170,13 @@ def infer_trust(attrs: TrustAttributes) -> float:
     attributes.
     """
     return _graded(attrs.tfr, attrs.sfr)
+
+
+@lru_cache(maxsize=65536)
+def trust_from_counts(sent: int, forwarded: int, timely: int) -> float:
+    """infer_trust of the evidence window with these counts.
+
+    A round's windows repeat the same few count triples across pairs and
+    rounds, so the trust value is memoised by the triple.
+    """
+    return infer_trust(compute_attributes(EvidenceWindow(sent, forwarded, timely)))

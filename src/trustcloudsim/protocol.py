@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 import numpy as np
 
 from .config import ScenarioConfig
-from .fuzzy import EvidenceWindow, compute_attributes, infer_trust
+from .fuzzy import trust_from_counts
 from .medium import (
     ChannelPhase,
     EnergyParams,
@@ -32,8 +32,7 @@ from .medium import (
 from .runtime import (
     Classification,
     TrustState,
-    UpdateAccumulators,
-    accumulate_and_maybe_update,
+    UpdatePools,
     classify_pairs,
     record_trust,
     recommend_trust,
@@ -65,7 +64,6 @@ class DeviceState:
     alive: bool = True
     last_head_round: Optional[int] = None
     stds: Optional[StandardClouds] = None
-    accumulators: UpdateAccumulators = field(default_factory=UpdateAccumulators)
     training: TrainingState = field(default_factory=TrainingState)
     death_round: Optional[int] = None
 
@@ -92,11 +90,6 @@ class DeviceState:
         return False
 
 
-class ClusterChoice(NamedTuple):
-    kind: str  # "join" | "become_head" | "sink"
-    head: Optional[int]
-
-
 @dataclass(slots=True)
 class TransferRecord:
     """Ground truth for one member packet handed to a head."""
@@ -111,6 +104,20 @@ class TransferRecord:
 
 def _no_pairs() -> np.ndarray:
     return np.zeros(0, dtype=np.intp)
+
+
+class Evidence(NamedTuple):
+    """A data phase's evidence counts, one entry per (observer, head) pair.
+
+    Rows run by head id, then observer id, and only pairs with a packet
+    sent are listed; ``timely <= forwarded <= sent`` holds in every row.
+    """
+
+    observer: np.ndarray
+    head: np.ndarray
+    sent: np.ndarray
+    forwarded: np.ndarray
+    timely: np.ndarray
 
 
 class Decisions(NamedTuple):
@@ -140,7 +147,11 @@ class ClusterRoundOutcome:
 
 
 class NetworkState:
-    """Devices, the static topology, scenario parameters and all trust state."""
+    """Devices, the static topology, scenario parameters and all trust state.
+
+    ``dist[i, j]`` is the distance from device i to device j.  The standard
+    clouds' update pools are ``pools``.
+    """
 
     def __init__(self, cfg: ScenarioConfig, devices: list[DeviceState]):
         self.cfg = cfg
@@ -153,22 +164,28 @@ class NetworkState:
             math.hypot(d.x - self.sink[0], d.y - self.sink[1]) for d in devices
         ]
         radius = cfg.neighbor_radius
+        n = len(devices)
         self.neighbors: list[list[tuple[int, float]]] = []
+        rows = []
         for d in devices:
             near = []
+            row = [0.0] * n
             for other in devices:
                 if other.id == d.id:
                     continue
                 dist = math.hypot(d.x - other.x, d.y - other.y)
+                row[other.id] = dist
                 if dist <= radius:
                     near.append((other.id, dist))
             near.sort()
             self.neighbors.append(near)
-        n = len(devices)
+            rows.append(row)
+        self.dist = np.array(rows, dtype=float).reshape(n, n)
         self.neighbor_mask = np.zeros((n, n), dtype=bool)
         for d, near in zip(devices, self.neighbors):
             self.neighbor_mask[d.id, [nid for nid, _ in near]] = True
         self.trust = TrustState(n, cfg.thr_drp)
+        self.pools = UpdatePools(n, cfg.max_drp)
         #: standard_table of the devices' standard clouds, kept in step by
         #: refresh_standards wherever a device's ``stds`` is reassigned
         self.std_table = standard_table([d.stds for d in devices])
@@ -205,7 +222,16 @@ ClassifierOverride = Callable[[DeviceState, DeviceState], Classification]
 
 
 def election_threshold(r: int, p_ch: float) -> float:
-    """Rotating self-election threshold, capped at 1."""
+    """Rotating self-election threshold, capped at 1.
+
+    This is the LEACH threshold p / (1 - p (r mod 1/p)) (Heinzelman et al.,
+    HICSS 2000).  It rises over a period of 1/p_ch rounds, 14.29 at the
+    default p_ch = 0.07, while a head becomes eligible again only after
+    ``NetworkState.epoch`` = ceil(1/p_ch) = 15 rounds.  The period and the
+    epoch thus drift apart by a fraction of a round per cycle, and some
+    rounds find few eligible devices when the threshold peaks.  The
+    mismatch is kept as the scenario defines it.
+    """
     denom = 1.0 - p_ch * math.fmod(r, 1.0 / p_ch)
     if denom <= 0.0:
         return 1.0
@@ -228,52 +254,36 @@ def decide_head(
     return False
 
 
-def choose_cluster(
-    member: DeviceState,
-    candidates: list[tuple[DeviceState, float]],
-    verdicts: list[Optional[Classification]],
-    trust: TrustState,
-    *,
-    r: int,
-    epoch: int,
-) -> ClusterChoice:
-    """Pick a head among broadcast candidates, else self-elect or go direct.
+def choose_heads(
+    trust: TrustState, observers, heads, dist, judged, malicious
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each member's head among the candidate rows it heard.
 
-    ``verdicts`` holds the member's classification of each candidate, None
-    where it has no individual cloud for it.  The nearest normal candidate
-    wins (ties to the lowest id).  With no clouds anywhere, the nearest
-    never-recorded candidate is preferred, then the highest trust estimate.
-    When nothing survives, an eligible member becomes a head itself.
+    Row i is a broadcast member ``observers[i]`` heard from ``heads[i]`` at
+    distance ``dist[i]``; ``judged`` marks the rows the member classified
+    and ``malicious`` the verdicts of those.  The nearest normal candidate
+    wins (ties to the lowest id).  Without one, the unjudged candidates
+    (no individual cloud yet) are ranked by first-hand heuristics: the
+    nearest never-recorded one, else the one with the highest trust
+    estimate.  Candidates judged malicious are discarded.
+
+    Returns (members, heads) of the members left with a candidate; the
+    others must become a head or send to the sink.
     """
-    normal = [
-        (dist, head.id)
-        for (head, dist), v in zip(candidates, verdicts)
-        if v is Classification.NORMAL
-    ]
-    if normal:
-        normal.sort()
-        return ClusterChoice("join", normal[0][1])
-    # Candidates classified malicious are discarded; the unclassifiable rest
-    # (no individual cloud yet) fall back to first-hand heuristics.
-    survivors = [(h, d) for (h, d), v in zip(candidates, verdicts) if v is None]
-    if survivors:
-        fresh = [
-            (dist, head.id)
-            for head, dist in survivors
-            if trust.count[member.id, head.id] == 0
-        ]
-        if fresh:
-            fresh.sort()
-            return ClusterChoice("join", fresh[0][1])
-        ranked = [
-            (-float(trust.mean[member.id, head.id]), head.id)
-            for head, _ in survivors
-        ]
-        ranked.sort()
-        return ClusterChoice("join", ranked[0][1])
-    if is_eligible(member, r, epoch):
-        return ClusterChoice("become_head", None)
-    return ClusterChoice("sink", None)
+    obs = np.asarray(observers, dtype=np.intp)
+    tgt = np.asarray(heads, dtype=np.intp)
+    recorded = trust.count[obs, tgt] > 0
+    # 0 normal, 1 unjudged and never recorded, 2 unjudged but recorded,
+    # 3 malicious; one sort ranks every member's rows by it, then by the
+    # distance (by the trust estimate for category 2), then by head id.
+    category = np.where(judged, 3 * np.asarray(malicious, dtype=bool), 1 + recorded)
+    key = np.where(category == 2, -trust.mean[obs, tgt], dist)
+    order = np.lexsort((tgt, key, 4 * obs + category))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = obs[order[1:]] != obs[order[:-1]]
+    best = order[first]
+    best = best[category[best] != 3]
+    return obs[best], tgt[best]
 
 
 def run_data_phase(
@@ -282,14 +292,14 @@ def run_data_phase(
     phase: ChannelPhase,
     rng: Random,
     outcome: ClusterRoundOutcome,
-) -> dict[tuple[int, int], EvidenceWindow]:
+) -> Evidence:
     """Slotted data transfer with cluster-wide overhearing.
 
     Every member sends one data packet to its head; the head relays each
     received packet toward the sink in a single attempt while malicious heads
     drop or delay with their class probabilities.  Members overhear both the
-    uplinks and the relays through independent channel draws, producing one
-    evidence window per (observer, head) pair for this round.
+    uplinks and the relays through independent channel draws, producing the
+    evidence counts of each (observer, head) pair for this round.
 
     Overhearing is the bulk of the round's energy accounting, so its charge
     is written out in both watcher loops; it does exactly what
@@ -303,7 +313,7 @@ def run_data_phase(
     overhear_cost = overhear_energy(bits, energy)
     rx_cost = rx_energy(bits, energy)
     aggregate_cost = aggregate_energy(bits, 1, energy)
-    windows: dict[tuple[int, int], EvidenceWindow] = {}
+    evidence: list[tuple[int, int, int, int, int]] = []
 
     for head_id in sorted(clusters):
         head = net.devices[head_id]
@@ -311,6 +321,7 @@ def run_data_phase(
         members = [net.devices[m] for m in member_ids]
         mult = ATTACK_MULTIPLIER[head.attacker]
         sink_tx = tx_energy(bits, net.sink_dist[head_id], energy)
+        uplink = net.dist[member_ids, head_id].tolist()
         # Evidence counters by member position.
         sent = [0] * len(members)
         forwarded = [0] * len(members)
@@ -319,8 +330,7 @@ def run_data_phase(
         for i, member in enumerate(members):
             if not member.alive:
                 continue
-            dist = math.hypot(member.x - head.x, member.y - head.y)
-            if not member.spend(tx_energy(bits, dist, energy)):
+            if not member.spend(tx_energy(bits, uplink[i], energy)):
                 continue
             received = (
                 head.alive
@@ -404,11 +414,9 @@ def run_data_phase(
 
         for j, member_id in enumerate(member_ids):
             if sent[j]:
-                windows[(member_id, head_id)] = EvidenceWindow(
-                    sent[j], forwarded[j], timely[j]
-                )
+                evidence.append((member_id, head_id, sent[j], forwarded[j], timely[j]))
 
-    return windows
+    return Evidence(*np.array(evidence, dtype=np.intp).reshape(-1, 5).T)
 
 
 def run_round(
@@ -438,22 +446,24 @@ def run_round(
 
     # Broadcast reception: election announcements are control-plane messages
     # heard across the deployment area, but a member only learns of heads
-    # whose announcement its own channel actually delivered.
-    candidates: dict[int, list[tuple[DeviceState, float]]] = {}
+    # whose announcement its own channel actually delivered.  Each delivery
+    # is one candidate row (member, head).
     p0 = phase.bad_prob
+    draw = rng.random
     control_rx = rx_energy(cfg.control_bits, energy)
+    live_heads = [h for h in heads if net.devices[h].alive]
+    members: list[int] = []
+    cand_obs: list[int] = []
+    cand_tgt: list[int] = []
     for dev in alive:
         if dev.id in head_set or not dev.alive:
             continue
-        seen: list[tuple[DeviceState, float]] = []
-        for head_id in heads:
-            head = net.devices[head_id]
-            if not head.alive:
-                continue
-            if (p0 == 0.0 or rng.random() >= p0) and dev.spend(control_rx):
-                dist = math.hypot(dev.x - head.x, dev.y - head.y)
-                seen.append((head, dist))
-        candidates[dev.id] = seen
+        members.append(dev.id)
+        spend = dev.spend
+        for head_id in live_heads:
+            if (p0 == 0.0 or draw() >= p0) and spend(control_rx):
+                cand_obs.append(dev.id)
+                cand_tgt.append(head_id)
 
     # --- cluster joining --------------------------------------------------
     # Trust is read and written one batch of distinct (observer, target)
@@ -481,38 +491,27 @@ def run_round(
             dtype=bool,
         )
 
-    members = sorted(candidates)
-    cand_obs = np.array(
-        [m for m in members for _ in candidates[m]], dtype=np.intp
-    )
-    cand_tgt = np.array(
-        [h.id for m in members for h, _ in candidates[m]], dtype=np.intp
-    )
-    judged = np.flatnonzero(judgeable(cand_obs, cand_tgt))
+    cand_obs = np.array(cand_obs, dtype=np.intp)
+    cand_tgt = np.array(cand_tgt, dtype=np.intp)
+    judged = judgeable(cand_obs, cand_tgt)
     join_obs, join_tgt = cand_obs[judged], cand_tgt[judged]
     join_mal = judge(join_obs, join_tgt)
-    verdicts: list[Optional[Classification]] = [None] * len(cand_obs)
-    for i, mal in zip(judged.tolist(), join_mal.tolist()):
-        verdicts[i] = Classification.MALICIOUS if mal else Classification.NORMAL
+    malicious = np.zeros(len(cand_obs), dtype=bool)
+    malicious[judged] = join_mal
+    joiners, chosen_heads = choose_heads(
+        trust, cand_obs, cand_tgt, net.dist[cand_obs, cand_tgt], judged, malicious
+    )
+    chosen = dict(zip(joiners.tolist(), chosen_heads.tolist()))
 
     clusters: dict[int, list[int]] = {h: [] for h in heads}
-    stop = 0
     for dev_id in members:
-        start, stop = stop, stop + len(candidates[dev_id])
         member = net.devices[dev_id]
         if not member.alive:
             continue
-        choice = choose_cluster(
-            member,
-            candidates[dev_id],
-            verdicts[start:stop],
-            trust,
-            r=r,
-            epoch=net.epoch,
-        )
-        if choice.kind == "join":
-            clusters[choice.head].append(dev_id)
-        elif choice.kind == "become_head":
+        head_id = chosen.get(dev_id)
+        if head_id is not None:
+            clusters[head_id].append(dev_id)
+        elif is_eligible(member, r, net.epoch):
             member.last_head_round = r
             member.spend(tx_energy(cfg.control_bits, cfg.neighbor_radius, energy))
             clusters[dev_id] = []
@@ -523,29 +522,30 @@ def run_round(
     outcome.clusters = clusters
 
     # --- data transfer and overhearing -------------------------------------
-    windows = run_data_phase(net, clusters, phase, rng, outcome)
+    evidence = run_data_phase(net, clusters, phase, rng, outcome)
 
     # Per-round monitoring duty for every device still alive.
+    monitor_cost = monitor_energy(cfg.monitor_seconds, energy)
     for dev in net.devices:
         if dev.alive:
-            dev.spend(monitor_energy(cfg.monitor_seconds, energy))
+            dev.spend(monitor_cost)
 
     # --- trust inference on own head ---------------------------------------
     # Every pair written this round is distinct: a member infers trust in its
     # own head only, and hears recommendations about other devices only.
-    inf_obs: list[int] = []
-    inf_tgt: list[int] = []
-    inf_val: list[float] = []
-    for head_id in sorted(clusters):
-        for member_id in sorted(clusters[head_id]):
-            if not net.devices[member_id].alive:
-                continue
-            window = windows.get((member_id, head_id))
-            if window is None or window.sent == 0:
-                continue
-            inf_obs.append(member_id)
-            inf_tgt.append(head_id)
-            inf_val.append(infer_trust(compute_attributes(window)))
+    observed = np.array(
+        [net.devices[o].alive for o in evidence.observer.tolist()], dtype=bool
+    )
+    inf_obs = evidence.observer[observed]
+    inf_tgt = evidence.head[observed]
+    inf_val = [
+        trust_from_counts(*counts)
+        for counts in zip(
+            evidence.sent[observed].tolist(),
+            evidence.forwarded[observed].tolist(),
+            evidence.timely[observed].tolist(),
+        )
+    ]
     record_trust(trust, inf_obs, inf_tgt, inf_val, direct=True)
 
     # --- recommendations from the chosen head ------------------------------
@@ -569,19 +569,21 @@ def run_round(
     wanted[rows, ask_head] = False
     wanted[rows, ask_mem] = False
     offers = wanted & (trust.fh_count[ask_head] > 0)
-    worth_asking = (offers.any(axis=1) & (t_ij > 0.0)).tolist()
+    worth_asking = np.flatnonzero(offers.any(axis=1) & (t_ij > 0.0))
+    ask_dist = net.dist[ask_mem[worth_asking], ask_head[worth_asking]].tolist()
     asked: list[int] = []
-    for i, (head_id, member_id) in enumerate(askers):
+    for i, dist in zip(worth_asking.tolist(), ask_dist):
+        head_id, member_id = askers[i]
         member = net.devices[member_id]
         head = net.devices[head_id]
-        if not member.alive or not head.alive or not worth_asking[i]:
+        if not member.alive or not head.alive:
             continue
-        dist = math.hypot(member.x - head.x, member.y - head.y)
-        member.spend(tx_energy(cfg.control_bits, dist, energy))
+        control_tx = tx_energy(cfg.control_bits, dist, energy)
+        member.spend(control_tx)
         if (
-            head.spend(rx_energy(cfg.control_bits, energy))
-            and head.spend(tx_energy(cfg.control_bits, dist, energy))
-            and member.spend(rx_energy(cfg.control_bits, energy))
+            head.spend(control_rx)
+            and head.spend(control_tx)
+            and member.spend(control_rx)
         ):
             asked.append(i)
     ask, rec_tgt = np.nonzero(offers[asked])
@@ -595,8 +597,8 @@ def run_round(
     record_trust(trust, rec_obs, rec_tgt, rec_val)
 
     # --- classification and standard-cloud updates -------------------------
-    upd_obs = np.concatenate([np.asarray(inf_obs, dtype=np.intp), rec_obs])
-    upd_tgt = np.concatenate([np.asarray(inf_tgt, dtype=np.intp), rec_tgt])
+    upd_obs = np.concatenate([inf_obs, rec_obs])
+    upd_tgt = np.concatenate([inf_tgt, rec_tgt])
     order = np.argsort(upd_obs * n + upd_tgt)
     upd_obs, upd_tgt = upd_obs[order], upd_tgt[order]
     judged = judgeable(upd_obs, upd_tgt)
@@ -613,21 +615,16 @@ def run_round(
         np.concatenate([join_mal, post_mal[fresh]]),
     )
 
-    values = trust.mean[post_obs, post_tgt].tolist()
-    updated: set[int] = set()
-    for member_id, mal, value in zip(post_obs.tolist(), post_mal.tolist(), values):
-        member = net.devices[member_id]
-        prior = member.stds
-        member.accumulators, member.stds = accumulate_and_maybe_update(
-            member.accumulators,
-            Classification.MALICIOUS if mal else Classification.NORMAL,
-            value,
-            prior,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-        )
-        if member.stds is not prior:
-            updated.add(member_id)
+    updated = net.pools.add(
+        post_obs,
+        post_mal,
+        trust.mean[post_obs, post_tgt],
+        [d.stds for d in net.devices],
+        alpha=cfg.alpha,
+        beta=cfg.beta,
+    )
+    for member_id, std in updated.items():
+        net.devices[member_id].stds = std
     if updated:
         net.refresh_standards(updated)
 

@@ -2,9 +2,10 @@
 
 ``reference_classify`` is the classifier as it was written before its kernel
 moved into place: three separate normal draws, temporary arrays for every
-step and ``np.where`` on each similarity.  On the same trust state, standard
-table and generator, the in-place kernel must return the same verdicts,
-raise in the same cases and leave the generator in the same state.
+step and ``np.where`` on each similarity, with a zero sampled dispersion
+scored by the membership's limit (1 on the expectation, 0 elsewhere).  On
+the same trust state, standard table and generator, the in-place kernel
+must return the same verdicts and leave the generator in the same state.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustcloudsim.errors import InsufficientEvidenceError, ZeroEntropyError
+from trustcloudsim.errors import InsufficientEvidenceError
 from trustcloudsim.runtime import TrustState, classify_pairs, record_trust
 
 
@@ -32,28 +33,27 @@ def reference_classify(state, stds, observers, targets, np_rng, kappa, n_drp):
         sigma_i = np.abs(np_rng.standard_normal(shape) * he_i + en_i)
         drops = np.clip(np_rng.standard_normal(shape) * sigma_i + ex_i, 0.0, 1.0)
         sigma_s = np.abs(np_rng.standard_normal(shape) * he_p + en_p)
-        if np.any((sigma_s == 0.0) & (drops != ex_m) & (drops != ex_n)):
-            raise ZeroEntropyError("zero pooled entropy in classification batch")
-        denom = np.where(sigma_s == 0.0, 1.0, 2.0 * sigma_s * sigma_s)
+        zero = sigma_s == 0.0
+        denom = np.where(zero, 1.0, 2.0 * sigma_s * sigma_s)
         sim_m = np.where(
-            drops == ex_m, 1.0, np.exp(-((drops - ex_m) ** 2) / denom)
+            drops == ex_m,
+            1.0,
+            np.where(zero, 0.0, np.exp(-((drops - ex_m) ** 2) / denom)),
         ).mean(axis=1)
         sim_n = np.where(
-            drops == ex_n, 1.0, np.exp(-((drops - ex_n) ** 2) / denom)
+            drops == ex_n,
+            1.0,
+            np.where(zero, 0.0, np.exp(-((drops - ex_n) ** 2) / denom)),
         ).mean(axis=1)
         malicious[gray] = sim_m >= sim_n
     return malicious
 
 
 def outcome(classify, state, stds, obs, tgt, seed, kappa, n_drp):
-    """(verdicts or the exception type, generator state afterwards)."""
+    """(verdicts, generator state afterwards)."""
     np_rng = np.random.default_rng(seed)
-    try:
-        result = classify(state, stds, obs, tgt, np_rng, kappa=kappa, n_drp=n_drp)
-        result = result.tolist()
-    except ZeroEntropyError as exc:
-        result = type(exc)
-    return result, np_rng.bit_generator.state
+    result = classify(state, stds, obs, tgt, np_rng, kappa=kappa, n_drp=n_drp)
+    return result.tolist(), np_rng.bit_generator.state
 
 
 def assert_same(state, stds, obs, tgt, seed, kappa=3.0, n_drp=50):
@@ -122,10 +122,17 @@ def test_small_kappa_settles_rows_without_sampling():
     assert_same(state, stds, [0, 0], [1, 2], 1, kappa=0.5)
 
 
-def test_zero_pooled_entropy_raises_like_reference():
-    state = constant_state(0.5)
-    stds = np.array([[0.2, 0.0, 0.0, 0.9, 0.0, 0.0]] * 2)
-    assert assert_same(state, stds, [0], [1], 3) is ZeroEntropyError
+def test_zero_pooled_entropy_scores_the_limit():
+    # Zero-entropy individual clouds put every drop on their expectation,
+    # and zero-entropy standards score it 1 on a standard's expectation and
+    # 0 elsewhere: a drop on neither ties, which breaks to malicious, even
+    # at 0.8, next to the normal expectation 0.9.
+    state = TrustState(5, 4)
+    for _ in range(4):
+        record_trust(state, [0, 0, 0, 0], [1, 2, 3, 4], [0.5, 0.9, 0.2, 0.8])
+    stds = np.array([[0.2, 0.0, 0.0, 0.9, 0.0, 0.0]] * 5)
+    verdicts = assert_same(state, stds, [0, 0, 0, 0], [1, 2, 3, 4], 3)
+    assert verdicts == [True, False, True, True]
 
 
 def test_zero_pooled_entropy_on_the_expectation_does_not_raise():
@@ -148,7 +155,9 @@ def test_zero_pooled_entropy_mixed_with_positive_rows():
         [0.3, 0.05, 0.01, 0.8, 0.05, 0.01],
     ])
     assert assert_same(state, stds, [0, 1], [1, 2], 7) == [True, False]
-    assert assert_same(state, stds, [0, 0], [1, 2], 7) is ZeroEntropyError
+    # Observer 0's drops on target 2 scatter off both expectations, where
+    # its zero-entropy standards score 0: a tie, judged malicious.
+    assert assert_same(state, stds, [0, 0], [1, 2], 7) == [True, True]
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

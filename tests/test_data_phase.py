@@ -3,9 +3,10 @@
 ``reference_data_phase`` is the per-watcher loop that charged every overhear
 through ``DeviceState.spend`` and counted evidence in an (observer, head)
 dict.  The production loop writes the overhear charge inline and counts by
-member position; on the same network and generator both must leave every
-packet record, evidence window, attack counter, device energy, alive flag
-and the generator itself in the same state.
+member position, returning the counts as arrays; on the same network and
+generator both must leave every packet record, evidence window, attack
+counter, device energy, alive flag and the generator itself in the same
+state.
 """
 
 import copy
@@ -209,6 +210,13 @@ def scenarios(draw):
     return NetworkState(cfg, devices), clusters
 
 
+def as_windows(evidence):
+    """Evidence rows as the model's {(observer, head): EvidenceWindow}."""
+    rows = list(zip(*(column.tolist() for column in evidence)))
+    assert rows == sorted(rows, key=lambda row: (row[1], row[0]))
+    return {(o, h): EvidenceWindow(s, f, t) for o, h, s, f, t in rows}
+
+
 def state_of(net, outcome, windows, rng):
     return (
         outcome.transfers,
@@ -229,7 +237,7 @@ def test_data_phase_matches_reference(scenario, phase, seed, rounds):
     for r in range(rounds):
         outcome = ClusterRoundOutcome(round_index=r)
         model_outcome = ClusterRoundOutcome(round_index=r)
-        windows = run_data_phase(net, clusters, phase, rng, outcome)
+        windows = as_windows(run_data_phase(net, clusters, phase, rng, outcome))
         model_windows = reference_data_phase(
             model, clusters, phase, model_rng, model_outcome
         )
@@ -253,7 +261,7 @@ def test_data_phase_drains_devices_mid_packet():
     phase = ChannelPhase(1.0, 3.0)
     outcome, model_outcome = (ClusterRoundOutcome(round_index=0) for _ in "ab")
     rng, model_rng = Random(5), Random(5)
-    windows = run_data_phase(net, clusters, phase, rng, outcome)
+    windows = as_windows(run_data_phase(net, clusters, phase, rng, outcome))
     model_windows = reference_data_phase(model, clusters, phase, model_rng,
                                          model_outcome)
     assert state_of(net, outcome, windows, rng) == state_of(
@@ -280,7 +288,7 @@ def test_overhear_that_empties_a_device_kills_it():
     phase = ChannelPhase(0.0, 1.0)
     outcome, model_outcome = (ClusterRoundOutcome(round_index=0) for _ in "ab")
     rng, model_rng = Random(1), Random(1)
-    windows = run_data_phase(net, clusters, phase, rng, outcome)
+    windows = as_windows(run_data_phase(net, clusters, phase, rng, outcome))
     model_windows = reference_data_phase(model, clusters, phase, model_rng,
                                          model_outcome)
     assert state_of(net, outcome, windows, rng) == state_of(

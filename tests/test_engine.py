@@ -3,9 +3,11 @@ from random import Random
 
 import pytest
 
+from trustcloudsim import engine
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import (
     _confidence,
+    _replica_metrics,
     build_scenario,
     cycle_table,
     derive_seed,
@@ -18,7 +20,12 @@ from trustcloudsim.engine import (
     run_metrics,
     run_simulation,
 )
-from trustcloudsim.errors import ConfigError, TrustCloudSimError, UndefinedMetricError
+from trustcloudsim.errors import (
+    ConfigError,
+    ReplicationError,
+    TrustCloudSimError,
+    UndefinedMetricError,
+)
 from trustcloudsim.medium import ChannelPhase
 from trustcloudsim.protocol import ADVANCED, GENERIC, HONEST, SUPER
 from trustcloudsim.runtime import Classification
@@ -148,6 +155,33 @@ def test_replicate_failure_names_the_replica():
     assert "malicious fraction 0.3" in message
     assert "classifier exploded" in message
     assert isinstance(info.value.__cause__, RuntimeError)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replicate_keeps_the_finished_replicas(monkeypatch, workers):
+    cfg = small_cfg(max_rounds=80)
+    finished = {i: _replica_metrics(cfg, i) for i in (0, 2)}
+    assert not any(math.isnan(v) for m, _ in finished.values() for v in m.values())
+    bad_seed = derive_seed(cfg.seed, 1)
+    real = engine.run_simulation
+
+    def flaky(run_cfg, **kwargs):
+        if run_cfg.seed == bad_seed:
+            raise RuntimeError("replica exploded")
+        return real(run_cfg, **kwargs)
+
+    monkeypatch.setattr(engine, "run_simulation", flaky)
+    with pytest.raises(ReplicationError) as info:
+        replicate(cfg, 3, workers=workers)
+    message = str(info.value)
+    assert message.startswith("replica 1 ")
+    assert f"seed {bad_seed}" in message
+    assert f"malicious fraction {cfg.malicious_fraction}" in message
+    assert "RuntimeError: replica exploded" in message
+    assert "replica 0" not in message and "replica 2" not in message
+    assert info.value.results == finished
+    if workers == 1:
+        assert isinstance(info.value.__cause__, RuntimeError)
 
 
 def test_confidence_interval_scaling():

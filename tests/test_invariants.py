@@ -13,14 +13,12 @@ from random import Random
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustcloudsim import protocol
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import build_scenario, run_simulation, run_training_phase
-from trustcloudsim.errors import ZeroEntropyError
 from trustcloudsim.medium import ChannelPhase
 
 configs = st.builds(
@@ -52,12 +50,12 @@ def test_round_invariants(cfg):
     net = build_scenario(cfg, Random(cfg.seed))
     run_training_phase(net, Random(cfg.seed))
     trust = net.trust
-    windows_seen: list[dict] = []
+    evidence_seen: list[protocol.Evidence] = []
 
     def data_phase(*args):
-        windows = run_data_phase(*args)
-        windows_seen.append(windows)
-        return windows
+        evidence = run_data_phase(*args)
+        evidence_seen.append(evidence)
+        return evidence
 
     def classify(state, stds, observers, targets, *args, **kwargs):
         assert state.full[observers, targets].all(), "classified a partial window"
@@ -69,13 +67,7 @@ def test_round_invariants(cfg):
     with mock.patch.object(protocol, "run_data_phase", data_phase), \
             mock.patch.object(protocol, "classify_pairs", classify):
         for r in range(cfg.max_rounds):
-            try:
-                out = protocol.run_round(net, r, rng, np_rng)
-            except ZeroEntropyError:
-                # Standard clouds with zero entropy end the run; see
-                # test_zero_entropy_standards_run_to_completion.  The rounds
-                # before it are still checked.
-                break
+            out = protocol.run_round(net, r, rng, np_rng)
 
             now = [d.energy for d in net.devices]
             assert all(e >= 0.0 for e in now)
@@ -88,10 +80,14 @@ def test_round_invariants(cfg):
             assert len(placed) == len(set(placed))
             assert not set(placed) & set(out.direct_to_sink)
 
-            windows = windows_seen.pop() if windows_seen else {}
-            for (observer, head), w in windows.items():
-                assert observer in out.clusters[head]
-                assert 0 <= w.timely <= w.forwarded <= w.sent
+            if evidence_seen:
+                evidence = evidence_seen.pop()
+                for observer, head in zip(evidence.observer.tolist(),
+                                          evidence.head.tolist()):
+                    assert observer in out.clusters[head]
+                assert np.all(0 <= evidence.timely)
+                assert np.all(evidence.timely <= evidence.forwarded)
+                assert np.all(evidence.forwarded <= evidence.sent)
 
             decided = out.decisions
             assert trust.full[decided.observer, decided.target].all()
@@ -99,12 +95,10 @@ def test_round_invariants(cfg):
                                decided.target.tolist()))) == len(decided.observer)
 
 
-@pytest.mark.xfail(raises=ZeroEntropyError, strict=True,
-                   reason="zero-entropy standard clouds make the classifier raise")
 def test_zero_entropy_standards_run_to_completion():
     # On a perfect channel, two-drop training pools give every device
-    # standard clouds with en = he = 0; the first drop-sampled comparison
-    # then has no defined membership and the run stops with an error.
+    # standard clouds with en = he = 0; drop-sampled comparisons then score
+    # memberships by their zero-entropy limit instead of stopping the run.
     cfg = ScenarioConfig(
         device_count=3, area_width=20.0, area_height=20.0,
         malicious_fraction=0.0, seed=3, max_rounds=30,

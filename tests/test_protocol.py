@@ -8,11 +8,9 @@ from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import build_scenario, run_training_phase
 from trustcloudsim.medium import ChannelPhase
 from trustcloudsim.protocol import (
-    ClusterChoice,
     ClusterRoundOutcome,
     DeviceState,
-    NetworkState,
-    choose_cluster,
+    choose_heads,
     decide_head,
     election_threshold,
     is_eligible,
@@ -20,7 +18,6 @@ from trustcloudsim.protocol import (
     run_round,
 )
 from trustcloudsim.runtime import (
-    Classification,
     TrustState,
     classify_pairs,
     record_trust,
@@ -73,18 +70,23 @@ def candidate(cid, x, trust_values, member, trust):
 
 
 def choose(member, candidates, trust, *, r=0, epoch=15):
-    """choose_cluster on the member's verdicts, classified as run_round does."""
-    heads = [h.id for h, _ in candidates]
-    judged = [i for i, h in enumerate(heads) if trust.full[member.id, h]]
+    """The member's (kind, head), classified and chosen as run_round does."""
+    obs = np.full(len(candidates), member.id, dtype=np.intp)
+    tgt = np.array([h.id for h, _ in candidates], dtype=np.intp)
+    judged = trust.full[obs, tgt]
     table = standard_table([member.stds] * len(trust.count))
-    malicious = classify_pairs(
-        trust, table, [member.id] * len(judged), [heads[i] for i in judged],
-        np.random.default_rng(1),
+    malicious = np.zeros(len(candidates), dtype=bool)
+    malicious[judged] = classify_pairs(
+        trust, table, obs[judged], tgt[judged], np.random.default_rng(1)
     )
-    verdicts = [None] * len(heads)
-    for i, mal in zip(judged, malicious):
-        verdicts[i] = Classification.MALICIOUS if mal else Classification.NORMAL
-    return choose_cluster(member, candidates, verdicts, trust, r=r, epoch=epoch)
+    dist = np.array([d for _, d in candidates], dtype=float)
+    joiners, heads = choose_heads(trust, obs, tgt, dist, judged, malicious)
+    if len(joiners):
+        assert joiners.tolist() == [member.id]
+        return ("join", int(heads[0]))
+    if is_eligible(member, r, epoch):
+        return ("become_head", None)
+    return ("sink", None)
 
 
 def test_choose_cluster_nearest_normal():
@@ -93,7 +95,7 @@ def test_choose_cluster_nearest_normal():
     near = candidate(1, 10.0, [0.99] * 20, member, trust)   # margin-normal
     far = candidate(2, 20.0, [0.99] * 20, member, trust)
     choice = choose(member, [(near, 10.0), (far, 20.0)], trust)
-    assert choice == ClusterChoice("join", 1)
+    assert choice == ("join", 1)
 
 
 def test_choose_cluster_all_malicious_becomes_head():
@@ -101,13 +103,13 @@ def test_choose_cluster_all_malicious_becomes_head():
     trust = TrustState(4)
     bad = candidate(1, 10.0, [0.05] * 20, member, trust)    # margin-malicious
     choice = choose(member, [(bad, 10.0)], trust)
-    assert choice == ClusterChoice("become_head", None)
+    assert choice == ("become_head", None)
     # ineligible member falls back to the sink
     member2 = make_member(3)
     bad2 = candidate(1, 10.0, [0.05] * 20, member2, trust)
     member2.last_head_round = 0
     choice2 = choose(member2, [(bad2, 10.0)], trust, r=3)
-    assert choice2 == ClusterChoice("sink", None)
+    assert choice2 == ("sink", None)
 
 
 def test_choose_cluster_prefers_fresh_candidate_without_clouds():
@@ -116,7 +118,7 @@ def test_choose_cluster_prefers_fresh_candidate_without_clouds():
     known = candidate(1, 10.0, [0.8] * 5, member, trust)    # recorded, no cloud yet
     fresh = DeviceState(id=2, x=15.0, y=0.0, energy=1.0)
     choice = choose(member, [(known, 10.0), (fresh, 15.0)], trust)
-    assert choice == ClusterChoice("join", 2)
+    assert choice == ("join", 2)
 
 
 def test_choose_cluster_highest_mean_when_all_interacted():
@@ -125,12 +127,12 @@ def test_choose_cluster_highest_mean_when_all_interacted():
     low = candidate(1, 10.0, [0.4] * 5, member, trust)
     high = candidate(2, 20.0, [0.9] * 5, member, trust)
     choice = choose(member, [(low, 10.0), (high, 20.0)], trust)
-    assert choice == ClusterChoice("join", 2)
+    assert choice == ("join", 2)
 
 
 def test_choose_cluster_no_candidates():
     member = make_member()
-    assert choose(member, [], TrustState(4)) == ClusterChoice("become_head", None)
+    assert choose(member, [], TrustState(4)) == ("become_head", None)
 
 
 def small_net(cfg=None, **overrides):
@@ -145,10 +147,11 @@ def test_run_data_phase_honest_perfect_channel():
     net = small_net()
     clusters = {0: [d.id for d in net.devices[1:6]]}
     outcome = ClusterRoundOutcome(round_index=0)
-    windows = run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), Random(4), outcome)
-    for member_id in clusters[0]:
-        w = windows[(member_id, 0)]
-        assert w.sent == w.forwarded == w.timely == 5
+    evidence = run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), Random(4), outcome)
+    assert evidence.observer.tolist() == clusters[0]
+    assert evidence.head.tolist() == [0] * 5
+    for counts in (evidence.sent, evidence.forwarded, evidence.timely):
+        assert counts.tolist() == [5] * 5
     assert all(t.outcome == "timely" for t in outcome.transfers)
 
 

@@ -6,10 +6,8 @@ import pytest
 from trustcloudsim.cloud import TrustCloud, backward_cloud
 from trustcloudsim.errors import ConfigError, DomainError, InsufficientEvidenceError
 from trustcloudsim.runtime import (
-    Classification,
     TrustState,
-    UpdateAccumulators,
-    accumulate_and_maybe_update,
+    UpdatePools,
     classify_pairs,
     record_trust,
     recommend_trust,
@@ -160,15 +158,13 @@ def test_update_standard_cloud():
 
 def test_accumulate_triggers_update_and_clears_pool():
     std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
-    acc = UpdateAccumulators()
+    pools = UpdatePools(1, 100)
     for _ in range(99):
-        acc, std = accumulate_and_maybe_update(
-            acc, Classification.MALICIOUS, 0.2, std
-        )
-    assert len(acc.malicious_pool) == 99
+        assert pools.add([0], [True], [0.2], [std]) == {}
+    assert pools.fill[0, 0] == 99
     before = std.malicious
-    acc, std = accumulate_and_maybe_update(acc, Classification.MALICIOUS, 0.2, std)
-    assert len(acc.malicious_pool) == 0
+    std = pools.add([0], [True], [0.2], [std])[0]
+    assert pools.fill[0, 0] == 0
     after = std.malicious
     assert after != before
     # updated components lie between prior and fresh estimate components
@@ -179,18 +175,17 @@ def test_accumulate_triggers_update_and_clears_pool():
 
 def test_accumulate_below_capacity_no_update():
     std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
-    acc = UpdateAccumulators()
+    pools = UpdatePools(1, 100)
     for _ in range(51):
-        acc, out = accumulate_and_maybe_update(acc, Classification.NORMAL, 0.8, std)
-        assert out == std
-    assert len(acc.normal_pool) == 51
+        assert pools.add([0], [False], [0.8], [std]) == {}
+    assert pools.fill[0, 1] == 51
 
 
 def test_accumulate_fixed_point():
     prior = backward_cloud([0.8] * 100)
     std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), prior)
-    acc = UpdateAccumulators()
+    pools = UpdatePools(1, 100)
     for _ in range(100):
-        acc, std = accumulate_and_maybe_update(acc, Classification.NORMAL, 0.8, std)
+        std = pools.add([0], [False], [0.8], [std]).get(0, std)
     assert std.normal.ex == pytest.approx(prior.ex, rel=1e-12)
     assert std.normal.en == pytest.approx(prior.en, abs=1e-12)
