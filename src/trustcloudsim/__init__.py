@@ -46,7 +46,6 @@ from .protocol import (
     run_round,
 )
 from .runtime import (
-    Classification,
     TrustState,
     UpdatePools,
     classify_pairs,

@@ -147,19 +147,29 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    values = [v for v in (s.strip() for s in args.values.split(",")) if v]
-    if not values:
-        raise ConfigError("sweep needs a non-empty value list", field="--values")
     field, conv = SWEEP_PARAMETERS[args.parameter]
-    outdir = _outdir(args)
-    _write_manifest(outdir, cfg, ["sweep.csv"], f"sweep {args.parameter}")
-    rows = []
-    for raw in values:
-        value = conv(raw)
+    # Every value is parsed and validated before the manifest is written.
+    runs = []
+    for raw in (s.strip() for s in args.values.split(",")):
+        if not raw:
+            continue
+        try:
+            value = conv(raw)
+        except ValueError:
+            raise ConfigError(
+                f"invalid {args.parameter} value {raw!r}", field="--values"
+            ) from None
         if field is None:
             run_cfg = with_overrides(cfg, area_width=value, area_height=value)
         else:
             run_cfg = with_overrides(cfg, **{field: value})
+        runs.append((value, run_cfg))
+    if not runs:
+        raise ConfigError("sweep needs a non-empty value list", field="--values")
+    outdir = _outdir(args)
+    _write_manifest(outdir, cfg, ["sweep.csv"], f"sweep {args.parameter}")
+    rows = []
+    for value, run_cfg in runs:
         summary: ReplicationSummary = replicate(
             run_cfg, args.replications, workers=args.workers
         )

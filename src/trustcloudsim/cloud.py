@@ -22,9 +22,6 @@ from .errors import DomainError, InsufficientDataError, ZeroEntropyError
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
-#: Default number of drops sampled when comparing two clouds.
-DEFAULT_SIMILARITY_DROPS = 50
-
 
 @dataclass(frozen=True)
 class TrustCloud:
@@ -181,7 +178,7 @@ def membership_degree(drop: float, standard: TrustCloud, rng: Random) -> float:
 def similarity(
     individual: TrustCloud,
     standard: TrustCloud,
-    n_drp: int = DEFAULT_SIMILARITY_DROPS,
+    n_drp: int,
     rng: Random | None = None,
 ) -> float:
     """Mean membership of drops generated from one cloud in another.

@@ -17,7 +17,7 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .medium import ChannelPhase, EnergyParams
 
 DEFAULT_PHASE_RATES = ((1.0, 9.0), (2.0, 8.0), (3.0, 7.0), (1.0, 9.0))
@@ -98,10 +98,19 @@ class ScenarioConfig:
                 field="trust.alpha",
             )
         for name, low in (
-            ("n_f", 1), ("max_tr", 0), ("max_drp", 2), ("thr_drp", 2), ("n_drp", 1)
+            ("n_f", 1), ("max_tr", 0), ("max_drp", 2), ("thr_drp", 2), ("n_drp", 1),
+            ("data_bits", 0), ("control_bits", 0), ("training_bits", 0),
+            ("neighbor_radius", 0), ("max_dur", 0), ("monitor_seconds", 0),
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"must be at least {low}", field=name)
+        for name in ("p_dp", "p_dy"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError("must be in [0, 1]", field=name)
+        try:
+            self.energy_params()
+        except DomainError as exc:
+            raise ConfigError(str(exc), field="energy") from exc
         return self
 
     def energy_params(self) -> EnergyParams:

@@ -29,11 +29,11 @@ from .protocol import (
     GENERIC,
     HONEST,
     SUPER,
-    ClassifierOverride,
     DeviceState,
     NetworkState,
     run_round,
 )
+from .runtime import standard_table
 from .training import (
     StandardClouds,
     TrainingState,
@@ -113,18 +113,7 @@ def build_scenario(cfg: ScenarioConfig, rng: Random) -> NetworkState:
     for dev_id in range(n):
         x = rng.uniform(0.0, cfg.area_width)
         y = rng.uniform(0.0, cfg.area_height)
-        devices.append(
-            DeviceState(
-                id=dev_id,
-                x=x,
-                y=y,
-                energy=cfg.e0,
-                training=TrainingState(
-                    malicious_drops=DropSet(cfg.max_drp),
-                    normal_drops=DropSet(cfg.max_drp),
-                ),
-            )
-        )
+        devices.append(DeviceState(id=dev_id, x=x, y=y, energy=cfg.e0))
     n_mal = int(round(cfg.malicious_fraction * n))
     if n_mal > n:
         raise ConfigError("malicious count exceeds device count")
@@ -151,7 +140,7 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
     phase = net.phase_for(0)
     reports = []
     for dev in net.devices:
-        state = dev.training
+        state = TrainingState(DropSet(cfg.max_drp), DropSet(cfg.max_drp))
         while dev.alive and not training_complete(state, max_tr=cfg.max_tr):
             neighborhood = [net.devices[nid] for nid, _ in net.neighbors[dev.id]]
             try:
@@ -187,31 +176,19 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
         )
 
     # Every trained device recommends its clouds to neighbors; each device
-    # averages its own with everything received.
-    published = {dev.id: dev.training.standard_clouds() for dev in net.devices}
+    # averages its own, if any, with everything received.
+    published = [rep.clouds for rep in reports]
+    merged = []
     for dev in net.devices:
-        received = [
-            published[nid]
-            for nid, _ in net.neighbors[dev.id]
-            if published[nid] is not None
-        ]
-        own = published[dev.id]
-        if own is not None:
-            dev.stds = merge_recommendations(own, received)
-        elif received:
-            dev.stds = merge_recommendations(received[0], received[1:])
-        else:
-            dev.stds = None
-    net.refresh_standards()
+        ids = [dev.id] + [nid for nid, _ in net.neighbors[dev.id]]
+        clouds = [published[i] for i in ids if published[i] is not None]
+        merged.append(merge_recommendations(clouds[0], clouds[1:]) if clouds else None)
+    net.std_table = standard_table(merged)
     net.mark_deaths(0)
     return reports
 
 
-def run_simulation(
-    cfg: ScenarioConfig,
-    *,
-    classifier_override: Optional[ClassifierOverride] = None,
-) -> MetricsLog:
+def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
     """Execute one full run: training, then rounds until budget or death."""
     cfg.validate()
     rng = Random(cfg.seed)
@@ -227,9 +204,7 @@ def run_simulation(
     for r in range(cfg.max_rounds):
         if net.alive_count() == 0:
             break
-        outcome = run_round(
-            net, r, rng, np_rng, classifier_override=classifier_override
-        )
+        outcome = run_round(net, r, rng, np_rng)
         phase = net.phase_for(r)
         timely = delayed = received = 0
         for t in outcome.transfers:
@@ -410,14 +385,10 @@ def run_metrics(log: MetricsLog) -> dict[str, float]:
     return out
 
 
-def _replica_metrics(
-    cfg: ScenarioConfig,
-    index: int,
-    classifier_override: Optional[ClassifierOverride] = None,
-) -> tuple[dict, list[float]]:
+def _replica_metrics(cfg: ScenarioConfig, index: int) -> tuple[dict, list[float]]:
     """(metrics, malicious-cluster series) of replica ``index``."""
     run_cfg = with_overrides(cfg, seed=derive_seed(cfg.seed, index))
-    log = run_simulation(run_cfg, classifier_override=classifier_override)
+    log = run_simulation(run_cfg)
     return run_metrics(log), metric_malicious_clusters(log)
 
 
@@ -441,14 +412,12 @@ def replicate(
     cfg: ScenarioConfig,
     n_runs: int,
     *,
-    classifier_override: Optional[ClassifierOverride] = None,
     workers: int = 1,
 ) -> ReplicationSummary:
     """Independent seeded runs with normal-approximation 95% intervals.
 
     Replications share no state, so they may fan out over worker processes;
-    aggregation is ordered by run index either way.  A classifier override
-    forces the serial path (it may not be picklable).  Every replica runs to
+    aggregation is ordered by run index either way.  Every replica runs to
     the end; if any failed, a ReplicationError names each failed replica's
     index, seed, malicious fraction and cause, and carries the finished
     replicas' results.
@@ -456,7 +425,7 @@ def replicate(
     if n_runs < 2:
         raise ConfigError("replication needs at least 2 runs")
     first_error: Optional[Exception] = None
-    if workers > 1 and classifier_override is None:
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(workers, n_runs)) as pool:
@@ -467,7 +436,7 @@ def replicate(
         results = []
         for i in range(n_runs):
             try:
-                results.append(_replica_metrics(cfg, i, classifier_override))
+                results.append(_replica_metrics(cfg, i))
             except Exception as exc:
                 first_error = first_error or exc
                 results.append(_cause(exc))

@@ -14,7 +14,7 @@ class InsufficientDataError(TrustCloudSimError):
 
 
 class InsufficientEvidenceError(TrustCloudSimError):
-    """Classification requested before an individual trust cloud exists."""
+    """A target was judged before an individual trust cloud exists for it."""
 
 
 class ZeroEntropyError(TrustCloudSimError):

@@ -156,11 +156,6 @@ def _grade_for(x: float, sets) -> float:
     return (y_left + y_right) / 2.0
 
 
-@lru_cache(maxsize=65536)
-def _graded(tfr: float, sfr: float) -> float:
-    return min(_grade_for(tfr, TFR_SETS), _grade_for(sfr, SFR_SETS))
-
-
 def infer_trust(attrs: TrustAttributes) -> float:
     """Deterministic trust value in [0, 1] for a pair of attributes.
 
@@ -169,7 +164,7 @@ def infer_trust(attrs: TrustAttributes) -> float:
     per-attribute grades; the result is monotone non-decreasing in both
     attributes.
     """
-    return _graded(attrs.tfr, attrs.sfr)
+    return min(_grade_for(attrs.tfr, TFR_SETS), _grade_for(attrs.sfr, SFR_SETS))
 
 
 @lru_cache(maxsize=65536)
@@ -177,6 +172,7 @@ def trust_from_counts(sent: int, forwarded: int, timely: int) -> float:
     """infer_trust of the evidence window with these counts.
 
     A round's windows repeat the same few count triples across pairs and
-    rounds, so the trust value is memoised by the triple.
+    rounds, so the trust value is memoised by the triple.  Training and the
+    protocol rounds both infer through this one cache.
     """
     return infer_trust(compute_attributes(EvidenceWindow(sent, forwarded, timely)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,15 +30,12 @@ from .medium import (
     tx_energy,
 )
 from .runtime import (
-    Classification,
     TrustState,
     UpdatePools,
     classify_pairs,
     record_trust,
     recommend_trust,
-    standard_table,
 )
-from .training import StandardClouds, TrainingState
 
 HONEST = "honest"
 GENERIC = "generic"
@@ -51,9 +48,10 @@ ATTACK_MULTIPLIER = {HONEST: 0.0, GENERIC: 2.0, ADVANCED: 4.0, SUPER: 6.0}
 
 @dataclass(slots=True)
 class DeviceState:
-    """One device: identity, radio position, energy, role, and trust standards.
+    """One device: identity, radio position, energy and role.
 
-    Its trust in other devices is row ``id`` of the network's TrustState.
+    Its trust in other devices is row ``id`` of the network's TrustState,
+    and its standard clouds are row ``id`` of the network's std_table.
     """
 
     id: int
@@ -63,8 +61,6 @@ class DeviceState:
     attacker: str = HONEST
     alive: bool = True
     last_head_round: Optional[int] = None
-    stds: Optional[StandardClouds] = None
-    training: TrainingState = field(default_factory=TrainingState)
     death_round: Optional[int] = None
 
     @property
@@ -186,14 +182,9 @@ class NetworkState:
             self.neighbor_mask[d.id, [nid for nid, _ in near]] = True
         self.trust = TrustState(n, cfg.thr_drp)
         self.pools = UpdatePools(n, cfg.max_drp)
-        #: standard_table of the devices' standard clouds, kept in step by
-        #: refresh_standards wherever a device's ``stds`` is reassigned
-        self.std_table = standard_table([d.stds for d in devices])
-
-    def refresh_standards(self, ids: Optional[Iterable[int]] = None) -> None:
-        """Rewrite the std_table rows of the given devices (default: all)."""
-        ids = list(range(len(self.devices)) if ids is None else ids)
-        self.std_table[ids] = standard_table([self.devices[i].stds for i in ids])
+        #: every device's standard clouds as a standard_table row; a row of
+        #: NaN until training gives the device standards
+        self.std_table = np.full((n, 6), np.nan)
 
     def phase_for(self, r: int) -> ChannelPhase:
         current = self.phases[0]
@@ -214,11 +205,6 @@ class NetworkState:
         for d in self.devices:
             if not d.alive and d.death_round is None:
                 d.death_round = r
-
-
-#: Optional stand-in for the trust classifier, e.g. a ground-truth oracle in
-#: harness self-tests.  Called as (observer, target) -> Classification.
-ClassifierOverride = Callable[[DeviceState, DeviceState], Classification]
 
 
 def election_threshold(r: int, p_ch: float) -> float:
@@ -424,8 +410,6 @@ def run_round(
     r: int,
     rng: Random,
     np_rng,
-    *,
-    classifier_override: Optional[ClassifierOverride] = None,
 ) -> ClusterRoundOutcome:
     """Execute one full protocol round and return its outcome."""
     cfg = net.cfg
@@ -478,17 +462,8 @@ def run_round(
 
     def judge(obs: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """True where the observer classifies the target malicious."""
-        if classifier_override is None:
-            return classify_pairs(
-                trust, stds, obs, tgt, np_rng, kappa=cfg.kappa, n_drp=cfg.n_drp
-            )
-        return np.array(
-            [
-                classifier_override(net.devices[o], net.devices[t])
-                is Classification.MALICIOUS
-                for o, t in zip(obs.tolist(), tgt.tolist())
-            ],
-            dtype=bool,
+        return classify_pairs(
+            trust, stds, obs, tgt, np_rng, kappa=cfg.kappa, n_drp=cfg.n_drp
         )
 
     cand_obs = np.array(cand_obs, dtype=np.intp)
@@ -615,18 +590,14 @@ def run_round(
         np.concatenate([join_mal, post_mal[fresh]]),
     )
 
-    updated = net.pools.add(
+    net.pools.add(
         post_obs,
         post_mal,
         trust.mean[post_obs, post_tgt],
-        [d.stds for d in net.devices],
+        stds,
         alpha=cfg.alpha,
         beta=cfg.beta,
     )
-    for member_id, std in updated.items():
-        net.devices[member_id].stds = std
-    if updated:
-        net.refresh_standards(updated)
 
     net.mark_deaths(r)
     return outcome

@@ -13,29 +13,13 @@ clouds.
 
 from __future__ import annotations
 
-import enum
 from typing import Optional
 
 import numpy as np
 
-from .cloud import (
-    DEFAULT_SIMILARITY_DROPS,
-    TrustCloud,
-    backward_cloud,
-    backward_clouds,
-)
+from .cloud import TrustCloud, backward_cloud, backward_clouds
 from .errors import ConfigError, DomainError, InsufficientEvidenceError
 from .training import StandardClouds
-
-THR_DRP = 20
-MARGIN_KAPPA = 3.0
-UPDATE_ALPHA = 0.8
-UPDATE_BETA = 0.2
-
-
-class Classification(enum.Enum):
-    MALICIOUS = "malicious"
-    NORMAL = "normal"
 
 
 class TrustState:
@@ -50,7 +34,7 @@ class TrustState:
     the first time clouds are read after the window changed.
     """
 
-    def __init__(self, n: int, window: int = THR_DRP):
+    def __init__(self, n: int, window: int):
         if window < 2:
             raise DomainError(f"window must hold at least 2 drops, got {window}")
         self.window = window
@@ -183,8 +167,8 @@ def classify_pairs(
     targets,
     np_rng,
     *,
-    kappa: float = MARGIN_KAPPA,
-    n_drp: int = DEFAULT_SIMILARITY_DROPS,
+    kappa: float,
+    n_drp: int,
 ) -> np.ndarray:
     """Judge each observer's target; True where it looks malicious.
 
@@ -262,10 +246,7 @@ def classify_pairs(
 
 
 def update_standard_cloud(
-    prior: TrustCloud,
-    fresh: TrustCloud,
-    alpha: float = UPDATE_ALPHA,
-    beta: float = UPDATE_BETA,
+    prior: TrustCloud, fresh: TrustCloud, alpha: float, beta: float
 ) -> TrustCloud:
     """Blend a freshly estimated standard cloud into the prior one."""
     if abs(alpha + beta - 1.0) > 1e-9:
@@ -292,21 +273,14 @@ class UpdatePools:
         self.fill = np.zeros((n, 2), dtype=np.intp)
 
     def add(
-        self,
-        observers,
-        malicious,
-        values,
-        stds,
-        *,
-        alpha: float = UPDATE_ALPHA,
-        beta: float = UPDATE_BETA,
-    ) -> dict[int, StandardClouds]:
+        self, observers, malicious, values, std_table, *, alpha: float, beta: float
+    ) -> None:
         """Pool each row's value under its observer and verdict, in row order.
 
-        ``stds[i]`` is device i's current StandardClouds.  Returns the new
-        standards of the devices whose pools filled; with a small capacity a
-        pool may fill more than once, and each fill blends into the standard
-        left by the one before.
+        ``std_table`` is the standard_table of every device; each pool that
+        fills rewrites its standard's three columns in place.  With a small
+        capacity a pool may fill more than once, and each fill blends into
+        the standard left by the one before.
         """
         values = np.asarray(values, dtype=float)
         if not np.all((values >= 0.0) & (values <= 1.0)):
@@ -334,21 +308,20 @@ class UpdatePools:
         pools[key[rows], slot[rows]] = values[rows]
         fill[group[~fills]] += sizes[~fills]
 
-        updated: dict[int, StandardClouds] = {}
         for g in np.flatnonzero(fills).tolist():
             o, k = divmod(int(group[g]), 2)
-            std = updated.get(o, stds[o])
+            cols = slice(3 * k, 3 * k + 3)
             pooled = pools[group[g], : held[g]].tolist()
             for value in values[starts[g] : starts[g] + sizes[g]].tolist():
                 pooled.append(value)
                 if len(pooled) == self.capacity:
-                    clouds = [std.malicious, std.normal]
-                    clouds[k] = update_standard_cloud(
-                        clouds[k], backward_cloud(pooled), alpha, beta
+                    std = update_standard_cloud(
+                        TrustCloud(*std_table[o, cols].tolist()),
+                        backward_cloud(pooled),
+                        alpha,
+                        beta,
                     )
-                    std = StandardClouds(*clouds)
+                    std_table[o, cols] = (std.ex, std.en, std.he)
                     pooled = []
             pools[group[g], : len(pooled)] = pooled
             fill[group[g]] = len(pooled)
-            updated[o] = std
-        return updated

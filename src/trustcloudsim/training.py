@@ -14,19 +14,13 @@ bounded number of rounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
 from .cloud import DropSet, TrustCloud, backward_cloud
 from .errors import DomainError, NoNeighborError
-from .fuzzy import (
-    EvidenceWindow,
-    ForwardingEvent,
-    compute_attributes,
-    infer_trust,
-    record_event,
-)
+from .fuzzy import EvidenceWindow, ForwardingEvent, record_event, trust_from_counts
 from .medium import (
     ChannelPhase,
     EnergyParams,
@@ -35,15 +29,6 @@ from .medium import (
     rx_energy,
     tx_energy,
 )
-
-N_F = 20
-MAX_DRP = 100
-MAX_TR = 20
-NEIGHBOR_RADIUS = 25.0
-P_DP = 0.05
-P_DY = 0.05
-MAX_DUR = 10.0
-TRAINING_BITS = 300
 
 
 @dataclass(frozen=True)
@@ -58,8 +43,8 @@ class StandardClouds:
 class TrainingState:
     """Progress of one device through the labeling protocol."""
 
-    malicious_drops: DropSet = field(default_factory=lambda: DropSet(MAX_DRP))
-    normal_drops: DropSet = field(default_factory=lambda: DropSet(MAX_DRP))
+    malicious_drops: DropSet
+    normal_drops: DropSet
     rounds_done: int = 0
     initial_built: bool = False
     stc_m: Optional[TrustCloud] = None
@@ -81,11 +66,11 @@ def run_training_round(
     channel: ChannelPhase,
     rng: Random,
     *,
-    n_f: int = N_F,
-    p_dp: float = P_DP,
-    p_dy: float = P_DY,
-    max_dur: float = MAX_DUR,
-    bits: int = TRAINING_BITS,
+    n_f: int,
+    p_dp: float,
+    p_dy: float,
+    max_dur: float,
+    bits: int,
     energy: Optional[EnergyParams] = None,
 ) -> tuple[list[float], list[float]]:
     """One active training round; returns (malicious drops, normal drops).
@@ -108,6 +93,9 @@ def run_training_round(
 
     def pay(device, cost: float) -> bool:
         return device.spend(cost) if energy is not None else True
+
+    def trust_of(window: EvidenceWindow) -> float:
+        return trust_from_counts(window.sent, window.forwarded, window.timely)
 
     def send_to_router() -> bool:
         if not pay(initiator, tx_energy(bits, d_ij, energy) if energy else 0.0):
@@ -152,7 +140,7 @@ def run_training_round(
         else:
             event, _ = forward_once(delayed=False)
         window = record_event(window, event)
-        malicious_values.append(infer_trust(compute_attributes(window)))
+        malicious_values.append(trust_of(window))
 
     normal_values: list[float] = []
     window = EvidenceWindow()
@@ -161,7 +149,7 @@ def run_training_round(
             break
         if not send_to_router():
             window = record_event(window, ForwardingEvent.DROPPED)
-            normal_values.append(infer_trust(compute_attributes(window)))
+            normal_values.append(trust_of(window))
             continue
         first, delivered = forward_once(delayed=False)
         reply_seen = False
@@ -179,7 +167,7 @@ def run_training_round(
             if first is ForwardingEvent.DROPPED:
                 event = retrans
         window = record_event(window, event)
-        normal_values.append(infer_trust(compute_attributes(window)))
+        normal_values.append(trust_of(window))
 
     return malicious_values, normal_values
 
@@ -189,7 +177,7 @@ def training_step(
     malicious_values: Sequence[float],
     normal_values: Sequence[float],
     *,
-    max_tr: int = MAX_TR,
+    max_tr: int,
 ) -> TrainingState:
     """Fold one round of labeled drops into the state.
 
@@ -210,7 +198,7 @@ def training_step(
     return state
 
 
-def training_complete(state: TrainingState, *, max_tr: int = MAX_TR) -> bool:
+def training_complete(state: TrainingState, *, max_tr: int) -> bool:
     """True once a classification boundary exists or rounds are exhausted."""
     if state.rounds_done >= max_tr:
         return True

@@ -4,11 +4,12 @@
 ``reference_accumulate`` with ``ReferenceAccumulators`` the per-row update
 pools, as they were written before the round's bookkeeping became array
 passes.  On the same inputs, ``choose_heads`` must pick the same heads and
-``UpdatePools`` must leave the same pool contents and bit-equal standard
-clouds; the count-keyed ``trust_from_counts`` must give the scalar
+``UpdatePools`` must leave the same pool contents and a bit-equal table of
+standard clouds; the count-keyed ``trust_from_counts`` must give the scalar
 inference of each count triple.
 """
 
+import enum
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -24,7 +25,6 @@ from trustcloudsim.fuzzy import (
 )
 from trustcloudsim.protocol import DeviceState, choose_heads, is_eligible
 from trustcloudsim.runtime import (
-    Classification,
     TrustState,
     UpdatePools,
     record_trust,
@@ -32,6 +32,13 @@ from trustcloudsim.runtime import (
     update_standard_cloud,
 )
 from trustcloudsim.training import StandardClouds
+
+
+class Classification(enum.Enum):
+    """The verdicts the per-row code took and returned."""
+
+    MALICIOUS = "malicious"
+    NORMAL = "normal"
 
 
 class ClusterChoice(NamedTuple):
@@ -198,7 +205,7 @@ def test_update_pools_match_reference(initial, capacity, batch_sizes, seed):
     n = len(initial)
     alpha, beta = 0.8, 0.2
     pools = UpdatePools(n, capacity)
-    stds = list(initial)
+    table = standard_table(initial)
     ref_accs = [ReferenceAccumulators(capacity) for _ in range(n)]
     ref_stds = list(initial)
     for size in batch_sizes:
@@ -216,12 +223,9 @@ def test_update_pools_match_reference(initial, capacity, batch_sizes, seed):
                 alpha=alpha,
                 beta=beta,
             )
-        updated = pools.add(observers, malicious, values, stds, alpha=alpha, beta=beta)
-        for o, std in updated.items():
-            stds[o] = std
+        pools.add(observers, malicious, values, table, alpha=alpha, beta=beta)
 
-        assert stds == ref_stds
-        assert standard_table(stds).tobytes() == standard_table(ref_stds).tobytes()
+        assert table.tobytes() == standard_table(ref_stds).tobytes()
         for o, acc in enumerate(ref_accs):
             for k, pool in enumerate((acc.malicious_pool, acc.normal_pool)):
                 held = pools.values[o, k, : pools.fill[o, k]].tolist()

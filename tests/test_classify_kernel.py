@@ -116,7 +116,7 @@ def test_small_kappa_settles_rows_without_sampling():
     stds = np.array([[0.5, 0.01, 0.001, 0.6, 0.01, 0.001]] * 3)
     np_rng = np.random.default_rng(1)
     before = np_rng.bit_generator.state
-    verdicts = classify_pairs(state, stds, [0, 0], [1, 2], np_rng, kappa=0.5)
+    verdicts = classify_pairs(state, stds, [0, 0], [1, 2], np_rng, kappa=0.5, n_drp=50)
     assert verdicts.tolist() == [True, False]
     assert np_rng.bit_generator.state == before
     assert_same(state, stds, [0, 0], [1, 2], 1, kappa=0.5)
@@ -178,4 +178,6 @@ def test_missing_standard_clouds_raise():
     state = constant_state(0.5)
     stds = np.full((2, 6), np.nan)
     with pytest.raises(InsufficientEvidenceError):
-        classify_pairs(state, stds, [0], [1], np.random.default_rng(0))
+        classify_pairs(
+            state, stds, [0], [1], np.random.default_rng(0), kappa=3.0, n_drp=50
+        )

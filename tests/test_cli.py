@@ -1,7 +1,10 @@
 import json
+
 import pytest
 
 from trustcloudsim.cli import main
+from trustcloudsim.config import config_from_dict, load_config
+from trustcloudsim.engine import run_simulation
 
 SMALL = """
 [scenario]
@@ -95,6 +98,36 @@ def test_cmd_sweep_rejects_empty_values(config_path, tmp_path, capsys):
         "--values", ",", "--replications", "2",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "parameter, values, field",
+    [
+        ("malicious_fraction", "abc", "--values"),
+        ("device_count", "1.5", "--values"),
+        ("area_side", "10,x", "--values"),
+        ("malicious_fraction", "0.1,1.5", "scenario.malicious_fraction"),
+    ],
+)
+def test_cmd_sweep_rejects_bad_values(config_path, tmp_path, capsys,
+                                      parameter, values, field):
+    code = main([
+        "sweep", "--config", str(config_path), "--out", str(tmp_path),
+        "--parameter", parameter, "--values", values, "--replications", "2",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_manifest_config_round_trip(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    rebuilt = config_from_dict(manifest["config"])
+    loaded = load_config(str(config_path))
+    assert rebuilt.as_dict() == loaded.as_dict()
+    assert run_simulation(rebuilt).round_stats == run_simulation(loaded).round_stats
 
 
 def test_cmd_sweep_device_count(config_path, tmp_path):

@@ -1,9 +1,10 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
-from trustcloudsim import engine
+from trustcloudsim import engine, protocol
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import (
     _confidence,
@@ -28,7 +29,6 @@ from trustcloudsim.errors import (
 )
 from trustcloudsim.medium import ChannelPhase
 from trustcloudsim.protocol import ADVANCED, GENERIC, HONEST, SUPER
-from trustcloudsim.runtime import Classification
 
 
 def test_build_scenario_attacker_split():
@@ -57,6 +57,15 @@ def test_config_validation_errors():
         ScenarioConfig(generic_share=0.5, advanced_share=0.5, super_share=0.5).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(alpha=0.9, beta=0.2).validate()
+    for field, value in (
+        ("data_bits", -5), ("control_bits", -1), ("training_bits", -1),
+        ("neighbor_radius", -3.0), ("max_dur", -1.0), ("monitor_seconds", -1.0),
+        ("p_dp", 1.5), ("p_dp", -0.1), ("p_dy", 1.5), ("e0", -1.0),
+        ("e_elec", -1e-9),
+    ):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(**{field: value}).validate()
+        assert field in str(info.value)
 
 
 def small_cfg(**overrides):
@@ -112,13 +121,17 @@ def test_undefined_metrics():
         metric_decision_accuracy(log)
 
 
-def test_oracle_classifier_accuracy_is_one():
-    def oracle(observer, target):
-        return (
-            Classification.MALICIOUS if target.is_malicious else Classification.NORMAL
-        )
+def test_oracle_classifier_accuracy_is_one(monkeypatch):
+    cfg = small_cfg()
+    # run_simulation deploys the same devices from the same seed
+    net = build_scenario(cfg, Random(cfg.seed))
+    truth = np.array([d.is_malicious for d in net.devices], dtype=bool)
 
-    log = run_simulation(small_cfg(), classifier_override=oracle)
+    def oracle(state, stds, observers, targets, *args, **kwargs):
+        return truth[targets]
+
+    monkeypatch.setattr(protocol, "classify_pairs", oracle)
+    log = run_simulation(cfg)
     assert metric_decision_accuracy(log) == 1.0
 
 
@@ -143,13 +156,14 @@ def test_replicate_parallel_matches_serial():
         assert serial.scalars[name].values == parallel.scalars[name].values
 
 
-def test_replicate_failure_names_the_replica():
-    def broken(observer, target):
+def test_replicate_failure_names_the_replica(monkeypatch):
+    def broken(*args, **kwargs):
         raise RuntimeError("classifier exploded")
 
+    monkeypatch.setattr(protocol, "classify_pairs", broken)
     cfg = small_cfg(max_rounds=60, malicious_fraction=0.3)
     with pytest.raises(TrustCloudSimError) as info:
-        replicate(cfg, 2, classifier_override=broken)
+        replicate(cfg, 2)
     message = str(info.value)
     assert f"seed {derive_seed(cfg.seed, 0)}" in message
     assert "malicious fraction 0.3" in message

@@ -26,6 +26,7 @@ from trustcloudsim.runtime import (
 from trustcloudsim.training import StandardClouds
 
 REL = 1e-9
+CFG = ScenarioConfig()
 
 
 def test_election_threshold_values():
@@ -57,9 +58,7 @@ def margin_stds():
 
 
 def make_member(mid=0):
-    member = DeviceState(id=mid, x=0.0, y=0.0, energy=1.0)
-    member.stds = margin_stds()
-    return member
+    return DeviceState(id=mid, x=0.0, y=0.0, energy=1.0)
 
 
 def candidate(cid, x, trust_values, member, trust):
@@ -74,10 +73,11 @@ def choose(member, candidates, trust, *, r=0, epoch=15):
     obs = np.full(len(candidates), member.id, dtype=np.intp)
     tgt = np.array([h.id for h, _ in candidates], dtype=np.intp)
     judged = trust.full[obs, tgt]
-    table = standard_table([member.stds] * len(trust.count))
+    table = standard_table([margin_stds()] * len(trust.count))
     malicious = np.zeros(len(candidates), dtype=bool)
     malicious[judged] = classify_pairs(
-        trust, table, obs[judged], tgt[judged], np.random.default_rng(1)
+        trust, table, obs[judged], tgt[judged], np.random.default_rng(1),
+        kappa=CFG.kappa, n_drp=CFG.n_drp,
     )
     dist = np.array([d for _, d in candidates], dtype=float)
     joiners, heads = choose_heads(trust, obs, tgt, dist, judged, malicious)
@@ -91,7 +91,7 @@ def choose(member, candidates, trust, *, r=0, epoch=15):
 
 def test_choose_cluster_nearest_normal():
     member = make_member()
-    trust = TrustState(4)
+    trust = TrustState(4, CFG.thr_drp)
     near = candidate(1, 10.0, [0.99] * 20, member, trust)   # margin-normal
     far = candidate(2, 20.0, [0.99] * 20, member, trust)
     choice = choose(member, [(near, 10.0), (far, 20.0)], trust)
@@ -100,7 +100,7 @@ def test_choose_cluster_nearest_normal():
 
 def test_choose_cluster_all_malicious_becomes_head():
     member = make_member()
-    trust = TrustState(4)
+    trust = TrustState(4, CFG.thr_drp)
     bad = candidate(1, 10.0, [0.05] * 20, member, trust)    # margin-malicious
     choice = choose(member, [(bad, 10.0)], trust)
     assert choice == ("become_head", None)
@@ -114,7 +114,7 @@ def test_choose_cluster_all_malicious_becomes_head():
 
 def test_choose_cluster_prefers_fresh_candidate_without_clouds():
     member = make_member()
-    trust = TrustState(4)
+    trust = TrustState(4, CFG.thr_drp)
     known = candidate(1, 10.0, [0.8] * 5, member, trust)    # recorded, no cloud yet
     fresh = DeviceState(id=2, x=15.0, y=0.0, energy=1.0)
     choice = choose(member, [(known, 10.0), (fresh, 15.0)], trust)
@@ -123,7 +123,7 @@ def test_choose_cluster_prefers_fresh_candidate_without_clouds():
 
 def test_choose_cluster_highest_mean_when_all_interacted():
     member = make_member()
-    trust = TrustState(4)
+    trust = TrustState(4, CFG.thr_drp)
     low = candidate(1, 10.0, [0.4] * 5, member, trust)
     high = candidate(2, 20.0, [0.9] * 5, member, trust)
     choice = choose(member, [(low, 10.0), (high, 20.0)], trust)
@@ -132,7 +132,7 @@ def test_choose_cluster_highest_mean_when_all_interacted():
 
 def test_choose_cluster_no_candidates():
     member = make_member()
-    assert choose(member, [], TrustState(4)) == ("become_head", None)
+    assert choose(member, [], TrustState(4, CFG.thr_drp)) == ("become_head", None)
 
 
 def small_net(cfg=None, **overrides):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trustcloudsim.cloud import TrustCloud, backward_cloud
+from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.errors import ConfigError, DomainError, InsufficientEvidenceError
 from trustcloudsim.runtime import (
     TrustState,
@@ -17,6 +18,9 @@ from trustcloudsim.runtime import (
 from trustcloudsim.training import StandardClouds
 
 REL = 1e-9
+CFG = ScenarioConfig()
+JUDGE = dict(kappa=CFG.kappa, n_drp=CFG.n_drp)
+WEIGHTS = dict(alpha=CFG.alpha, beta=CFG.beta)
 
 
 def test_recommend_trust_examples():
@@ -62,7 +66,9 @@ def classify_windows(windows, np_rng, std=STD):
     state = filled(windows)
     targets = list(range(len(windows)))
     table = standard_table([std] * len(state.count))
-    return classify_pairs(state, table, [0] * len(windows), targets, np_rng).tolist()
+    return classify_pairs(
+        state, table, [0] * len(windows), targets, np_rng, **JUDGE
+    ).tolist()
 
 
 def test_record_trust_window_and_cloud():
@@ -116,7 +122,9 @@ def test_classify_requires_cloud():
     state = filled([[0.5] * 20])
     no_standards = standard_table([None, STD])
     with pytest.raises(InsufficientEvidenceError):
-        classify_pairs(state, no_standards, [0], [0], np.random.default_rng(1))
+        classify_pairs(
+            state, no_standards, [0], [0], np.random.default_rng(1), **JUDGE
+        )
 
 
 def test_classify_batch_matches_scalar_on_margins():
@@ -158,14 +166,16 @@ def test_update_standard_cloud():
 
 def test_accumulate_triggers_update_and_clears_pool():
     std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
+    table = standard_table([std])
     pools = UpdatePools(1, 100)
     for _ in range(99):
-        assert pools.add([0], [True], [0.2], [std]) == {}
+        pools.add([0], [True], [0.2], table, **WEIGHTS)
+        assert table.tobytes() == standard_table([std]).tobytes()
     assert pools.fill[0, 0] == 99
     before = std.malicious
-    std = pools.add([0], [True], [0.2], [std])[0]
+    pools.add([0], [True], [0.2], table, **WEIGHTS)
     assert pools.fill[0, 0] == 0
-    after = std.malicious
+    after = TrustCloud(*table[0, :3].tolist())
     assert after != before
     # updated components lie between prior and fresh estimate components
     fresh = backward_cloud([0.2] * 100)
@@ -175,17 +185,20 @@ def test_accumulate_triggers_update_and_clears_pool():
 
 def test_accumulate_below_capacity_no_update():
     std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), TrustCloud(0.7, 0.05, 0.01))
+    table = standard_table([std])
     pools = UpdatePools(1, 100)
     for _ in range(51):
-        assert pools.add([0], [False], [0.8], [std]) == {}
+        pools.add([0], [False], [0.8], table, **WEIGHTS)
+        assert table.tobytes() == standard_table([std]).tobytes()
     assert pools.fill[0, 1] == 51
 
 
 def test_accumulate_fixed_point():
     prior = backward_cloud([0.8] * 100)
-    std = StandardClouds(TrustCloud(0.3, 0.05, 0.01), prior)
+    table = standard_table([StandardClouds(TrustCloud(0.3, 0.05, 0.01), prior)])
     pools = UpdatePools(1, 100)
     for _ in range(100):
-        std = pools.add([0], [False], [0.8], [std]).get(0, std)
-    assert std.normal.ex == pytest.approx(prior.ex, rel=1e-12)
-    assert std.normal.en == pytest.approx(prior.en, abs=1e-12)
+        pools.add([0], [False], [0.8], table, **WEIGHTS)
+    normal = TrustCloud(*table[0, 3:].tolist())
+    assert normal.ex == pytest.approx(prior.ex, rel=1e-12)
+    assert normal.en == pytest.approx(prior.en, abs=1e-12)
