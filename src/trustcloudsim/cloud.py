@@ -117,19 +117,17 @@ def backward_clouds(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """backward_cloud over the columns of a (n, k) array of oldest-first drops.
 
     Returns the (ex, en, he) arrays of the k windows, equal bit for bit to
-    backward_cloud of each column: every sum runs row by row from 0.0 in
-    window order, as the scalar loop does (numpy's own reductions may sum
-    pairwise, which rounds differently).  The drops are not range-checked.
+    backward_cloud of each column: every sum is one sequential accumulate
+    down the window axis, in window order, as the scalar loop adds (numpy's
+    own reductions may sum pairwise, which rounds differently).  The drops
+    are not range-checked.
     """
     n = len(windows)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 drops, got {n}")
 
-    def sequential_sum(rows) -> np.ndarray:
-        total = np.zeros(windows.shape[1])
-        for row in rows:
-            total += row
-        return total
+    def sequential_sum(rows: np.ndarray) -> np.ndarray:
+        return np.cumsum(rows, axis=0)[-1]
 
     ex = sequential_sum(windows) / n
     dev = windows - ex

@@ -17,7 +17,7 @@ import configparser
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .medium import ChannelPhase, EnergyParams
 
 DEFAULT_PHASE_RATES = ((1.0, 9.0), (2.0, 8.0), (3.0, 7.0), (1.0, 9.0))
@@ -107,10 +107,9 @@ class ScenarioConfig:
         for name in ("p_dp", "p_dy"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError("must be in [0, 1]", field=name)
-        try:
-            self.energy_params()
-        except DomainError as exc:
-            raise ConfigError(str(exc), field="energy") from exc
+        for energy_field in fields(EnergyParams):
+            if getattr(self, energy_field.name) < 0:
+                raise ConfigError("must be non-negative", field=energy_field.name)
         return self
 
     def energy_params(self) -> EnergyParams:
@@ -193,6 +192,11 @@ _FILE_KEYS = {
     ("energy", "monitor_s"): ("monitor_seconds", float),
 }
 
+#: dataclass field -> the file key that sets it, for error messages
+_FIELD_KEYS = {
+    name: f"{section}.{key}" for (section, key), (name, _) in _FILE_KEYS.items()
+}
+
 _KNOWN_SECTIONS = {"scenario", "channel", "packets", "training", "trust",
                    "protocol", "energy"}
 
@@ -249,7 +253,12 @@ def load_config(path: str) -> ScenarioConfig:
                 ) from exc
     if "device_count" not in values:
         raise ConfigError("required field missing", field="scenario.devices")
-    return ScenarioConfig(**values).validate()
+    try:
+        return ScenarioConfig(**values).validate()
+    except ConfigError as exc:
+        if exc.field not in _FIELD_KEYS:
+            raise
+        raise ConfigError(exc.reason, field=_FIELD_KEYS[exc.field]) from exc
 
 
 def with_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:

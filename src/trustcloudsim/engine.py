@@ -206,13 +206,7 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
             break
         outcome = run_round(net, r, rng, np_rng)
         phase = net.phase_for(r)
-        timely = delayed = received = 0
-        for t in outcome.transfers:
-            received += t.received
-            if t.outcome == "timely":
-                timely += 1
-            elif t.outcome == "delayed":
-                delayed += 1
+        received, timely, delayed = outcome.packets
         with_members = [
             h for h, members in outcome.clusters.items() if members
         ]

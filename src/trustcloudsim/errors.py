@@ -33,10 +33,11 @@ class ConfigError(TrustCloudSimError, ValueError):
     """A scenario configuration value or file is invalid."""
 
     def __init__(self, message, field=None):
+        self.reason = message
+        self.field = field
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)
-        self.field = field
 
 
 class UndefinedMetricError(TrustCloudSimError):

@@ -102,11 +102,20 @@ def _no_pairs() -> np.ndarray:
     return np.zeros(0, dtype=np.intp)
 
 
+class PacketCounts(NamedTuple):
+    """A data phase's packets: accepted by a head, relayed on time, late."""
+
+    received: int
+    timely: int
+    delayed: int
+
+
 class Evidence(NamedTuple):
     """A data phase's evidence counts, one entry per (observer, head) pair.
 
     Rows run by head id, then observer id, and only pairs with a packet
     sent are listed; ``timely <= forwarded <= sent`` holds in every row.
+    ``packets`` totals the phase's packets.
     """
 
     observer: np.ndarray
@@ -114,6 +123,11 @@ class Evidence(NamedTuple):
     sent: np.ndarray
     forwarded: np.ndarray
     timely: np.ndarray
+    packets: PacketCounts
+
+
+def _no_evidence() -> Evidence:
+    return Evidence(*(_no_pairs() for _ in range(5)), PacketCounts(0, 0, 0))
 
 
 class Decisions(NamedTuple):
@@ -135,6 +149,7 @@ class ClusterRoundOutcome:
     transfers: list[TransferRecord] = field(default_factory=list)
     attack_drops: int = 0
     attack_delays: int = 0
+    packets: PacketCounts = PacketCounts(0, 0, 0)
     decisions: Decisions = field(
         default_factory=lambda: Decisions(
             _no_pairs(), _no_pairs(), np.zeros(0, dtype=bool)
@@ -272,137 +287,303 @@ def choose_heads(
     return obs[best], tgt[best]
 
 
+def _first_death(paid, kind, costs, level) -> tuple[int, bool]:
+    """The charge a device dies at, and whether it paid that charge.
+
+    ``paid`` marks which of a device's ordered charges it meets and ``kind``
+    indexes each charge's cost in ``costs`` (a scalar when all charges are
+    of one kind).  The balance after a charge is ``level`` minus, per kind,
+    the running count times the cost, summed in kind order; the device dies
+    at the first met charge that leaves no balance, and pays it only if
+    that leaves exactly 0.
+    """
+    spent = sum(
+        np.cumsum(paid & (kind == i)) * cost for i, cost in enumerate(costs)
+    )
+    at = int(np.argmax(paid & (spent >= level)))
+    return at, bool(spent[at] == level)
+
+
+def receive_announcements(
+    net: NetworkState,
+    listeners: list[int],
+    heads: list[int],
+    phase: ChannelPhase,
+    np_rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which election announcements each listener hears, as (member, head) rows.
+
+    One draw per (listener, head) pair decides whether the listener's
+    channel delivers that head's announcement; every delivery costs the
+    listener one control reception, charged in head order.  A listener that
+    cannot pay dies and hears none of the later heads; one that pays its
+    last joule hears that head and then dies.  Rows run by listener, then
+    head, in the orders given.
+    """
+    none = np.zeros(0, dtype=np.intp)
+    if not listeners or not heads:
+        return none, none
+    cost = rx_energy(net.cfg.control_bits, net.energy)
+    listening = [net.devices[m] for m in listeners]
+    level = np.array([d.energy for d in listening])
+    heard = np_rng.random((len(listeners), len(heads))) >= phase.bad_prob
+    deliveries = heard.sum(axis=1)
+    left = level - deliveries * cost
+    # Only a listener whose deliveries cost its whole energy dies; a running
+    # count over its deliveries finds the first it cannot pay or that
+    # empties it, and it hears none after that.
+    dying = np.flatnonzero((deliveries > 0) & (left <= 0.0)).tolist()
+    for r in dying:
+        at, last_joule = _first_death(heard[r], 0, (cost,), level[r])
+        heard[r, at + last_joule :] = False
+        left[r] = 0.0
+    for d, e in zip(listening, left.tolist()):
+        d.energy = e
+    for r in dying:
+        listening[r].alive = False
+    obs, tgt = np.nonzero(heard)
+    return (
+        np.asarray(listeners, dtype=np.intp)[obs],
+        np.asarray(heads, dtype=np.intp)[tgt],
+    )
+
+
+#: TransferRecord outcomes by code: not delivered, delivered on time, late.
+_OUTCOMES = ("dropped", "timely", "delayed")
+
+
 def run_data_phase(
     net: NetworkState,
     clusters: dict[int, list[int]],
     phase: ChannelPhase,
-    rng: Random,
+    np_rng: np.random.Generator,
     outcome: ClusterRoundOutcome,
 ) -> Evidence:
     """Slotted data transfer with cluster-wide overhearing.
 
-    Every member sends one data packet to its head; the head relays each
-    received packet toward the sink in a single attempt while malicious heads
-    drop or delay with their class probabilities.  Members overhear both the
-    uplinks and the relays through independent channel draws, producing the
-    evidence counts of each (observer, head) pair for this round.
+    Every member sends one data packet to its head, in member-id order; the
+    head relays each received packet toward the sink in a single attempt
+    while malicious heads drop or delay with their class probabilities.
+    Members overhear both the uplinks and the relays through independent
+    channel draws, producing the evidence counts of each (observer, head)
+    pair for this round.
 
-    Overhearing is the bulk of the round's energy accounting, so its charge
-    is written out in both watcher loops; it does exactly what
-    ``DeviceState.spend`` does.
+    The phase's channel events come from one ``np_rng.random`` block, laid
+    out per cluster (heads by id) as: uplink reception (k values for k
+    members), uplink overhearing (k × k, by overhearer then sender), attack
+    drop (k), attack delay (k), relay delivery (k) and relay overhearing
+    (k × k, as before).  A channel draw below the bad probability loses the
+    transmission; a drop or delay draw below the head's class multiplier
+    times ``p_dp`` or ``p_dy`` makes the attack.
+
+    Death rule: a device that cannot pay a charge dies, and from then on it
+    neither sends, overhears nor counts; a device that pays its last joule
+    completes that action and then dies.  A device's balance after a charge
+    is its energy at the start of the phase minus, for each kind of charge
+    it has paid so far, the count times that kind's cost.  The phase is
+    resolved as array passes.  A pass assumes that every device not yet
+    known to die lives to the end.  Only a device whose charges then add up
+    to its energy can die; for each such device a running count over its
+    ordered charges finds the first charge it cannot pay, or that empties
+    it.  The earliest such death in each cluster is fixed and the phase is
+    resolved again; clusters share no device, so a death in one changes
+    nothing in another.  A round with no death takes one pass.
+
+    Appends one TransferRecord per packet sent to ``outcome.transfers`` and
+    adds the attacks to its counters; the returned Evidence also carries
+    the phase's packet counts.
     """
+    heads = sorted(clusters)
+    if not heads:
+        return _no_evidence()
     cfg = net.cfg
     energy = net.energy
     bits = cfg.data_bits
     p0 = phase.bad_prob
-    draw = rng.random
-    overhear_cost = overhear_energy(bits, energy)
+    devices = net.devices
+    members = [sorted(clusters[h]) for h in heads]
+    sizes = [len(ms) for ms in members]
+    width = max(max(sizes), 1)
+    head_ids = np.array(heads, dtype=np.intp)
+
+    # One slot per member, by head id then member id; a pair is an
+    # (overhearer, sender) pair of slots of one cluster, in the drawn order.
+    ids = np.array([m for ms in members for m in ms], dtype=np.intp)
+    k = np.array(sizes, dtype=np.intp)
+    first_slot = np.cumsum(k) - k
+    cl = np.repeat(np.arange(len(heads)), k)
+    pos = np.arange(len(ids)) - first_slot[cl]
+    per_pair = k * k
+    reps = k[cl]
+    pairs_of = np.cumsum(reps) - reps  # each overhearer's first pair
+    hearer = np.repeat(np.arange(len(ids)), reps)
+    sender = np.arange(len(hearer)) + (first_slot[cl] - pairs_of)[hearer]
+    own = sender == hearer
+
+    # Cluster c's draws start at start[c]: uplink (k), overhears (k × k),
+    # drop, delay and relay (k each), relay overhears (k × k).
+    size = 2 * per_pair + 4 * k
+    block = np_rng.random(int(size.sum()))
+    start = np.cumsum(size) - size
+    slot_at = start[cl] + pos
+    after = slot_at + (per_pair + k)[cl]
+    pair_at = np.arange(len(hearer)) + (
+        (start + k - np.cumsum(per_pair) + per_pair)[cl][hearer]
+    )
+    mult = np.array([ATTACK_MULTIPLIER[devices[h].attacker] for h in heads])
+    up_ok = block[slot_at] >= p0
+    over_ok = block[pair_at] >= p0
+    drop_hit = block[after] < (mult * cfg.p_dp)[cl]
+    delay_hit = block[after + reps] < (mult * cfg.p_dy)[cl]
+    relay_ok = block[after + 2 * reps] >= p0
+    relay_over_ok = block[pair_at + (per_pair + 3 * k)[cl][hearer]] >= p0
+
+    # Every charge has a key that orders it within its cluster's phase: slot
+    # i holds the sender's transmit (i·s), the head's reception (i·s + 1),
+    # the uplink overhear of the member at position j (i·s + 2 + j), the
+    # head's aggregation and relay (i·s + 2 + w, i·s + 3 + w), then the
+    # relay overhear of position j (i·s + 4 + w + j), for a step s of 2w + 4
+    # with w the largest cluster; the head's own report comes last.
+    step = 2 * width + 4
+    tx_key = pos * step
+    sender_key = tx_key[sender]
+    report_key = width * step
+    never = report_key + 1
+
+    level = np.array([d.energy for d in devices])
+    alive = np.array([d.alive for d in devices])
+    member_level = level[ids]
+    head_level = level[head_ids]
+    over_cost = overhear_energy(bits, energy)
     rx_cost = rx_energy(bits, energy)
     aggregate_cost = aggregate_energy(bits, 1, energy)
-    evidence: list[tuple[int, int, int, int, int]] = []
+    tx_cost = np.array(
+        [tx_energy(bits, d, energy) for d in net.dist[ids, head_ids[cl]].tolist()]
+    )
+    sink_tx = np.array([tx_energy(bits, net.sink_dist[h], energy) for h in heads])
 
-    for head_id in sorted(clusters):
-        head = net.devices[head_id]
-        member_ids = sorted(clusters[head_id])
-        members = [net.devices[m] for m in member_ids]
-        mult = ATTACK_MULTIPLIER[head.attacker]
-        sink_tx = tx_energy(bits, net.sink_dist[head_id], energy)
-        uplink = net.dist[member_ids, head_id].tolist()
-        # Evidence counters by member position.
-        sent = [0] * len(members)
-        forwarded = [0] * len(members)
-        timely = [0] * len(members)
+    # A device's charges succeed up to (and including) the key in `until`:
+    # `never` while it lives, -1 if it was dead before the phase.
+    until = np.where(alive[ids], never, -1)
+    head_until = np.where(alive[head_ids], never, -1)
+    while True:
+        at_head = head_until[cl]
+        sends = tx_key <= until
+        received = sends & up_ok & (tx_key + 1 <= at_head)
+        # The head relays once; a lost relay surfaces as a drop, so a
+        # delaying event can only come from an actual delaying attack.
+        relayed = received & ~drop_hit
+        delayed = relayed & delay_hit
+        aggregated = relayed & (tx_key + 2 + width <= at_head)
+        attempted = relayed & (tx_key + 3 + width <= at_head)
+        # Cluster mates that catch an uplink know the packet awaits
+        # forwarding; the sender knows its own.
+        over_alive = sender_key <= (until - 2 - pos)[hearer]
+        watch = sends[sender] & (own | (over_ok & over_alive))
+        relay_alive = sender_key <= (until - 4 - width - pos)[hearer]
+        relay_seen = watch & attempted[sender] & relay_over_ok & relay_alive
+        sent = np.add.reduceat(watch, pairs_of, dtype=np.intp)
+        forwarded = np.add.reduceat(relay_seen, pairs_of, dtype=np.intp)
+        spent = tx_cost + over_cost * (sent - 1 + forwarded)
+        relays = np.bincount(cl[attempted], minlength=len(heads))
+        head_spent = (
+            np.bincount(cl[received], minlength=len(heads)) * rx_cost
+            + relays * aggregate_cost
+            + (relays + 1) * sink_tx
+        )
 
-        for i, member in enumerate(members):
-            if not member.alive:
-                continue
-            if not member.spend(tx_energy(bits, uplink[i], energy)):
-                continue
-            received = (
-                head.alive
-                and (p0 == 0.0 or draw() >= p0)
-                and head.spend(rx_cost)
+        # cluster -> (key, slot or None for the head, paid its last joule)
+        deaths: dict[int, tuple[int, Optional[int], bool]] = {}
+        dying = (until == never) & (spent >= member_level)
+        for r in np.flatnonzero(dying).tolist():
+            pairs = slice(pairs_of[r], pairs_of[r] + reps[r])
+            j = int(pos[r])
+            at, last_joule = _first_death(
+                np.stack([watch[pairs], relay_seen[pairs]], axis=1).ravel(),
+                np.where(np.arange(2 * reps[r]) == 2 * j, 0, 1),
+                (tx_cost[r], over_cost),
+                member_level[r],
             )
-            record = TransferRecord(member.id, head.id, received, "dropped")
-            outcome.transfers.append(record)
-
-            # Uplink overhearing: cluster mates that catch the transmission
-            # know this packet awaits forwarding.
-            watchers = [i]
-            for j, o in enumerate(members):
-                if j == i or not o.alive or (p0 != 0.0 and draw() < p0):
-                    continue
-                left = o.energy
-                if left >= overhear_cost:
-                    left -= overhear_cost
-                    if left <= 0.0:
-                        o.energy = 0.0
-                        o.alive = False
-                    else:
-                        o.energy = left
-                    watchers.append(j)
-                else:
-                    o.energy = 0.0
-                    o.alive = False
-
-            if not received or (mult and draw() < mult * cfg.p_dp):
-                if received:
-                    record.attack_drop = True
-                    outcome.attack_drops += 1
-                for j in watchers:
-                    sent[j] += 1
-                continue
-
-            attack_delayed = bool(mult) and draw() < mult * cfg.p_dy
-            if attack_delayed:
-                rng.uniform(0.0, cfg.max_dur)  # delay duration within the slot
-                record.attack_delay = True
-                outcome.attack_delays += 1
-
-            # The head relays once; lost relays surface as drops, so a
-            # delaying event can only come from an actual delaying attack.
-            head.spend(aggregate_cost)
-            attempted = head.spend(sink_tx)
-            delivered = attempted and (p0 == 0.0 or draw() >= p0)
-
-            if not attempted or not delivered:
-                record.outcome = "dropped"
-            elif attack_delayed:
-                record.outcome = "delayed"
+            # charge `at` is slot at // 2's own transmit, uplink or relay overhear
+            key = (at // 2) * step + (
+                (4 + width + j) if at % 2 else 0 if at == 2 * j else 2 + j
+            )
+            c = int(cl[r])
+            if c not in deaths or key < deaths[c][0]:
+                deaths[c] = (key, r, last_joule)
+        dying = (head_until == never) & (head_spent >= head_level)
+        for c in np.flatnonzero(dying).tolist():
+            slots = slice(first_slot[c], first_slot[c] + k[c])
+            paid = np.stack([received[slots], aggregated[slots], attempted[slots]])
+            kind = np.arange(3 * k[c] + 1) % 3
+            kind[-1] = 2  # the report is a relay
+            at, last_joule = _first_death(
+                np.append(paid.T.ravel(), True),
+                kind,
+                (rx_cost, aggregate_cost, sink_tx[c]),
+                head_level[c],
+            )
+            key = report_key if at == 3 * k[c] else (
+                (at // 3) * step + (1, 2 + width, 3 + width)[at % 3]
+            )
+            if c not in deaths or key < deaths[c][0]:
+                deaths[c] = (key, None, last_joule)
+        if not deaths:
+            break
+        # Fix the earliest death of each cluster, then resolve again.
+        for c, (key, r, last_joule) in deaths.items():
+            if r is None:
+                head_until[c] = key if last_joule else key - 1
             else:
-                record.outcome = "timely"
+                until[r] = key if last_joule else key - 1
 
-            for j in watchers:
-                sent[j] += 1
-                if not attempted or (p0 != 0.0 and draw() < p0):
-                    continue
-                o = members[j]
-                if not o.alive:
-                    continue
-                left = o.energy
-                if left >= overhear_cost:
-                    left -= overhear_cost
-                    if left <= 0.0:
-                        o.energy = 0.0
-                        o.alive = False
-                    else:
-                        o.energy = left
-                    forwarded[j] += 1
-                    if not attack_delayed:
-                        timely[j] += 1
-                else:
-                    o.energy = 0.0
-                    o.alive = False
+    # --- write back the energies and the round's records -------------------
+    lives = until == never
+    left = np.where(lives, member_level - spent, 0.0)
+    for m, e, a, was in zip(ids.tolist(), left.tolist(), lives.tolist(),
+                            alive[ids].tolist()):
+        if was:
+            devices[m].energy = e
+            devices[m].alive = a
+    head_lives = head_until == never
+    head_left = np.where(head_lives, head_level - head_spent, 0.0)
+    for h, e, a, was in zip(heads, head_left.tolist(), head_lives.tolist(),
+                            alive[head_ids].tolist()):
+        if was:
+            devices[h].energy = e
+            devices[h].alive = a
 
-        # The head reports its own readings alongside the aggregate.
-        if head.alive:
-            head.spend(sink_tx)
+    dropped = received & drop_hit
+    code = (attempted & relay_ok) * (1 + delayed)
+    s = np.flatnonzero(sends)
+    outcome.transfers.extend(
+        map(
+            TransferRecord,
+            ids[s].tolist(),
+            head_ids[cl[s]].tolist(),
+            received[s].tolist(),
+            map(_OUTCOMES.__getitem__, code[s].tolist()),
+            dropped[s].tolist(),
+            delayed[s].tolist(),
+        )
+    )
+    outcome.attack_drops += int(np.count_nonzero(dropped))
+    outcome.attack_delays += int(np.count_nonzero(delayed))
 
-        for j, member_id in enumerate(member_ids):
-            if sent[j]:
-                evidence.append((member_id, head_id, sent[j], forwarded[j], timely[j]))
-
-    return Evidence(*np.array(evidence, dtype=np.intp).reshape(-1, 5).T)
+    timely = np.add.reduceat(relay_seen & ~delayed[sender], pairs_of, dtype=np.intp)
+    r = np.flatnonzero(sent)
+    return Evidence(
+        ids[r],
+        head_ids[cl[r]],
+        sent[r],
+        forwarded[r],
+        timely[r],
+        PacketCounts(
+            int(np.count_nonzero(received)),
+            int(np.count_nonzero(code == 1)),
+            int(np.count_nonzero(code == 2)),
+        ),
+    )
 
 
 def run_round(
@@ -432,22 +613,11 @@ def run_round(
     # heard across the deployment area, but a member only learns of heads
     # whose announcement its own channel actually delivered.  Each delivery
     # is one candidate row (member, head).
-    p0 = phase.bad_prob
-    draw = rng.random
-    control_rx = rx_energy(cfg.control_bits, energy)
+    members = [d.id for d in alive if d.id not in head_set and d.alive]
     live_heads = [h for h in heads if net.devices[h].alive]
-    members: list[int] = []
-    cand_obs: list[int] = []
-    cand_tgt: list[int] = []
-    for dev in alive:
-        if dev.id in head_set or not dev.alive:
-            continue
-        members.append(dev.id)
-        spend = dev.spend
-        for head_id in live_heads:
-            if (p0 == 0.0 or draw() >= p0) and spend(control_rx):
-                cand_obs.append(dev.id)
-                cand_tgt.append(head_id)
+    cand_obs, cand_tgt = receive_announcements(
+        net, members, live_heads, phase, np_rng
+    )
 
     # --- cluster joining --------------------------------------------------
     # Trust is read and written one batch of distinct (observer, target)
@@ -466,8 +636,6 @@ def run_round(
             trust, stds, obs, tgt, np_rng, kappa=cfg.kappa, n_drp=cfg.n_drp
         )
 
-    cand_obs = np.array(cand_obs, dtype=np.intp)
-    cand_tgt = np.array(cand_tgt, dtype=np.intp)
     judged = judgeable(cand_obs, cand_tgt)
     join_obs, join_tgt = cand_obs[judged], cand_tgt[judged]
     join_mal = judge(join_obs, join_tgt)
@@ -497,7 +665,8 @@ def run_round(
     outcome.clusters = clusters
 
     # --- data transfer and overhearing -------------------------------------
-    evidence = run_data_phase(net, clusters, phase, rng, outcome)
+    evidence = run_data_phase(net, clusters, phase, np_rng, outcome)
+    outcome.packets = evidence.packets
 
     # Per-round monitoring duty for every device still alive.
     monitor_cost = monitor_energy(cfg.monitor_seconds, energy)
@@ -546,6 +715,7 @@ def run_round(
     offers = wanted & (trust.fh_count[ask_head] > 0)
     worth_asking = np.flatnonzero(offers.any(axis=1) & (t_ij > 0.0))
     ask_dist = net.dist[ask_mem[worth_asking], ask_head[worth_asking]].tolist()
+    control_rx = rx_energy(cfg.control_bits, energy)
     asked: list[int] = []
     for i, dist in zip(worth_asking.tolist(), ask_dist):
         head_id, member_id = askers[i]

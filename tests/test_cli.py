@@ -120,6 +120,20 @@ def test_cmd_sweep_rejects_bad_values(config_path, tmp_path, capsys,
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "section, line, key",
+    [
+        ("protocol", "neighbor_radius_m = -3", "protocol.neighbor_radius_m"),
+        ("energy", "initial_j = -1", "energy.initial_j"),
+    ],
+)
+def test_cmd_run_config_error_names_the_file_key(tmp_path, capsys, section, line, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(SMALL + f"\n[{section}]\n{line}\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
 def test_manifest_config_round_trip(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0

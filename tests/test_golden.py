@@ -59,34 +59,34 @@ FILES = ("rounds.csv", "cycles.csv", "summary.txt")
 
 GOLDEN = {
     ('small', 1): {
-        'rounds.csv': 'd430d5c10a4761cfd192cad1ab0966d9a93e27c242ccbfdaf743318ab577d7f3',
-        'cycles.csv': 'c3fc7e7fca610b4382133f4eafa67bdce190b51b81a6033a368fd0b869925523',
-        'summary.txt': '7fdafe7c6ad8095c66034e13afe23498e5ad5fe0ad82e51c8d418b486cd1b08e',
+        'rounds.csv': 'dced00e0ce206b2d5ef40d0c3c7a14ef5c51aba5bbd54806b1ab1ca80174ec9d',
+        'cycles.csv': 'e001fba13b88c943513c99a9c397255e01aa36d66a6f3224a9dac42e80b2f31a',
+        'summary.txt': '0358c10e0f546c4d84a62597cfcfedcdcb7cb88c43972c3dc5ab92848338c0a2',
     },
     ('small', 2): {
-        'rounds.csv': 'a49f7756c4b9dd5635119baadb38078c69cc2a6e102b2109769f42a90a17f655',
-        'cycles.csv': '5d7722e96aa10669a5798934b579986c87712936db51957e0fbcb40f1504064b',
-        'summary.txt': 'a12148c3ff5903f048adac338371eaab0536f11b1736190c2efcf2ce5105f5ac',
+        'rounds.csv': 'f4adc7022a99ef0d4d0af96a787a9fd68901cda7f5a6eeb781d30a0ae81f2527',
+        'cycles.csv': '1fb5d0c6d6b24d6b6ceeed4d143890c3556cc4e8f36238241b8dfece4de150a2',
+        'summary.txt': 'b42be87bc775e52fde044a8ac55121dc567dc7f656e67652821f774217d9ecf9',
     },
     ('small', 3): {
-        'rounds.csv': '7eec221da31660c65eec06a349d68833e946cb42c807d70c7371fa4fb3cee3a1',
-        'cycles.csv': 'fe81276232c967f4ab7b13ee7cb652325a4455682b460f92dfbacaaae202a343',
-        'summary.txt': 'a69b0478a9fbaf687f5068358ebc77a702c2ec2a533e472391a6b51dd58f4cdc',
+        'rounds.csv': 'f0b28335120d5873accaa923cfa92314dc230019150f5baa1bbbc427cd013d2e',
+        'cycles.csv': '6333af6d298b717885762f9f9a90af31032f328591e75fed82ace2793c145bf0',
+        'summary.txt': '82983387150a64699f8cce9b6db31f6f3f5b278d3373950d068ddcff917fcb25',
     },
     ('tiny', 1): {
-        'rounds.csv': '131e3d25993f7ebf05a496a21bb1aa3815d13496f40d2c976a2aeb6dada7cc4e',
-        'cycles.csv': '0cebd209a54632481a490c7e30d90c56605053505d336d8a55e6d01773a2ea34',
-        'summary.txt': '80a604fea0c7441e867aa3d5a2abc5da9672d6a43986decd77420d516883f66b',
+        'rounds.csv': '5d7ba323e3a83c7ff471cb3db9d555b6c9eab8a806d4a46523e1891a72a7c72d',
+        'cycles.csv': 'aeb6b71584f3a23b196d5fd8ce475d4740c430a79a97ba597851cd8e84366b7e',
+        'summary.txt': '9c7be2040909e74e0cac37ead99896dec1e6582faddbf1c0cb007e5492df565a',
     },
     ('tiny', 2): {
-        'rounds.csv': 'be37f398489abb65f968c4ec9d63370d9b0327dec31903303524ec5bbe233fe4',
-        'cycles.csv': 'a1d83d307a254f18508bc8db593298d4aa5bbcb89b70f1bfa1f13b29d64738c9',
-        'summary.txt': '046c44120a46100e9fa0fdd28efd39aaf4d17faddf26fac91348820d03fe98a7',
+        'rounds.csv': '42149f9fe84dbfdd988f561dcc59a8ea52dafbbdbd5931afcc892e60782fe2cf',
+        'cycles.csv': '036a710272c1c01788e6803e1bbf283c0129c6fb2db1666fdf42ece456a665b6',
+        'summary.txt': 'b5115a437c55d740a5295989f06ac74ab82c3044ceadae920105013fc1a2c5a0',
     },
     ('tiny', 3): {
-        'rounds.csv': 'a0af8973facccfe9f3651ad87d1856c518574f6256861f41a2f9c3ee55575d02',
-        'cycles.csv': 'e1669d1e7ceffda3fe7dd535705e71f8adb529f1948700f30d0f56f0d7de28fb',
-        'summary.txt': 'a44532fbe2d8843be3cf30e7dad733965fb01c115dd56a3df450255e16f20dac',
+        'rounds.csv': 'e0804754b16efb002507b23c89ec9ab916a614579f1239f72256937c0d92037d',
+        'cycles.csv': '95f48ef7fd0800335e31999dd9241fc3751b8efa31009c0b0a2ac9e076cb1eb4',
+        'summary.txt': 'f89f5d85901a7dfe9fe857cb0aa59b8218462cf5a07a9656e8e13f5ebe7cc8a0',
     },
 }
 

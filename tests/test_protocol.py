@@ -147,7 +147,9 @@ def test_run_data_phase_honest_perfect_channel():
     net = small_net()
     clusters = {0: [d.id for d in net.devices[1:6]]}
     outcome = ClusterRoundOutcome(round_index=0)
-    evidence = run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), Random(4), outcome)
+    evidence = run_data_phase(
+        net, clusters, ChannelPhase(0.0, 1.0), np.random.default_rng(4), outcome
+    )
     assert evidence.observer.tolist() == clusters[0]
     assert evidence.head.tolist() == [0] * 5
     for counts in (evidence.sent, evidence.forwarded, evidence.timely):
@@ -162,7 +164,7 @@ def test_run_data_phase_super_attack_drop_fraction():
     head = net.devices[0]
     head.attacker = "super"
     members = [d.id for d in net.devices[1:11]]
-    rng = Random(99)
+    rng = np.random.default_rng(99)
     received = dropped = 0
     for _ in range(10_000):
         outcome = ClusterRoundOutcome(round_index=0)
@@ -183,7 +185,7 @@ def test_run_data_phase_depleted_member_sends_nothing():
     net.devices[1].alive = False
     clusters = {0: [1, 2, 3]}
     outcome = ClusterRoundOutcome(round_index=0)
-    run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), Random(4), outcome)
+    run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), np.random.default_rng(4), outcome)
     senders = {t.member for t in outcome.transfers}
     assert 1 not in senders and {2, 3} <= senders
 
