@@ -74,8 +74,9 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         if self.device_count < 1:
             raise ConfigError("must be at least 1", field="scenario.devices")
-        if self.area_width <= 0 or self.area_height <= 0:
-            raise ConfigError("area sides must be positive", field="scenario.width_m")
+        for side, key in ((self.area_width, "width_m"), (self.area_height, "height_m")):
+            if side <= 0:
+                raise ConfigError("area sides must be positive", field=f"scenario.{key}")
         if not 0.0 <= self.malicious_fraction <= 1.0:
             raise ConfigError(
                 "must be in [0, 1]", field="scenario.malicious_fraction"

@@ -24,6 +24,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .medium import monitor_energy
+from .normals import ClassifierNormals, draw_locally
 from .protocol import (
     ADVANCED,
     GENERIC,
@@ -201,46 +202,49 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
         training=training,
     )
     is_malicious = np.array([d.is_malicious for d in net.devices], dtype=bool)
-    for r in range(cfg.max_rounds):
-        if net.alive_count() == 0:
-            break
-        outcome = run_round(net, r, rng, np_rng)
-        phase = net.phase_for(r)
-        received, timely, delayed = outcome.packets
-        with_members = [
-            h for h, members in outcome.clusters.items() if members
-        ]
-        malicious_clusters = sum(
-            1 for h in with_members if net.devices[h].is_malicious
-        )
-        verdicts = outcome.decisions.malicious
-        correct = np.count_nonzero(
-            verdicts == is_malicious[outcome.decisions.target]
-        )
-        log.round_stats.append(
-            RoundStats(
-                round_index=r,
-                bad_prob=phase.bad_prob,
-                alive=net.alive_count(),
-                honest_alive=sum(
-                    1 for d in net.devices if d.alive and not d.is_malicious
-                ),
-                heads=len(outcome.clusters),
-                clusters_with_members=len(with_members),
-                malicious_clusters=malicious_clusters,
-                packets_sent=len(outcome.transfers),
-                packets_received=received,
-                timely=timely,
-                delayed=delayed,
-                dropped=len(outcome.transfers) - timely - delayed,
-                attack_drops=outcome.attack_drops,
-                attack_delays=outcome.attack_delays,
-                direct_to_sink=len(outcome.direct_to_sink),
-                decisions=len(verdicts),
-                correct_decisions=int(correct),
-                malicious_verdicts=int(np.count_nonzero(verdicts)),
+    # The helper drawing the classifier's normals ahead, if one starts,
+    # lives only as long as the rounds.
+    with ClassifierNormals(cfg.seed) as normals:
+        for r in range(cfg.max_rounds):
+            if net.alive_count() == 0:
+                break
+            outcome = run_round(net, r, rng, np_rng, normals)
+            phase = net.phase_for(r)
+            received, timely, delayed = outcome.packets
+            with_members = [
+                h for h, members in outcome.clusters.items() if members
+            ]
+            malicious_clusters = sum(
+                1 for h in with_members if net.devices[h].is_malicious
             )
-        )
+            verdicts = outcome.decisions.malicious
+            correct = np.count_nonzero(
+                verdicts == is_malicious[outcome.decisions.target]
+            )
+            log.round_stats.append(
+                RoundStats(
+                    round_index=r,
+                    bad_prob=phase.bad_prob,
+                    alive=net.alive_count(),
+                    honest_alive=sum(
+                        1 for d in net.devices if d.alive and not d.is_malicious
+                    ),
+                    heads=len(outcome.clusters),
+                    clusters_with_members=len(with_members),
+                    malicious_clusters=malicious_clusters,
+                    packets_sent=len(outcome.transfers),
+                    packets_received=received,
+                    timely=timely,
+                    delayed=delayed,
+                    dropped=len(outcome.transfers) - timely - delayed,
+                    attack_drops=outcome.attack_drops,
+                    attack_delays=outcome.attack_delays,
+                    direct_to_sink=len(outcome.direct_to_sink),
+                    decisions=len(verdicts),
+                    correct_decisions=int(correct),
+                    malicious_verdicts=int(np.count_nonzero(verdicts)),
+                )
+            )
     log.death_round = {
         d.id: d.death_round for d in net.devices if d.death_round is not None
     }
@@ -422,7 +426,8 @@ def replicate(
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(workers, n_runs)) as pool:
+        # The workers fill the CPUs, so each draws its normals itself.
+        with multiprocessing.Pool(min(workers, n_runs), draw_locally) as pool:
             results = pool.starmap(
                 _pooled_replica, [(cfg, i) for i in range(n_runs)]
             )

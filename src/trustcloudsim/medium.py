@@ -32,8 +32,9 @@ class ChannelPhase:
                 f"({self.alpha0}, {self.alpha1})"
             )
 
-    @property
+    @cached_property
     def bad_prob(self) -> float:
+        """Computed once per phase: every channel draw compares against it."""
         return stationary_bad_prob(self.alpha0, self.alpha1)
 
 

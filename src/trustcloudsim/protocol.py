@@ -590,9 +590,15 @@ def run_round(
     net: NetworkState,
     r: int,
     rng: Random,
-    np_rng,
+    np_rng: np.random.Generator,
+    normals,
 ) -> ClusterRoundOutcome:
-    """Execute one full protocol round and return its outcome."""
+    """Execute one full protocol round and return its outcome.
+
+    ``rng`` draws the election, ``np_rng`` the channel events of reception
+    and the data phase, and ``normals`` (anything with ``standard_normal``)
+    the classifier's samples.
+    """
     cfg = net.cfg
     energy = net.energy
     phase = net.phase_for(r)
@@ -633,7 +639,7 @@ def run_round(
     def judge(obs: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """True where the observer classifies the target malicious."""
         return classify_pairs(
-            trust, stds, obs, tgt, np_rng, kappa=cfg.kappa, n_drp=cfg.n_drp
+            trust, stds, obs, tgt, normals, kappa=cfg.kappa, n_drp=cfg.n_drp
         )
 
     judged = judgeable(cand_obs, cand_tgt)

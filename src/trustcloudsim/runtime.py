@@ -165,7 +165,7 @@ def classify_pairs(
     stds: np.ndarray,
     observers,
     targets,
-    np_rng,
+    normals,
     *,
     kappa: float,
     n_drp: int,
@@ -177,7 +177,9 @@ def classify_pairs(
     above the normal cloud is normal; the rows in between are resolved by
     comparing drop-sampled similarities, with ties breaking to malicious as
     the fail-safe.  One (rows, n_drp) draw per sampling step covers all of
-    them, in row order.
+    them, in row order; ``normals`` is anything with a numpy-style
+    ``standard_normal(shape)``, a Generator or an engine's
+    ``ClassifierNormals``.
 
     The two similarities are compared under a shared membership dispersion
     pooled from both standard clouds.  The update pools give the two
@@ -208,7 +210,7 @@ def classify_pairs(
         # One draw fills the three sampling steps in C order, the same
         # stream as three (rows, n_drp) draws; every step then works in
         # place in its block.
-        sigma, drops, sigma_s = np_rng.standard_normal((3, len(gray), n_drp))
+        sigma, drops, sigma_s = normals.standard_normal((3, len(gray), n_drp))
         np.multiply(sigma, he[gray, None], out=sigma)
         sigma += en[gray, None]
         np.abs(sigma, out=sigma)

@@ -134,6 +134,14 @@ def test_cmd_run_config_error_names_the_file_key(tmp_path, capsys, section, line
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
+@pytest.mark.parametrize("key", ["width_m", "height_m"])
+def test_cmd_run_config_error_names_each_area_side(tmp_path, capsys, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(SMALL.replace(f"{key} = 70", f"{key} = -5"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: scenario.{key}: ")
+
+
 def test_manifest_config_round_trip(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0

@@ -59,34 +59,34 @@ FILES = ("rounds.csv", "cycles.csv", "summary.txt")
 
 GOLDEN = {
     ('small', 1): {
-        'rounds.csv': 'dced00e0ce206b2d5ef40d0c3c7a14ef5c51aba5bbd54806b1ab1ca80174ec9d',
-        'cycles.csv': 'e001fba13b88c943513c99a9c397255e01aa36d66a6f3224a9dac42e80b2f31a',
-        'summary.txt': '0358c10e0f546c4d84a62597cfcfedcdcb7cb88c43972c3dc5ab92848338c0a2',
+        'rounds.csv': '41ce607ec241ba07e3319829b58efd89296073c2ae929b6c45964d23167a447d',
+        'cycles.csv': '3d224ba77a48b13aacf13e303e555b1850c7b7d63f4bdaf0602c971535e2c5a6',
+        'summary.txt': 'ffa133f8f2c8e77084f9cfcbe29bcf0418125682726eee4ffdcb6c47bb5dbb3e',
     },
     ('small', 2): {
-        'rounds.csv': 'f4adc7022a99ef0d4d0af96a787a9fd68901cda7f5a6eeb781d30a0ae81f2527',
-        'cycles.csv': '1fb5d0c6d6b24d6b6ceeed4d143890c3556cc4e8f36238241b8dfece4de150a2',
-        'summary.txt': 'b42be87bc775e52fde044a8ac55121dc567dc7f656e67652821f774217d9ecf9',
+        'rounds.csv': '52cba695c15e4d1a608a7b6e4b7e3cf4dd6f2da01fbf46e0415b75ac599540e4',
+        'cycles.csv': 'e08789fffaa3550234bb9bf3c2a540294f8b25f72af44656dbe1c529c1cf21fa',
+        'summary.txt': '19103e8aa7cd3d476bbfea906ca9eff8a9ff8ad7090fb6a87c5be161ad8d3c7e',
     },
     ('small', 3): {
-        'rounds.csv': 'f0b28335120d5873accaa923cfa92314dc230019150f5baa1bbbc427cd013d2e',
-        'cycles.csv': '6333af6d298b717885762f9f9a90af31032f328591e75fed82ace2793c145bf0',
-        'summary.txt': '82983387150a64699f8cce9b6db31f6f3f5b278d3373950d068ddcff917fcb25',
+        'rounds.csv': 'fcfb4579e1ad8bd8c1d8a1edf82bd73db173c00480b8c3c7fcee5b63ff53f45f',
+        'cycles.csv': '76e0f3f9316f73a15a864929693d985a84947e1e97b6af6d3102078111436e21',
+        'summary.txt': '2a4c39553e7581d7b78babdcb328931ebdcef58f48bb0deb385399c803ce4276',
     },
     ('tiny', 1): {
-        'rounds.csv': '5d7ba323e3a83c7ff471cb3db9d555b6c9eab8a806d4a46523e1891a72a7c72d',
-        'cycles.csv': 'aeb6b71584f3a23b196d5fd8ce475d4740c430a79a97ba597851cd8e84366b7e',
-        'summary.txt': '9c7be2040909e74e0cac37ead99896dec1e6582faddbf1c0cb007e5492df565a',
+        'rounds.csv': 'b65abb6492aa8454bb66c70a7eac29a9ecf7a955e54d731cff71d6fe9919a221',
+        'cycles.csv': '0441d541e94a85b1529e65db8266e2e6a1a15f72c35fea8f962160a50ad89c6d',
+        'summary.txt': '2f2b27d49c8f59c8503f2d5a8ca6cce6c0ff51820f074a5e0c95a5f3602756a0',
     },
     ('tiny', 2): {
-        'rounds.csv': '42149f9fe84dbfdd988f561dcc59a8ea52dafbbdbd5931afcc892e60782fe2cf',
-        'cycles.csv': '036a710272c1c01788e6803e1bbf283c0129c6fb2db1666fdf42ece456a665b6',
-        'summary.txt': 'b5115a437c55d740a5295989f06ac74ab82c3044ceadae920105013fc1a2c5a0',
+        'rounds.csv': 'f1308900308a9a66c5c0c552f41efbf6afc2824a36bdb14aff6d1063511bf9dc',
+        'cycles.csv': '5c392ed769772fe37f9a2eb2d08a5cce93985c708b24c2f82c00c0eccb7b0308',
+        'summary.txt': '4df9b4ce31f0d368df79269037bac824969541f7de29ee3632b4b5206ddc6c0a',
     },
     ('tiny', 3): {
-        'rounds.csv': 'e0804754b16efb002507b23c89ec9ab916a614579f1239f72256937c0d92037d',
-        'cycles.csv': '95f48ef7fd0800335e31999dd9241fc3751b8efa31009c0b0a2ac9e076cb1eb4',
-        'summary.txt': 'f89f5d85901a7dfe9fe857cb0aa59b8218462cf5a07a9656e8e13f5ebe7cc8a0',
+        'rounds.csv': 'bb35d1abfe98d6073484d4974b0c5e326246e2d4e473fc08e6f67315d1c0c1f1',
+        'cycles.csv': '51a98694d374390082fcb2e80ddd5b5d28d922180077b768de54c56537730440',
+        'summary.txt': '673742005e198b5c4d1e4de1b744980ef861d23629c568a0e2d9bcad046e0cb2',
     },
 }
 

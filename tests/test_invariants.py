@@ -67,7 +67,7 @@ def test_round_invariants(cfg):
     with mock.patch.object(protocol, "run_data_phase", data_phase), \
             mock.patch.object(protocol, "classify_pairs", classify):
         for r in range(cfg.max_rounds):
-            out = protocol.run_round(net, r, rng, np_rng)
+            out = protocol.run_round(net, r, rng, np_rng, np_rng)
 
             now = [d.energy for d in net.devices]
             assert all(e >= 0.0 for e in now)

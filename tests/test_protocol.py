@@ -194,7 +194,8 @@ def test_run_round_zero_alive():
     net = small_net()
     for d in net.devices:
         d.alive = False
-    out = run_round(net, 0, Random(1), np.random.default_rng(1))
+    np_rng = np.random.default_rng(1)
+    out = run_round(net, 0, Random(1), np_rng, np_rng)
     assert out.clusters == {} and out.transfers == []
     assert len(out.decisions.observer) == 0
 
@@ -203,7 +204,8 @@ def test_run_round_all_recently_heads_direct_to_sink():
     net = small_net()
     for d in net.devices:
         d.last_head_round = 0
-    out = run_round(net, 1, Random(1), np.random.default_rng(1))
+    np_rng = np.random.default_rng(1)
+    out = run_round(net, 1, Random(1), np_rng, np_rng)
     assert out.clusters == {}
     assert sorted(out.direct_to_sink) == [d.id for d in net.devices]
 
@@ -218,7 +220,7 @@ def test_run_round_accounting_invariants():
     prev_energy = {d.id: d.energy for d in net.devices}
     head_rounds: dict[int, list[int]] = {}
     for r in range(60):
-        out = run_round(net, r, rng, np_rng)
+        out = run_round(net, r, rng, np_rng, np_rng)
         counted = sum(1 for t in out.transfers if t.outcome in ("timely", "delayed", "dropped"))
         assert counted == len(out.transfers)
         for h in out.clusters:
@@ -247,7 +249,7 @@ def test_run_round_detects_malicious_around_round_60():
         is_malicious = np.array([d.is_malicious for d in net.devices])
         flagged = False
         for r in range(66):
-            out = run_round(net, r, rng, np_rng)
+            out = run_round(net, r, rng, np_rng, np_rng)
             if 55 <= r <= 65:
                 caught = out.decisions.malicious & is_malicious[out.decisions.target]
                 flagged |= bool(caught.any())

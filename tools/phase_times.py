@@ -5,11 +5,16 @@ Wraps, in the ``protocol`` module, the names a round calls: the data phase
 the tree has it; otherwise reception counts as the rest) and the classifier
 (``classify_pairs``: a round's first call is join classification, its second
 post classification), and ``engine.run_round`` for the whole round loop.
-"The rest" is the round loop minus those sections.  Usage, from the root of
-the tree to time::
+"The rest" is the round loop minus those sections.  Where the tree has
+``normals.ClassifierNormals``, "classifier normals" is the time the
+classifier spends obtaining its standard normals (waiting on and copying
+from the helper, or drawing them locally); it lies inside the two
+classification sections and is not subtracted again.  ``--draw-locally``
+keeps the normals in-process, as on one CPU.  Usage, from the root of the
+tree to time::
 
     PYTHONPATH=src python tools/phase_times.py [--config configs/default.ini]
-        [--seed 1] [--repeat 3]
+        [--seed 1] [--repeat 3] [--draw-locally]
 
 Prints one JSON object: the median over the repeats of every section.
 """
@@ -23,6 +28,14 @@ from time import perf_counter
 
 from trustcloudsim import engine, protocol
 from trustcloudsim.config import load_config, with_overrides
+
+try:
+    from trustcloudsim import normals
+except ImportError:  # a tree from before the classifier had its own normals
+    normals = None
+
+#: sections timed inside other sections
+NESTED = ("classifier normals",)
 
 
 def time_sections(cfg) -> dict[str, float]:
@@ -57,6 +70,9 @@ def time_sections(cfg) -> dict[str, float]:
                (protocol, "classify_pairs", classification)]
     if hasattr(protocol, "receive_announcements"):
         patched.append((protocol, "receive_announcements", "reception"))
+    if normals is not None:
+        patched.append((normals.ClassifierNormals, "standard_normal",
+                        "classifier normals"))
     originals = [(m, n, wrap(m, n, label)) for m, n, label in patched]
     originals.append((engine, "run_round", wrap(engine, "run_round", round_loop)))
     try:
@@ -67,7 +83,7 @@ def time_sections(cfg) -> dict[str, float]:
         for module, name, original in originals:
             setattr(module, name, original)
     spent["rest"] = spent["round loop"] - sum(
-        v for k, v in spent.items() if k not in ("round loop", "run")
+        v for k, v in spent.items() if k not in ("round loop", "run", *NESTED)
     )
     return spent
 
@@ -77,7 +93,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default="configs/default.ini")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--draw-locally", action="store_true",
+                        help="draw the classifier normals in this process")
     args = parser.parse_args(argv)
+    if args.draw_locally and normals is not None:
+        normals.draw_locally()
     cfg = with_overrides(load_config(args.config), seed=args.seed)
     runs = [time_sections(cfg) for _ in range(args.repeat)]
     print(json.dumps({k: round(statistics.median(r[k] for r in runs), 4)
