@@ -24,7 +24,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .medium import monitor_energy
-from .normals import ClassifierNormals, draw_locally
+from .normals import ClassifierNormals
 from .protocol import (
     ADVANCED,
     GENERIC,
@@ -426,8 +426,7 @@ def replicate(
     if workers > 1:
         import multiprocessing
 
-        # The workers fill the CPUs, so each draws its normals itself.
-        with multiprocessing.Pool(min(workers, n_runs), draw_locally) as pool:
+        with multiprocessing.Pool(min(workers, n_runs)) as pool:
             results = pool.starmap(
                 _pooled_replica, [(cfg, i) for i in range(n_runs)]
             )

@@ -17,14 +17,17 @@ program order and lets no load pass a later store, so neither counter runs
 ahead of the data it covers; on other machines the helper is not used.
 
 The helper draws exactly what a local draw would, so its presence never
-changes an output; it is used only where it can pay:
+changes an output.  It is started where
 
 - the process may fork (``os.fork``) and create the file, has two or more
   CPUs in its affinity mask and runs on x86-64 (see above);
-- it is not a worker of ``engine.replicate``, whose workers already fill
-  the CPUs (``draw_locally`` marks a worker).
+- the process is not a ``multiprocessing`` child, such as a worker of
+  ``engine.replicate``, whose workers already fill the CPUs.
 
-Elsewhere the same object draws locally from the same generator.  After
+Elsewhere the same object draws locally from the same generator.  The
+affinity mask does not show a CPU quota or other busy processes: under a
+quota of one CPU, or beside other runs that fill the CPUs, the helper
+still starts and takes its share of the CPU time (see the README).  After
 the fork the helper runs only its generator and ``os`` calls, so no lock
 another thread of the run may hold is ever taken in it.  The helper exits
 when the run closes the object, and by itself when its parent
@@ -37,6 +40,7 @@ from __future__ import annotations
 import mmap
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -53,20 +57,14 @@ POLL_S = 100e-6
 _LINE = 64
 _PAGE = mmap.PAGESIZE
 
-#: set in a process whose siblings already use every CPU
-_local_only = False
-
-
-def draw_locally() -> None:
-    """Never fork a helper in this process (a worker of a process pool)."""
-    global _local_only
-    _local_only = True
-
 
 def helper_allowed() -> bool:
     """Whether this process may draw the normals ahead in a helper."""
+    # Every multiprocessing child has the module loaded, so a process
+    # without it is no child; looking it up spares the run its import.
+    mp = sys.modules.get("multiprocessing")
     return (
-        not _local_only
+        (mp is None or mp.parent_process() is None)
         and hasattr(os, "fork")
         and hasattr(os, "memfd_create")
         and hasattr(os, "sched_getaffinity")

@@ -5,10 +5,11 @@ either way its values are the stream of ``SeedSequence([seed, 2])`` in
 order, so a run's outputs do not depend on which path served them.  These
 tests force each path, compare them value for value and output byte for
 output byte, and check the helper's lifetime: it starts only at the first
-non-empty draw, never inside ``replicate()`` workers, and never outlives the
-run that started it, even when it dies first.
+non-empty draw, never inside ``replicate()`` or other process-pool workers,
+and never outlives the run that started it, even when it dies first.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -193,6 +194,13 @@ def test_replicate_workers_fork_no_helper():
     with mock.patch.object(ClassifierNormals, "_start", forbidden):
         summary = replicate(cfg, 2, workers=2)
     assert summary.n_runs == 2
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_pool_workers_draw_locally(method):
+    """Any multiprocessing worker draws in-process, not only replicate()'s."""
+    with multiprocessing.get_context(method).Pool(1) as pool:
+        assert pool.apply(normals.helper_allowed) is False
 
 
 def test_forks_only_with_a_spare_cpu():

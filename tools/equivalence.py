@@ -223,16 +223,6 @@ def _one_run(root: str, fraction: float, seed: int) -> dict:
     return out
 
 
-def _draw_locally() -> None:
-    """Pool initializer: the workers fill the CPUs, so none forks a helper
-    for its classifier normals (a tree without ``normals`` has none)."""
-    try:
-        from trustcloudsim.normals import draw_locally
-    except ImportError:
-        return
-    draw_locally()
-
-
 def collect(root: str, master: int, seeds: int, workers: int) -> dict:
     """{fraction: {metric: [value per seed]}} of the tree on sys.path."""
     import multiprocessing
@@ -240,7 +230,7 @@ def collect(root: str, master: int, seeds: int, workers: int) -> dict:
     from trustcloudsim.engine import derive_seed
 
     tasks = [(root, f, derive_seed(master, i)) for f in FRACTIONS for i in range(seeds)]
-    with multiprocessing.get_context("spawn").Pool(workers, _draw_locally) as pool:
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
         results = pool.starmap(_one_run, tasks)
     samples = {str(f): {m: [] for m in METRICS} for f in FRACTIONS}
     for (_, fraction, _), result in zip(tasks, results):

@@ -9,12 +9,12 @@ post classification), and ``engine.run_round`` for the whole round loop.
 ``normals.ClassifierNormals``, "classifier normals" is the time the
 classifier spends obtaining its standard normals (waiting on and copying
 from the helper, or drawing them locally); it lies inside the two
-classification sections and is not subtracted again.  ``--draw-locally``
-keeps the normals in-process, as on one CPU.  Usage, from the root of the
+classification sections and is not subtracted again; run the tool under
+``taskset -c 0`` to time the in-process path.  Usage, from the root of the
 tree to time::
 
     PYTHONPATH=src python tools/phase_times.py [--config configs/default.ini]
-        [--seed 1] [--repeat 3] [--draw-locally]
+        [--seed 1] [--repeat 3]
 
 Prints one JSON object: the median over the repeats of every section.
 """
@@ -93,11 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default="configs/default.ini")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--draw-locally", action="store_true",
-                        help="draw the classifier normals in this process")
     args = parser.parse_args(argv)
-    if args.draw_locally and normals is not None:
-        normals.draw_locally()
     cfg = with_overrides(load_config(args.config), seed=args.seed)
     runs = [time_sections(cfg) for _ in range(args.repeat)]
     print(json.dumps({k: round(statistics.median(r[k] for r in runs), 4)
