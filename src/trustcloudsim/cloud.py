@@ -117,16 +117,21 @@ def backward_clouds(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """backward_cloud over the columns of a (n, k) array of oldest-first drops.
 
     Returns the (ex, en, he) arrays of the k windows, equal bit for bit to
-    backward_cloud of each column: every sum is one sequential accumulate
-    down the window axis, in window order, as the scalar loop adds (numpy's
-    own reductions may sum pairwise, which rounds differently).  The drops
-    are not range-checked.
+    backward_cloud of each column: every sum adds the rows in window order,
+    as the scalar loop does.  On a C-ordered block of two or more columns,
+    ``np.add.reduce(axis=0)`` adds whole rows in that order; on a single
+    column, or on another layout, it sums pairwise, which rounds
+    differently, so those take a sequential accumulate.  The drops are not
+    range-checked.
     """
+    windows = np.asarray(windows, dtype=float)
     n = len(windows)
     if n < 2:
         raise InsufficientDataError(f"need at least 2 drops, got {n}")
 
     def sequential_sum(rows: np.ndarray) -> np.ndarray:
+        if rows.ndim == 2 and rows.shape[1] > 1 and rows.flags.c_contiguous:
+            return np.add.reduce(rows, axis=0)
         return np.cumsum(rows, axis=0)[-1]
 
     ex = sequential_sum(windows) / n

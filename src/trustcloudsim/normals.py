@@ -21,14 +21,16 @@ changes an output.  It is started where
 
 - the process may fork (``os.fork``) and create the file, has two or more
   CPUs in its affinity mask and runs on x86-64 (see above);
+- its cgroup sets no CPU quota, or one of at least two whole CPUs
+  (``cpu_quota``: cgroup v2 ``cpu.max``, v1 ``cpu.cfs_quota_us`` over
+  ``cpu.cfs_period_us``, the smallest along the cgroup's ancestors);
 - the process is not a ``multiprocessing`` child, such as a worker of
   ``engine.replicate``, whose workers already fill the CPUs.
 
-Elsewhere the same object draws locally from the same generator.  The
-affinity mask does not show a CPU quota or other busy processes: under a
-quota of one CPU, or beside other runs that fill the CPUs, the helper
-still starts and takes its share of the CPU time (see the README).  After
-the fork the helper runs only its generator and ``os`` calls, so no lock
+Elsewhere the same object draws locally from the same generator.  Other
+busy processes do not show: beside other runs that fill the CPUs, the
+helper still starts and takes its share of the CPU time (see the README).
+After the fork the helper runs only its generator and ``os`` calls, so no lock
 another thread of the run may hold is ever taken in it.  The helper exits
 when the run closes the object, and by itself when its parent
 dies; a run that finds the helper gone raises ``NormalsHelperError``
@@ -42,6 +44,7 @@ import os
 import signal
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -58,19 +61,89 @@ _LINE = 64
 _PAGE = mmap.PAGESIZE
 
 
-def helper_allowed() -> bool:
-    """Whether this process may draw the normals ahead in a helper."""
+def helper_allowed(proc: str = "/proc/self") -> bool:
+    """Whether this process may draw the normals ahead in a helper.
+
+    ``proc`` is where the process's ``cgroup`` and ``mountinfo`` files are
+    read from (see ``cpu_quota``).
+    """
     # Every multiprocessing child has the module loaded, so a process
     # without it is no child; looking it up spares the run its import.
     mp = sys.modules.get("multiprocessing")
-    return (
+    if not (
         (mp is None or mp.parent_process() is None)
         and hasattr(os, "fork")
         and hasattr(os, "memfd_create")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
         and os.uname().machine == "x86_64"
-    )
+    ):
+        return False
+    quota = cpu_quota(proc)
+    return quota is None or quota >= 2.0
+
+
+def cpu_quota(proc: str = "/proc/self") -> float | None:
+    """The CPUs a process's cgroups let it use, or None without a quota.
+
+    The process's cgroups are read from ``proc``/cgroup and their
+    directories found through the cgroup mounts in ``proc``/mountinfo: the
+    v2 hierarchy, whose ``cpu.max`` holds "max" or a quota, then the
+    period, and the v1 hierarchy of the ``cpu`` controller, whose
+    ``cpu.cfs_quota_us`` (-1 for none) is divided by ``cpu.cfs_period_us``.
+    A quota on an ancestor caps the cgroups below it, so the smallest one
+    from the process's cgroup up to the mount counts.  Files that cannot be
+    read or parsed count as no quota.
+    """
+    try:
+        lines = Path(proc, "cgroup").read_text().splitlines()
+        mounts = Path(proc, "mountinfo").read_text().splitlines()
+    except OSError:
+        return None
+    # "hierarchy:controllers:path"; v2 is hierarchy 0
+    groups = [g for g in (line.split(":", 2) for line in lines) if len(g) == 3]
+    paths = {
+        True: [path for hierarchy, _, path in groups if hierarchy == "0"],
+        False: [path for _, ctl, path in groups if "cpu" in ctl.split(",")],
+    }
+    quotas = []
+    for line in mounts:
+        fields, _, fs = line.partition(" - ")
+        fields, fs = fields.split(), fs.split()
+        if len(fields) < 5 or len(fs) < 3:
+            continue
+        if fs[0] == "cgroup2":
+            v2 = True
+        elif fs[0] == "cgroup" and "cpu" in fs[2].split(","):
+            v2 = False
+        else:
+            continue
+        root, top = fields[3].rstrip("/"), Path(fields[4])
+        for path in paths[v2]:
+            # the cgroup's directory below the mount; one outside the
+            # mounted subtree reads the mount's own files
+            rel = path[len(root):] if path.startswith(root + "/") else ""
+            where = top / rel.strip("/")
+            for d in (where, *where.parents):
+                quotas.append(_quota_in(d, v2))
+                if d == top:
+                    break
+    quotas = [q for q in quotas if q is not None]
+    return min(quotas) if quotas else None
+
+
+def _quota_in(where: Path, v2: bool) -> float | None:
+    """The CPU quota one cgroup directory sets, in CPUs, or None."""
+    try:
+        if v2:
+            quota, period = (where / "cpu.max").read_text().split()
+            return None if quota == "max" else int(quota) / int(period)
+        quota = int((where / "cpu.cfs_quota_us").read_text())
+        if quota < 0:
+            return None
+        return quota / int((where / "cpu.cfs_period_us").read_text())
+    except (OSError, ValueError):
+        return None
 
 
 class ClassifierNormals:
@@ -82,7 +155,8 @@ class ClassifierNormals:
 
     def __init__(self, seed: int):
         self._gen = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        self._ahead = helper_allowed()
+        #: whether the first non-empty draw still has to choose the path
+        self._ahead = True
         #: the helper's process id while it runs
         self.pid: int | None = None
         # the shared memory file, its first page and the two counters on it,
@@ -96,7 +170,8 @@ class ClassifierNormals:
             return out
         if self._ahead:
             self._ahead = False  # one helper per object, never restarted
-            self._start()
+            if helper_allowed():
+                self._start()
         if self._fd is None:
             self._gen.standard_normal(out=out)
         else:

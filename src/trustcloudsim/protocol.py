@@ -157,11 +157,43 @@ class ClusterRoundOutcome:
     )
 
 
+class TransmitCosts:
+    """tx_energy of one message size over each of an array of distances.
+
+    Entry p is the cost of sending ``bits`` over ``dist.flat[p]``: for an
+    n x n distance matrix, from device i to device j at p = i n + j.  Each
+    entry is computed with the scalar tx_energy the first time it is asked
+    for, then kept: numpy's own powers round some distances differently
+    from Python's.
+    """
+
+    def __init__(self, bits: int, dist: np.ndarray, energy: EnergyParams):
+        self._bits = bits
+        self._dist = dist
+        self._energy = energy
+        self._costs = np.full(dist.size, np.nan)
+
+    def at(self, flat: np.ndarray) -> np.ndarray:
+        """The costs at the given flat indices."""
+        costs = self._costs.take(flat)
+        missing = np.flatnonzero(np.isnan(costs))
+        if len(missing):
+            new = flat[missing]
+            costs[missing] = [
+                tx_energy(self._bits, d, self._energy)
+                for d in self._dist.take(new).tolist()
+            ]
+            self._costs.put(new, costs[missing])
+        return costs
+
+
 class NetworkState:
     """Devices, the static topology, scenario parameters and all trust state.
 
-    ``dist[i, j]`` is the distance from device i to device j.  The standard
-    clouds' update pools are ``pools``.
+    ``dist[i, j]`` is the distance from device i to device j, and
+    ``data_tx`` and ``control_tx`` the cost of sending a data or a control
+    message over it (``sink_tx``: a data message from device i to the
+    sink).  The standard clouds' update pools are ``pools``.
     """
 
     def __init__(self, cfg: ScenarioConfig, devices: list[DeviceState]):
@@ -195,6 +227,11 @@ class NetworkState:
         self.neighbor_mask = np.zeros((n, n), dtype=bool)
         for d, near in zip(devices, self.neighbors):
             self.neighbor_mask[d.id, [nid for nid, _ in near]] = True
+        self.data_tx = TransmitCosts(cfg.data_bits, self.dist, self.energy)
+        self.control_tx = TransmitCosts(cfg.control_bits, self.dist, self.energy)
+        self.sink_tx = TransmitCosts(
+            cfg.data_bits, np.array(self.sink_dist), self.energy
+        )
         self.trust = TrustState(n, cfg.thr_drp)
         self.pools = UpdatePools(n, cfg.max_drp)
         #: every device's standard clouds as a standard_table row; a row of
@@ -273,12 +310,13 @@ def choose_heads(
     """
     obs = np.asarray(observers, dtype=np.intp)
     tgt = np.asarray(heads, dtype=np.intp)
-    recorded = trust.count[obs, tgt] > 0
+    pairs = trust.pairs(obs, tgt)
+    recorded = trust.count.take(pairs) > 0
     # 0 normal, 1 unjudged and never recorded, 2 unjudged but recorded,
     # 3 malicious; one sort ranks every member's rows by it, then by the
     # distance (by the trust estimate for category 2), then by head id.
     category = np.where(judged, 3 * np.asarray(malicious, dtype=bool), 1 + recorded)
-    key = np.where(category == 2, -trust.mean[obs, tgt], dist)
+    key = np.where(category == 2, -trust.mean.take(pairs), dist)
     order = np.lexsort((tgt, key, 4 * obs + category))
     first = np.ones(len(order), dtype=bool)
     first[1:] = obs[order[1:]] != obs[order[:-1]]
@@ -457,10 +495,8 @@ def run_data_phase(
     over_cost = overhear_energy(bits, energy)
     rx_cost = rx_energy(bits, energy)
     aggregate_cost = aggregate_energy(bits, 1, energy)
-    tx_cost = np.array(
-        [tx_energy(bits, d, energy) for d in net.dist[ids, head_ids[cl]].tolist()]
-    )
-    sink_tx = np.array([tx_energy(bits, net.sink_dist[h], energy) for h in heads])
+    tx_cost = net.data_tx.at(ids * len(devices) + head_ids[cl])
+    sink_tx = net.sink_tx.at(head_ids)
 
     # A device's charges succeed up to (and including) the key in `until`:
     # `never` while it lives, -1 if it was dead before the phase.
@@ -608,11 +644,12 @@ def run_round(
         return outcome
 
     # --- election ---------------------------------------------------------
+    announce_cost = tx_energy(cfg.control_bits, cfg.neighbor_radius, energy)
     heads: list[int] = []
     for dev in alive:
         if decide_head(dev, r, rng, p_ch=cfg.p_ch, epoch=net.epoch):
             heads.append(dev.id)
-            dev.spend(tx_energy(cfg.control_bits, cfg.neighbor_radius, energy))
+            dev.spend(announce_cost)
     head_set = set(heads)
 
     # Broadcast reception: election announcements are control-plane messages
@@ -627,14 +664,16 @@ def run_round(
 
     # --- cluster joining --------------------------------------------------
     # Trust is read and written one batch of distinct (observer, target)
-    # pairs at a time.  Standard clouds only change in the update step at
-    # the end of the round, so one table of them serves both classifications.
+    # pairs at a time, each pair by its flat index.  Standard clouds only
+    # change in the update step at the end of the round, so one table of
+    # them serves both classifications.
     trust = net.trust
     n = len(net.devices)
     stds = net.std_table
+    has_stds = ~np.isnan(stds[:, 0])
 
-    def judgeable(obs: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-        return trust.full[obs, tgt] & ~np.isnan(stds[obs, 0])
+    def judgeable(obs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+        return (trust.count.take(pairs) >= trust.window) & has_stds.take(obs)
 
     def judge(obs: np.ndarray, tgt: np.ndarray) -> np.ndarray:
         """True where the observer classifies the target malicious."""
@@ -642,13 +681,14 @@ def run_round(
             trust, stds, obs, tgt, normals, kappa=cfg.kappa, n_drp=cfg.n_drp
         )
 
-    judged = judgeable(cand_obs, cand_tgt)
+    cand = cand_obs * n + cand_tgt
+    judged = judgeable(cand_obs, cand)
     join_obs, join_tgt = cand_obs[judged], cand_tgt[judged]
     join_mal = judge(join_obs, join_tgt)
     malicious = np.zeros(len(cand_obs), dtype=bool)
     malicious[judged] = join_mal
     joiners, chosen_heads = choose_heads(
-        trust, cand_obs, cand_tgt, net.dist[cand_obs, cand_tgt], judged, malicious
+        trust, cand_obs, cand_tgt, net.dist.take(cand), judged, malicious
     )
     chosen = dict(zip(joiners.tolist(), chosen_heads.tolist()))
 
@@ -662,11 +702,15 @@ def run_round(
             clusters[head_id].append(dev_id)
         elif is_eligible(member, r, net.epoch):
             member.last_head_round = r
-            member.spend(tx_energy(cfg.control_bits, cfg.neighbor_radius, energy))
+            member.spend(announce_cost)
             clusters[dev_id] = []
         else:
             outcome.direct_to_sink.append(dev_id)
-            member.spend(tx_energy(cfg.data_bits, net.sink_dist[dev_id], energy))
+    # each device pays only its own transmission, so all can pay after
+    direct = outcome.direct_to_sink
+    sink_cost = net.sink_tx.at(np.array(direct, dtype=np.intp)).tolist()
+    for dev_id, cost in zip(direct, sink_cost):
+        net.devices[dev_id].spend(cost)
 
     outcome.clusters = clusters
 
@@ -707,29 +751,30 @@ def run_round(
     askers = [(h, m) for h in sorted(clusters) for m in sorted(clusters[h])]
     ask_head = np.array([h for h, _ in askers], dtype=np.intp)
     ask_mem = np.array([m for _, m in askers], dtype=np.intp)
-    t_ij = trust.mean[ask_mem, ask_head]
+    ask_pair = ask_mem * n + ask_head
+    t_ij = trust.mean.take(ask_pair)
     heard = np.zeros((n, n), dtype=bool)
-    heard[cand_obs, cand_tgt] = True
-    wanted = (
-        heard[ask_mem]
-        | (net.neighbor_mask[ask_mem] & ~trust.known[ask_mem])
-        | trust.immature[ask_mem]
+    heard.put(cand, True)
+    # wanted: heard of this round, or a neighbour never recorded, or a
+    # recorded pair without a full window yet
+    count = trust.count[ask_mem]
+    wanted = heard[ask_mem] | np.where(
+        count == 0, net.neighbor_mask[ask_mem], count < trust.window
     )
-    rows = np.arange(len(askers))
-    wanted[rows, ask_head] = False
-    wanted[rows, ask_mem] = False
+    rows = np.arange(len(askers)) * n
+    wanted.put(rows + ask_head, False)
+    wanted.put(rows + ask_mem, False)
     offers = wanted & (trust.fh_count[ask_head] > 0)
     worth_asking = np.flatnonzero(offers.any(axis=1) & (t_ij > 0.0))
-    ask_dist = net.dist[ask_mem[worth_asking], ask_head[worth_asking]].tolist()
+    ask_cost = net.control_tx.at(ask_pair[worth_asking]).tolist()
     control_rx = rx_energy(cfg.control_bits, energy)
     asked: list[int] = []
-    for i, dist in zip(worth_asking.tolist(), ask_dist):
+    for i, control_tx in zip(worth_asking.tolist(), ask_cost):
         head_id, member_id = askers[i]
         member = net.devices[member_id]
         head = net.devices[head_id]
         if not member.alive or not head.alive:
             continue
-        control_tx = tx_energy(cfg.control_bits, dist, energy)
         member.spend(control_tx)
         if (
             head.spend(control_rx)
@@ -741,8 +786,8 @@ def run_round(
     ask = np.asarray(asked, dtype=np.intp)[ask]
     rec_obs = ask_mem[ask]
     rec_val = recommend_trust(
-        trust.mean[rec_obs, rec_tgt],
-        trust.firsthand[ask_head[ask], rec_tgt],
+        trust.mean.take(rec_obs * n + rec_tgt),
+        trust.firsthand.take(ask_head[ask] * n + rec_tgt),
         t_ij[ask],
     )
     record_trust(trust, rec_obs, rec_tgt, rec_val)
@@ -750,16 +795,17 @@ def run_round(
     # --- classification and standard-cloud updates -------------------------
     upd_obs = np.concatenate([inf_obs, rec_obs])
     upd_tgt = np.concatenate([inf_tgt, rec_tgt])
-    order = np.argsort(upd_obs * n + upd_tgt)
-    upd_obs, upd_tgt = upd_obs[order], upd_tgt[order]
-    judged = judgeable(upd_obs, upd_tgt)
-    post_obs, post_tgt = upd_obs[judged], upd_tgt[judged]
+    upd = upd_obs * n + upd_tgt
+    order = np.argsort(upd)
+    upd_obs, upd_tgt, upd = upd_obs[order], upd_tgt[order], upd[order]
+    judged = judgeable(upd_obs, upd)
+    post_obs, post_tgt, post = upd_obs[judged], upd_tgt[judged], upd[judged]
     post_mal = judge(post_obs, post_tgt)
 
     # A pair judged at joining keeps that decision.
-    joined = np.zeros((n, n), dtype=bool)
-    joined[join_obs, join_tgt] = True
-    fresh = ~joined[post_obs, post_tgt]
+    joined = np.zeros(n * n, dtype=bool)
+    joined.put(join_obs * n + join_tgt, True)
+    fresh = ~joined.take(post)
     outcome.decisions = Decisions(
         np.concatenate([join_obs, post_obs[fresh]]),
         np.concatenate([join_tgt, post_tgt[fresh]]),
@@ -769,7 +815,7 @@ def run_round(
     net.pools.add(
         post_obs,
         post_mal,
-        trust.mean[post_obs, post_tgt],
+        trust.mean.take(post),
         stds,
         alpha=cfg.alpha,
         beta=cfg.beta,

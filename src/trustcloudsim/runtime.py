@@ -32,11 +32,16 @@ class TrustState:
     running sum, a fill count and their mean.  The individual cloud (ex, en,
     he) of a pair with a full window is rebuilt from the window in one batch,
     the first time clouds are read after the window changed.
+
+    A pair is also addressed by one flat index, p = o n + t (``pairs``), and
+    batches are read and written through it: ``take`` and ``put`` on any of
+    the arrays, and for the rings slot s of pair p is flat entry s n^2 + p.
     """
 
     def __init__(self, n: int, window: int):
         if window < 2:
             raise DomainError(f"window must hold at least 2 drops, got {window}")
+        self.n = n
         self.window = window
         self._ring = np.zeros((window, n, n))
         self._sum = np.zeros((n, n))
@@ -51,7 +56,13 @@ class TrustState:
         self._ex = np.zeros((n, n))
         self._en = np.zeros((n, n))
         self._he = np.zeros((n, n))
-        self._stale: list[tuple[np.ndarray, np.ndarray]] = []
+        #: flat indices of the pairs whose cloud needs rebuilding
+        self._stale: list[np.ndarray] = []
+
+    def pairs(self, observers, targets) -> np.ndarray:
+        """Flat indices o n + t of the given pairs."""
+        obs = np.asarray(observers, dtype=np.intp)
+        return obs * self.n + np.asarray(targets, dtype=np.intp)
 
     @property
     def known(self) -> np.ndarray:
@@ -70,33 +81,34 @@ class TrustState:
 
     def clouds(self, observers, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ex, en, he) of the given pairs, which must all have full windows."""
-        if not np.all(self.count[observers, targets] >= self.window):
+        p = self.pairs(observers, targets)
+        if not np.all(self.count.take(p) >= self.window):
             raise InsufficientEvidenceError("no individual trust cloud for target")
         if self._stale:
-            obs = np.concatenate([o for o, _ in self._stale])
-            tgt = np.concatenate([t for _, t in self._stale])
+            stale = np.concatenate(self._stale)
             self._stale.clear()
-            oldest = self.count[obs, tgt] % self.window
+            # one column per stale pair, its window's drops oldest first
+            oldest = self.count.take(stale)
             slots = (oldest + np.arange(self.window)[:, None]) % self.window
-            ex, en, he = backward_clouds(self._ring[slots, obs, tgt])
-            self._ex[obs, tgt] = ex
-            self._en[obs, tgt] = en
-            self._he[obs, tgt] = he
-        return (
-            self._ex[observers, targets],
-            self._en[observers, targets],
-            self._he[observers, targets],
-        )
+            windows = self._ring.take(slots * self._sum.size + stale)
+            ex, en, he = backward_clouds(windows)
+            self._ex.put(stale, ex)
+            self._en.put(stale, en)
+            self._he.put(stale, he)
+        return self._ex.take(p), self._en.take(p), self._he.take(p)
 
 
-def _slide(ring, sums, count, obs, tgt, values) -> np.ndarray:
+def _slide(ring, sums, count, pairs, values) -> np.ndarray:
     """Write one drop into each (distinct) pair's window; returns the fills."""
-    slot = count[obs, tgt] % ring.shape[0]
-    evicted = ring[slot, obs, tgt]  # 0.0 while the window is still filling
-    ring[slot, obs, tgt] = values
-    sums[obs, tgt] += values - evicted
-    count[obs, tgt] += 1
-    return np.minimum(count[obs, tgt], ring.shape[0])
+    window = len(ring)
+    counts = count.take(pairs)
+    at = counts % window * sums.size + pairs
+    # the evicted drop is 0.0 while the window is still filling
+    sums.put(pairs, sums.take(pairs) + (values - ring.take(at)))
+    ring.put(at, values)
+    counts += 1
+    count.put(pairs, counts)
+    return np.minimum(counts, window)
 
 
 def recommend_trust(t_ik, t_jk, t_ij):
@@ -124,21 +136,18 @@ def record_trust(
     recommendations.  Pairs whose window is full get their cloud rebuilt
     before clouds are next read.
     """
-    obs = np.asarray(observers, dtype=np.intp)
-    tgt = np.asarray(targets, dtype=np.intp)
+    p = state.pairs(observers, targets)
     values = np.asarray(values, dtype=float)
     if not np.all((values >= 0.0) & (values <= 1.0)):
         raise DomainError(f"drops must be in [0, 1], got {values}")
-    fill = _slide(state._ring, state._sum, state.count, obs, tgt, values)
-    state.mean[obs, tgt] = state._sum[obs, tgt] / fill
+    fill = _slide(state._ring, state._sum, state.count, p, values)
+    state.mean.put(p, state._sum.take(p) / fill)
     if direct:
-        fh_fill = _slide(
-            state._fh_ring, state._fh_sum, state.fh_count, obs, tgt, values
-        )
-        state.firsthand[obs, tgt] = state._fh_sum[obs, tgt] / fh_fill
+        fh_fill = _slide(state._fh_ring, state._fh_sum, state.fh_count, p, values)
+        state.firsthand.put(p, state._fh_sum.take(p) / fh_fill)
     full = fill >= state.window
     if full.any():
-        state._stale.append((obs[full], tgt[full]))
+        state._stale.append(p[full])
     return state
 
 

@@ -3,6 +3,9 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trustcloudsim.cloud import (
     DropSet,
@@ -63,6 +66,34 @@ def test_backward_clouds_equal_scalar_bit_for_bit(n, k):
     # trust-like values: clustered near one end, with exact 0s and 1s
     windows = np.clip(rng.normal(0.9, 0.2, (n, k)), 0.0, 1.0)
     windows[rng.random((n, k)) < 0.1] = 0.0
+    assert_columns_match_scalar(windows)
+
+
+drops = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 100).flatmap(
+        lambda n: st.one_of(st.just(1), st.integers(1, 300)).flatmap(
+            lambda k: arrays(np.float64, (n, k), elements=drops)
+        )
+    ),
+    st.sampled_from(["C", "F", "strided"]),
+)
+def test_backward_clouds_equal_scalar_on_any_block(windows, layout):
+    """Any window count and column count, one column included, any layout.
+
+    ``np.add.reduce`` over axis 0 sums a single column or a block not in C
+    order pairwise, which rounds differently from the scalar loop.
+    """
+    if layout == "F":
+        windows = np.asfortranarray(windows)
+    elif layout == "strided":
+        windows = np.repeat(windows, 2, axis=1)[:, ::2]
     assert_columns_match_scalar(windows)
 
 

@@ -5,7 +5,8 @@ either way its values are the stream of ``SeedSequence([seed, 2])`` in
 order, so a run's outputs do not depend on which path served them.  These
 tests force each path, compare them value for value and output byte for
 output byte, and check the helper's lifetime: it starts only at the first
-non-empty draw, never inside ``replicate()`` or other process-pool workers,
+non-empty draw, never inside ``replicate()`` or other process-pool workers
+or under a cgroup CPU quota below two CPUs (read from a fake cgroup tree),
 and never outlives the run that started it, even when it dies first.
 """
 
@@ -179,6 +180,20 @@ def test_helper_exits_when_its_parent_dies():
     assert gone(pid)
 
 
+def test_a_run_leaves_no_descriptor_or_mapping():
+    """The shared ring's file and its mapping are released with the helper."""
+    def ring_maps():
+        return [line for line in Path("/proc/self/maps").read_text().splitlines()
+                if "classifier-normals" in line]
+
+    fds = set(os.listdir("/proc/self/fd"))
+    with helper(True) as started:
+        run_simulation(ScenarioConfig(**SHORT, seed=3))
+    assert len(started) == 1
+    assert set(os.listdir("/proc/self/fd")) <= fds
+    assert ring_maps() == []
+
+
 def test_runs_that_never_classify_fork_no_helper():
     with helper(True) as started:
         log = run_simulation(ScenarioConfig(**{**SHORT, "max_rounds": 1}, seed=3))
@@ -207,5 +222,91 @@ def test_forks_only_with_a_spare_cpu():
     """The default choice: a helper exactly where a second CPU is free."""
     with helper() as started:
         run_simulation(ScenarioConfig(**SHORT, seed=3))
-    spare = len(os.sched_getaffinity(0)) >= 2 and os.uname().machine == "x86_64"
+    quota = normals.cpu_quota()
+    spare = (len(os.sched_getaffinity(0)) >= 2 and os.uname().machine == "x86_64"
+             and (quota is None or quota >= 2))
     assert len(started) == spare
+
+
+def fake_cgroups(tmp_path, v1=None, v2=None, parent_v1=None, nested=True):
+    """A process's cgroup files under ``tmp_path``, as ``cpu_quota`` reads them.
+
+    ``v1`` is a (cfs_quota_us, cfs_period_us) pair for a cgroup v1 ``cpu``
+    hierarchy, ``parent_v1`` the same for its parent cgroup, ``v2`` the text
+    of a cgroup v2 ``cpu.max``; None leaves the files out.  Returns the
+    directory to pass as ``proc``.
+    """
+    proc = tmp_path / "proc"
+    proc.mkdir()
+    group = "/box/run" if nested else "/"
+    v1_mount = tmp_path / "sys" / "cpu,cpuacct"
+    v2_mount = tmp_path / "sys" / "unified"
+    v1_dir = v1_mount / group.strip("/")
+    v2_dir = v2_mount / group.strip("/")
+    for d in (v1_dir, v2_dir):
+        d.mkdir(parents=True)
+    if v1 is not None:
+        (v1_dir / "cpu.cfs_quota_us").write_text(f"{v1[0]}\n")
+        (v1_dir / "cpu.cfs_period_us").write_text(f"{v1[1]}\n")
+    if parent_v1 is not None:
+        (v1_dir.parent / "cpu.cfs_quota_us").write_text(f"{parent_v1[0]}\n")
+        (v1_dir.parent / "cpu.cfs_period_us").write_text(f"{parent_v1[1]}\n")
+    if v2 is not None:
+        (v2_dir / "cpu.max").write_text(v2 + "\n")
+    (proc / "cgroup").write_text(
+        f"5:memory:/elsewhere\n3:cpu,cpuacct:{group}\n0::{group}\n"
+    )
+    (proc / "mountinfo").write_text(
+        "24 1 8:1 / / rw,relatime - ext4 /dev/sda1 rw\n"
+        f"33 32 0:29 / {v1_mount} rw,relatime - cgroup cgroup rw,cpu,cpuacct\n"
+        f"36 32 0:32 / {tmp_path}/sys/memory rw - cgroup cgroup rw,memory\n"
+        f"42 32 0:38 / {v2_mount} rw,relatime - cgroup2 cgroup2 rw\n"
+    )
+    return str(proc)
+
+
+@pytest.mark.parametrize("files, cpus", [
+    (dict(), None),
+    (dict(v1=(-1, 100000)), None),
+    (dict(v1=(150000, 100000)), 1.5),
+    (dict(v1=(200000, 100000)), 2.0),
+    (dict(v2="max 100000"), None),
+    (dict(v2="150000 100000"), 1.5),
+    (dict(v2="200000 100000"), 2.0),
+    (dict(v1=(-1, 100000), parent_v1=(100000, 100000)), 1.0),
+    (dict(v1=(400000, 100000), v2="150000 100000"), 1.5),
+    (dict(v1=(150000, 100000), nested=False), 1.5),
+])
+def test_cpu_quota_reads_cgroup_v1_and_v2(tmp_path, files, cpus):
+    assert normals.cpu_quota(fake_cgroups(tmp_path, **files)) == cpus
+
+
+def test_cpu_quota_without_cgroup_files(tmp_path):
+    assert normals.cpu_quota(str(tmp_path)) is None
+
+
+@pytest.mark.parametrize("files", [
+    dict(v1=(150000, 100000)),
+    dict(v2="150000 100000"),
+    dict(v1=(-1, 100000), parent_v1=(100000, 100000)),
+])
+def test_no_helper_under_a_quota_below_two_cpus(tmp_path, files):
+    assert normals.helper_allowed(fake_cgroups(tmp_path, **files)) is False
+
+
+@pytest.mark.parametrize("files", [
+    dict(v1=(-1, 100000)),
+    dict(v1=(200000, 100000)),
+    dict(v2="max 100000"),
+    dict(v2="200000 100000"),
+])
+def test_quota_of_two_cpus_or_none_keeps_the_helper(tmp_path, files):
+    spare = len(os.sched_getaffinity(0)) >= 2 and os.uname().machine == "x86_64"
+    assert normals.helper_allowed(fake_cgroups(tmp_path, **files)) is spare
+
+
+def test_run_under_a_quota_draws_locally(monkeypatch):
+    monkeypatch.setattr(normals, "cpu_quota", lambda proc: 1.5)
+    with helper() as started:
+        run_simulation(ScenarioConfig(**SHORT, seed=3))
+    assert started == []

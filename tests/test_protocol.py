@@ -6,10 +6,11 @@ import pytest
 from trustcloudsim.cloud import TrustCloud
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import build_scenario, run_training_phase
-from trustcloudsim.medium import ChannelPhase
+from trustcloudsim.medium import ChannelPhase, EnergyParams, tx_energy
 from trustcloudsim.protocol import (
     ClusterRoundOutcome,
     DeviceState,
+    TransmitCosts,
     choose_heads,
     decide_head,
     election_threshold,
@@ -255,3 +256,28 @@ def test_run_round_detects_malicious_around_round_60():
                 flagged |= bool(caught.any())
         hits += flagged
     assert hits > 10
+
+
+@pytest.mark.parametrize("bits", [CFG.control_bits, CFG.data_bits])
+def test_transmit_costs_equal_the_scalar_model(bits):
+    """Every memo entry, filled lazily in any order, is tx_energy's value.
+
+    numpy's own ``d**2`` and ``d**4`` differ from Python's in the last bit
+    for some distances (151 and 10,546 of 200,000 random ones), so a memo
+    filled from numpy arithmetic fails on these 20,000.
+    """
+    p = EnergyParams()
+    d0 = p.crossover_distance
+    rng = np.random.default_rng(bits)
+    edge = [0.0, np.nextafter(d0, 0.0), d0, np.nextafter(d0, np.inf), 1.0, 500.0]
+    dist = np.concatenate([edge, rng.uniform(0.0, 2.5 * d0, 19_994)]).reshape(200, 100)
+    costs = TransmitCosts(bits, dist, p)
+    want = np.array([tx_energy(bits, d, p) for d in dist.ravel().tolist()])
+    # several overlapping batches, repeats included, then everything at once
+    for batch in np.array_split(rng.permutation(dist.size), 7):
+        batch = np.concatenate([batch, batch[:5]])
+        assert costs.at(batch).tobytes() == want[batch].tobytes()
+    everything = np.arange(dist.size)
+    assert costs.at(everything).tobytes() == want.tobytes()
+    assert costs.at(np.zeros(0, dtype=np.intp)).shape == (0,)
+

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustcloudsim.cloud import backward_cloud
+from trustcloudsim.cloud import backward_cloud, backward_clouds
 from trustcloudsim.errors import DomainError, InsufficientEvidenceError
 from trustcloudsim.runtime import TrustState, record_trust
 
@@ -143,3 +143,123 @@ def test_record_trust_rejects_out_of_range(bad):
     state = TrustState(3, 4)
     with pytest.raises(DomainError):
         record_trust(state, [0, 1], [1, 2], [0.5, bad])
+
+
+class IndexedTrustState:
+    """The state as kept before pairs had one flat index, as a model.
+
+    It reads and writes every batch with (observer, target) fancy indexing
+    into the same n x n and (window, n, n) arrays; the flat-index state must
+    leave every array, and every cloud it reads, equal to this one's.
+    """
+
+    def __init__(self, n: int, window: int):
+        self.window = window
+        self._ring = np.zeros((window, n, n))
+        self._sum = np.zeros((n, n))
+        self.count = np.zeros((n, n), dtype=np.int64)
+        self.mean = np.zeros((n, n))
+        self._fh_ring = np.zeros((window, n, n))
+        self._fh_sum = np.zeros((n, n))
+        self.fh_count = np.zeros((n, n), dtype=np.int64)
+        self.firsthand = np.zeros((n, n))
+        self._ex = np.zeros((n, n))
+        self._en = np.zeros((n, n))
+        self._he = np.zeros((n, n))
+        self._stale: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def clouds(self, observers, targets):
+        if not np.all(self.count[observers, targets] >= self.window):
+            raise InsufficientEvidenceError("no individual trust cloud for target")
+        if self._stale:
+            obs = np.concatenate([o for o, _ in self._stale])
+            tgt = np.concatenate([t for _, t in self._stale])
+            self._stale.clear()
+            oldest = self.count[obs, tgt] % self.window
+            slots = (oldest + np.arange(self.window)[:, None]) % self.window
+            ex, en, he = backward_clouds(self._ring[slots, obs, tgt])
+            self._ex[obs, tgt] = ex
+            self._en[obs, tgt] = en
+            self._he[obs, tgt] = he
+        return (
+            self._ex[observers, targets],
+            self._en[observers, targets],
+            self._he[observers, targets],
+        )
+
+    @staticmethod
+    def _slide(ring, sums, count, obs, tgt, values):
+        slot = count[obs, tgt] % ring.shape[0]
+        evicted = ring[slot, obs, tgt]
+        ring[slot, obs, tgt] = values
+        sums[obs, tgt] += values - evicted
+        count[obs, tgt] += 1
+        return np.minimum(count[obs, tgt], ring.shape[0])
+
+    def record(self, observers, targets, values, *, direct):
+        obs = np.asarray(observers, dtype=np.intp)
+        tgt = np.asarray(targets, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        fill = self._slide(self._ring, self._sum, self.count, obs, tgt, values)
+        self.mean[obs, tgt] = self._sum[obs, tgt] / fill
+        if direct:
+            fh_fill = self._slide(
+                self._fh_ring, self._fh_sum, self.fh_count, obs, tgt, values
+            )
+            self.firsthand[obs, tgt] = self._fh_sum[obs, tgt] / fh_fill
+        full = fill >= self.window
+        if full.any():
+            self._stale.append((obs[full], tgt[full]))
+
+
+STATE_ARRAYS = ("_ring", "_sum", "count", "mean", "_fh_ring", "_fh_sum",
+                "fh_count", "firsthand")
+
+
+@st.composite
+def mixed_steps(draw):
+    """A network of 1-12 devices, a window of 2-6 and a list of steps.
+
+    A step writes a batch of distinct pairs, directly or as
+    recommendations, or reads the clouds of some pairs (those with full
+    windows, found while the test runs).
+    """
+    n = draw(st.integers(1, 12))
+    window = draw(st.integers(2, 6))
+    steps = []
+    for _ in range(draw(st.integers(1, 3 * window + 6))):
+        if draw(st.integers(0, 3)) == 0:
+            steps.append(("read", draw(st.integers(0, 2**32 - 1))))
+            continue
+        size = draw(st.integers(0, min(n * n, 40)))
+        flat = draw(st.lists(st.integers(0, n * n - 1), min_size=size,
+                             max_size=size, unique=True))
+        values = draw(st.lists(drop_values, min_size=size, max_size=size))
+        steps.append(("write", flat, values, draw(st.booleans())))
+    return n, window, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_steps())
+def test_flat_state_matches_the_indexed_state(case):
+    n, window, steps = case
+    state = TrustState(n, window)
+    model = IndexedTrustState(n, window)
+    for step in steps:
+        if step[0] == "write":
+            _, flat, values, direct = step
+            obs, tgt = np.divmod(np.array(flat, dtype=np.intp), n)
+            record_trust(state, obs, tgt, values, direct=direct)
+            model.record(obs, tgt, values, direct=direct)
+        else:
+            full = np.flatnonzero(model.count.ravel() >= window)
+            pick = np.random.default_rng(step[1]).permutation(full)
+            obs, tgt = np.divmod(pick[: len(pick) // 2 + 1], n)
+            for got, want in zip(state.clouds(obs, tgt), model.clouds(obs, tgt)):
+                assert got.tobytes() == want.tobytes()
+        for name in STATE_ARRAYS:
+            got, want = getattr(state, name), getattr(model, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    obs, tgt = np.divmod(np.flatnonzero(model.count.ravel() >= window), n)
+    for got, want in zip(state.clouds(obs, tgt), model.clouds(obs, tgt)):
+        assert got.tobytes() == want.tobytes()

@@ -10,8 +10,11 @@ post classification), and ``engine.run_round`` for the whole round loop.
 classifier spends obtaining its standard normals (waiting on and copying
 from the helper, or drawing them locally); it lies inside the two
 classification sections and is not subtracted again; run the tool under
-``taskset -c 0`` to time the in-process path.  Usage, from the root of the
-tree to time::
+``taskset -c 0`` to time the in-process path.  Where the tree has
+``runtime.TrustState``, "individual clouds" is the time spent in
+``TrustState.clouds``, rebuilding stale individual clouds and reading them;
+it too lies inside the two classification sections.  Usage, from the root
+of the tree to time::
 
     PYTHONPATH=src python tools/phase_times.py [--config configs/default.ini]
         [--seed 1] [--repeat 3]
@@ -26,7 +29,7 @@ import json
 import statistics
 from time import perf_counter
 
-from trustcloudsim import engine, protocol
+from trustcloudsim import engine, protocol, runtime
 from trustcloudsim.config import load_config, with_overrides
 
 try:
@@ -34,8 +37,11 @@ try:
 except ImportError:  # a tree from before the classifier had its own normals
     normals = None
 
-#: sections timed inside other sections
-NESTED = ("classifier normals",)
+#: sections timed inside other sections, each with the sections it lies in
+NESTED = {
+    "classifier normals": ("join classification", "post classification"),
+    "individual clouds": ("join classification", "post classification"),
+}
 
 
 def time_sections(cfg) -> dict[str, float]:
@@ -73,6 +79,8 @@ def time_sections(cfg) -> dict[str, float]:
     if normals is not None:
         patched.append((normals.ClassifierNormals, "standard_normal",
                         "classifier normals"))
+    if hasattr(runtime, "TrustState"):
+        patched.append((runtime.TrustState, "clouds", "individual clouds"))
     originals = [(m, n, wrap(m, n, label)) for m, n, label in patched]
     originals.append((engine, "run_round", wrap(engine, "run_round", round_loop)))
     try:
