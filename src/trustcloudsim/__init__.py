@@ -24,10 +24,10 @@ from .fuzzy import (
     EvidenceWindow,
     ForwardingEvent,
     TrustAttributes,
+    TrustTable,
     compute_attributes,
     infer_trust,
     record_event,
-    trust_from_counts,
 )
 from .medium import (
     ChannelPhase,

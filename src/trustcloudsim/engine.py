@@ -139,11 +139,12 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
     """
     cfg = net.cfg
     phase = net.phase_for(0)
+    monitor_cost = monitor_energy(cfg.monitor_seconds, net.energy)
     reports = []
     for dev in net.devices:
         state = TrainingState(DropSet(cfg.max_drp), DropSet(cfg.max_drp))
+        neighborhood = [net.devices[nid] for nid, _ in net.neighbors[dev.id]]
         while dev.alive and not training_complete(state, max_tr=cfg.max_tr):
-            neighborhood = [net.devices[nid] for nid, _ in net.neighbors[dev.id]]
             try:
                 malicious, normal = run_training_round(
                     dev,
@@ -160,7 +161,7 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
             except NoNeighborError:
                 break
             training_step(state, malicious, normal, max_tr=cfg.max_tr)
-            dev.spend(monitor_energy(cfg.monitor_seconds, net.energy))
+            dev.spend(monitor_cost)
         boundary_ok = (
             state.initial_built
             and state.stc_m is not None

@@ -13,13 +13,17 @@ observed directly, while a missed overhearing is indistinguishable from a
 malicious drop, so the success rate is confounded with the medium's loss
 rate.  The timeliness sets are therefore steep near 1 and the success-rate
 sets are forgiving, letting the cleaner signal dominate the estimate.
+
+``TrustTable`` gives the same trust values looked up by a window's counts,
+which is how training and the protocol rounds infer.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError, NoEvidenceError
 
@@ -167,12 +171,76 @@ def infer_trust(attrs: TrustAttributes) -> float:
     return min(_grade_for(attrs.tfr, TFR_SETS), _grade_for(attrs.sfr, SFR_SETS))
 
 
-@lru_cache(maxsize=65536)
-def trust_from_counts(sent: int, forwarded: int, timely: int) -> float:
-    """infer_trust of the evidence window with these counts.
+class _GradeRows:
+    """Grades of the rates num/den, 0 <= num <= den, one row per denominator.
 
-    A round's windows repeat the same few count triples across pairs and
-    rounds, so the trust value is memoised by the triple.  Training and the
-    protocol rounds both infer through this one cache.
+    A denominator's row is filled from the scalar ``_grade_for`` on its first
+    use, so every entry is bit-equal to grading that rate directly.  A
+    denominator of 0 has the one rate 1.0, as in ``compute_attributes``.
     """
-    return infer_trust(compute_attributes(EvidenceWindow(sent, forwarded, timely)))
+
+    def __init__(self, sets):
+        self._sets = sets
+        self._grades = np.zeros((0, 0))
+        self._filled = np.zeros(0, dtype=bool)
+
+    def lookup(self, den: np.ndarray, num: np.ndarray) -> np.ndarray:
+        """Grades of num/den for non-empty arrays with 0 <= num <= den."""
+        top = int(den.max())
+        if top >= len(self._filled):
+            self._grow(max(top + 1, 2 * len(self._filled)))
+        filled = self._filled.take(den)
+        if not filled.all():
+            # a set, not np.unique: with np.unique here a 300-round sweep
+            # replica's peak RSS (ru_maxrss) was ≈1 MB higher
+            for d in set(den[~filled].tolist()):
+                row = [
+                    _grade_for(k / d if d else 1.0, self._sets) for k in range(d + 1)
+                ]
+                self._grades[d, : d + 1] = row
+                self._filled[d] = True
+        return self._grades.take(den * self._grades.shape[1] + num)
+
+    def _grow(self, size: int) -> None:
+        grades = np.zeros((size, size))
+        old = len(self._filled)
+        grades[:old, :old] = self._grades
+        filled = np.zeros(size, dtype=bool)
+        filled[:old] = self._filled
+        self._grades, self._filled = grades, filled
+
+
+class TrustTable:
+    """infer_trust of evidence windows, looked up by their counts.
+
+    Trust is the minimum of a TFR grade and an SFR grade, and each grade
+    depends on one rate only, so a table of TFR grades by (forwarded,
+    timely) and one of SFR grades by (sent, forwarded) give a window's trust
+    as the minimum of two lookups, bit-equal to
+    ``infer_trust(compute_attributes(window))``.  Rows are filled on first
+    use, in any order, with the same values.
+    """
+
+    def __init__(self):
+        self._tfr = _GradeRows(TFR_SETS)
+        self._sfr = _GradeRows(SFR_SETS)
+
+    def trust(self, sent, forwarded, timely) -> np.ndarray:
+        """Trust values of the windows with these counts, one per entry."""
+        sent, forwarded, timely = (
+            np.asarray(a, dtype=np.intp) for a in (sent, forwarded, timely)
+        )
+        if not sent.size:
+            return np.zeros(0)
+        if sent.min() < 1:
+            raise NoEvidenceError("no packets recorded in evidence window")
+        if ((timely < 0) | (timely > forwarded) | (forwarded > sent)).any():
+            raise DomainError("need 0 <= timely <= forwarded <= sent in every window")
+        return np.minimum(
+            self._tfr.lookup(forwarded, timely), self._sfr.lookup(sent, forwarded)
+        )
+
+
+#: The process's trust table.  Training and the protocol rounds both infer
+#: through it, so a worker process fills each row once for all its runs.
+trust_table = TrustTable()

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import ScenarioConfig
-from .fuzzy import trust_from_counts
+from .fuzzy import trust_table
 from .medium import (
     ChannelPhase,
     EnergyParams,
@@ -732,14 +732,9 @@ def run_round(
     )
     inf_obs = evidence.observer[observed]
     inf_tgt = evidence.head[observed]
-    inf_val = [
-        trust_from_counts(*counts)
-        for counts in zip(
-            evidence.sent[observed].tolist(),
-            evidence.forwarded[observed].tolist(),
-            evidence.timely[observed].tolist(),
-        )
-    ]
+    inf_val = trust_table.trust(
+        evidence.sent[observed], evidence.forwarded[observed], evidence.timely[observed]
+    )
     record_trust(trust, inf_obs, inf_tgt, inf_val, direct=True)
 
     # --- recommendations from the chosen head ------------------------------

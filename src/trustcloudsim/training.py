@@ -20,11 +20,10 @@ from typing import Optional, Sequence
 
 from .cloud import DropSet, TrustCloud, backward_cloud
 from .errors import DomainError, NoNeighborError
-from .fuzzy import EvidenceWindow, ForwardingEvent, record_event, trust_from_counts
+from .fuzzy import trust_table
 from .medium import (
     ChannelPhase,
     EnergyParams,
-    channel_ok,
     overhear_energy,
     rx_energy,
     tx_energy,
@@ -60,6 +59,10 @@ def _distance(a, b) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
+def _free(cost: float) -> bool:
+    return True
+
+
 def run_training_round(
     initiator,
     neighborhood: Sequence,
@@ -79,7 +82,8 @@ def run_training_round(
     forwarding n_f packets per label.  A missed overhearing is recorded as a
     drop and a captured retransmission as a delay, so the collected values
     embed the medium's own uncertainty.  Devices are charged energy only when
-    an EnergyParams is supplied.
+    an EnergyParams is supplied.  Each packet's value is the trust of the
+    label's cumulative window (sent, forwarded, timely) after it.
     """
     candidates = [d for d in neighborhood if d.alive and d.id != initiator.id]
     if len(candidates) < 2:
@@ -88,88 +92,96 @@ def run_training_round(
         )
     candidates.sort(key=lambda d: d.id)
     router, dest = rng.sample(candidates, 2)
-    d_ij = _distance(initiator, router)
-    d_jk = _distance(router, dest)
 
-    def pay(device, cost: float) -> bool:
-        return device.spend(cost) if energy is not None else True
+    # A charge is a bound spend, or free when energy is not modelled: a free
+    # charge succeeds even for a dead device and changes nothing.
+    if energy is None:
+        initiator_pays = router_pays = dest_pays = _free
+        tx_ij = tx_jk = rx = overhear = 0.0
+    else:
+        initiator_pays, router_pays, dest_pays = (
+            initiator.spend, router.spend, dest.spend
+        )
+        tx_ij = tx_energy(bits, _distance(initiator, router), energy)
+        tx_jk = tx_energy(bits, _distance(router, dest), energy)
+        rx = rx_energy(bits, energy)
+        overhear = overhear_energy(bits, energy)
+    # channel_ok inline: a clear channel (bad probability 0) draws nothing.
+    bad = channel.bad_prob
+    clear = bad == 0.0
+    random = rng.random
 
-    def trust_of(window: EvidenceWindow) -> float:
-        return trust_from_counts(window.sent, window.forwarded, window.timely)
+    def to_router() -> bool:
+        """Initiator transmits to the router; True if the router received."""
+        return initiator_pays(tx_ij) and (clear or random() >= bad) and router_pays(rx)
 
-    def send_to_router() -> bool:
-        if not pay(initiator, tx_energy(bits, d_ij, energy) if energy else 0.0):
-            return False
-        if not channel_ok(channel, rng):
-            return False
-        return pay(router, rx_energy(bits, energy) if energy else 0.0)
-
-    def forward_once(delayed: bool) -> tuple[ForwardingEvent, bool]:
+    def forward() -> tuple[bool, bool]:
         """Router transmits toward the destination; the initiator overhears.
 
-        Returns the overheard event and whether the destination received.
+        Returns whether the initiator overheard and whether the destination
+        received.
         """
-        if not pay(router, tx_energy(bits, d_jk, energy) if energy else 0.0):
-            return ForwardingEvent.DROPPED, False
-        delivered = channel_ok(channel, rng)
+        if not router_pays(tx_jk):
+            return False, False
+        delivered = clear or random() >= bad
         if delivered:
-            pay(dest, rx_energy(bits, energy) if energy else 0.0)
-        if channel_ok(channel, rng):
-            pay(initiator, overhear_energy(bits, energy) if energy else 0.0)
-            event = (
-                ForwardingEvent.FORWARDED_DELAYED
-                if delayed
-                else ForwardingEvent.FORWARDED_TIMELY
-            )
-        else:
-            event = ForwardingEvent.DROPPED
-        return event, delivered
+            dest_pays(rx)
+        if clear or random() >= bad:
+            initiator_pays(overhear)
+            return True, delivered
+        return False, delivered
 
-    malicious_values: list[float] = []
-    window = EvidenceWindow()
+    # The label window's forwarded and timely counts after each packet, the
+    # malicious label's packets first; its sent count is the packet number.
+    f_after: list[int] = []
+    t_after: list[int] = []
+    forwarded = timely = 0
     for _ in range(n_f):
         if not initiator.alive or not router.alive:
             break
-        if not send_to_router():
-            event = ForwardingEvent.DROPPED
-        elif rng.random() < p_dp:
-            event = ForwardingEvent.DROPPED
-        elif rng.random() < p_dy:
+        if not to_router():
+            pass  # dropped
+        elif random() < p_dp:
+            pass  # dropped
+        elif random() < p_dy:
             rng.uniform(0.0, max_dur)  # attack delay duration, within the slot
-            event, _ = forward_once(delayed=True)
-        else:
-            event, _ = forward_once(delayed=False)
-        window = record_event(window, event)
-        malicious_values.append(trust_of(window))
+            forwarded += forward()[0]
+        elif forward()[0]:
+            forwarded += 1
+            timely += 1
+        f_after.append(forwarded)
+        t_after.append(timely)
+    n_malicious = len(f_after)
 
-    normal_values: list[float] = []
-    window = EvidenceWindow()
+    forwarded = timely = 0
     for _ in range(n_f):
         if not initiator.alive or not router.alive:
             break
-        if not send_to_router():
-            window = record_event(window, ForwardingEvent.DROPPED)
-            normal_values.append(trust_of(window))
-            continue
-        first, delivered = forward_once(delayed=False)
-        reply_seen = False
-        if delivered:
-            pay(dest, tx_energy(bits, d_jk, energy) if energy else 0.0)
-            reply_seen = channel_ok(channel, rng)
-            if reply_seen:
-                pay(router, rx_energy(bits, energy) if energy else 0.0)
-        event = first
-        if not reply_seen:
+        if to_router():
+            first_heard, delivered = forward()
+            reply_seen = False
+            if delivered:
+                dest_pays(tx_jk)
+                reply_seen = clear or random() >= bad
+                if reply_seen:
+                    router_pays(rx)
             # Timeout: one retransmission.  A first attempt the initiator
             # already overheard stays timely; otherwise a captured
             # retransmission is recorded as a delaying event.
-            retrans, _ = forward_once(delayed=True)
-            if first is ForwardingEvent.DROPPED:
-                event = retrans
-        window = record_event(window, event)
-        normal_values.append(trust_of(window))
+            retrans_heard = not reply_seen and forward()[0]
+            if first_heard:
+                forwarded += 1
+                timely += 1
+            elif retrans_heard:
+                forwarded += 1
+        f_after.append(forwarded)
+        t_after.append(timely)
 
-    return malicious_values, normal_values
+    sent_after = [
+        *range(1, n_malicious + 1), *range(1, len(f_after) - n_malicious + 1)
+    ]
+    values = trust_table.trust(sent_after, f_after, t_after).tolist()
+    return values[:n_malicious], values[n_malicious:]
 
 
 def training_step(

@@ -5,7 +5,7 @@
 pools, as they were written before the round's bookkeeping became array
 passes.  On the same inputs, ``choose_heads`` must pick the same heads and
 ``UpdatePools`` must leave the same pool contents and a bit-equal table of
-standard clouds; the count-keyed ``trust_from_counts`` must give the scalar
+standard clouds; the count-indexed ``TrustTable`` must give the scalar
 inference of each count triple.
 """
 
@@ -13,15 +13,17 @@ import enum
 from typing import NamedTuple, Optional
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustcloudsim.cloud import DropSet, TrustCloud, backward_cloud
+from trustcloudsim.errors import DomainError, NoEvidenceError
 from trustcloudsim.fuzzy import (
     EvidenceWindow,
+    TrustTable,
     compute_attributes,
     infer_trust,
-    trust_from_counts,
 )
 from trustcloudsim.protocol import DeviceState, choose_heads, is_eligible
 from trustcloudsim.runtime import (
@@ -232,11 +234,39 @@ def test_update_pools_match_reference(initial, capacity, batch_sizes, seed):
                 assert tuple(held) == pool.values
 
 
-def test_trust_from_counts_matches_scalar_inference():
-    for sent in range(1, 31):
-        for forwarded in range(sent + 1):
-            for timely in range(forwarded + 1):
-                window = EvidenceWindow(sent, forwarded, timely)
-                expected = infer_trust(compute_attributes(window))
-                assert trust_from_counts(sent, forwarded, timely) == expected
-                assert trust_from_counts(sent, forwarded, timely) == expected
+def count_triples(sent: int) -> list[tuple[int, int, int]]:
+    return [(sent, f, t) for f in range(sent + 1) for t in range(f + 1)]
+
+
+@pytest.mark.parametrize(
+    "large_first", [False, True], ids=["small_first", "large_first"]
+)
+def test_trust_table_matches_scalar_inference(large_first):
+    sents = range(1, 65)
+    if large_first:
+        sents = reversed(sents)
+    table = TrustTable()
+    for sent in sents:
+        triples = count_triples(sent)
+        got = table.trust(*zip(*triples)).tolist()
+        expected = [
+            infer_trust(compute_attributes(EvidenceWindow(*triple)))
+            for triple in triples
+        ]
+        assert got == expected
+    # every row is filled now; a mixed batch reads the same values again
+    mixed = count_triples(64)[::7] + count_triples(3) + count_triples(1)
+    assert table.trust(*zip(*mixed)).tolist() == [
+        infer_trust(compute_attributes(EvidenceWindow(*triple)))
+        for triple in mixed
+    ]
+
+
+def test_trust_table_rejects_impossible_windows():
+    table = TrustTable()
+    assert table.trust([], [], []).tolist() == []
+    with pytest.raises(NoEvidenceError):
+        table.trust([0], [0], [0])
+    for bad in ([(3, 4, 1)], [(3, 2, 3)], [(3, 1, -1)]):
+        with pytest.raises(DomainError):
+            table.trust(*zip(*bad))

@@ -34,12 +34,14 @@ def test_phase_times_reports_every_section(phase_times, tmp_path):
     spent = phase_times.time_sections(load_config(str(ini)))
     sections = {"data phase", "reception", "join classification",
                 "post classification", "round loop", "run", "rest",
-                *phase_times.NESTED}
+                *phase_times.SETUP, *phase_times.NESTED}
     assert sections <= set(spent)
     assert all(v >= 0.0 for v in spent.values())
     for section, parents in phase_times.NESTED.items():
         assert spent[section] <= sum(spent[p] for p in parents)
-    assert spent["round loop"] <= spent["run"]
+    assert spent["training"] > 0.0
+    assert spent["training"] + spent["round loop"] <= spent["run"]
     timed = sum(v for k, v in spent.items()
-                if k not in ("round loop", "run", "rest", *phase_times.NESTED))
+                if k not in ("round loop", "run", "rest", *phase_times.SETUP,
+                             *phase_times.NESTED))
     assert timed <= spent["round loop"]

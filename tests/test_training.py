@@ -1,12 +1,31 @@
+import copy
+import math
 from random import Random
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustcloudsim.cloud import DropSet, TrustCloud
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.errors import DomainError, NoNeighborError
-from trustcloudsim.medium import ChannelPhase
+from trustcloudsim.fuzzy import (
+    EvidenceWindow,
+    ForwardingEvent,
+    compute_attributes,
+    infer_trust,
+    record_event,
+)
+from trustcloudsim.medium import (
+    ChannelPhase,
+    EnergyParams,
+    channel_ok,
+    overhear_energy,
+    rx_energy,
+    tx_energy,
+)
 from trustcloudsim.protocol import DeviceState
 from trustcloudsim.training import (
     StandardClouds,
@@ -175,3 +194,190 @@ def test_training_boundary_holds_across_seeds():
         satisfied += np.count_nonzero(trained[:, 0] < trained[:, 3])
     assert total > 0
     assert satisfied / total >= 0.95
+
+
+def reference_training_round(
+    initiator,
+    neighborhood: Sequence,
+    channel: ChannelPhase,
+    rng: Random,
+    *,
+    n_f: int,
+    p_dp: float,
+    p_dy: float,
+    max_dur: float,
+    bits: int,
+    energy: Optional[EnergyParams] = None,
+) -> tuple[list[float], list[float]]:
+    """run_training_round as it was written per packet, kept as the reference.
+
+    It builds an EvidenceWindow per packet, charges through a closure and
+    calls tx_energy per transmission; the one change from that code is that
+    a window's trust comes from the scalar infer_trust directly.
+    """
+    candidates = [d for d in neighborhood if d.alive and d.id != initiator.id]
+    if len(candidates) < 2:
+        raise NoNeighborError(
+            f"device {initiator.id}: no router/destination pair in range"
+        )
+    candidates.sort(key=lambda d: d.id)
+    router, dest = rng.sample(candidates, 2)
+    d_ij = math.hypot(initiator.x - router.x, initiator.y - router.y)
+    d_jk = math.hypot(router.x - dest.x, router.y - dest.y)
+
+    def pay(device, cost: float) -> bool:
+        return device.spend(cost) if energy is not None else True
+
+    def trust_of(window: EvidenceWindow) -> float:
+        return infer_trust(compute_attributes(window))
+
+    def send_to_router() -> bool:
+        if not pay(initiator, tx_energy(bits, d_ij, energy) if energy else 0.0):
+            return False
+        if not channel_ok(channel, rng):
+            return False
+        return pay(router, rx_energy(bits, energy) if energy else 0.0)
+
+    def forward_once(delayed: bool) -> tuple[ForwardingEvent, bool]:
+        if not pay(router, tx_energy(bits, d_jk, energy) if energy else 0.0):
+            return ForwardingEvent.DROPPED, False
+        delivered = channel_ok(channel, rng)
+        if delivered:
+            pay(dest, rx_energy(bits, energy) if energy else 0.0)
+        if channel_ok(channel, rng):
+            pay(initiator, overhear_energy(bits, energy) if energy else 0.0)
+            event = (
+                ForwardingEvent.FORWARDED_DELAYED
+                if delayed
+                else ForwardingEvent.FORWARDED_TIMELY
+            )
+        else:
+            event = ForwardingEvent.DROPPED
+        return event, delivered
+
+    malicious_values: list[float] = []
+    window = EvidenceWindow()
+    for _ in range(n_f):
+        if not initiator.alive or not router.alive:
+            break
+        if not send_to_router():
+            event = ForwardingEvent.DROPPED
+        elif rng.random() < p_dp:
+            event = ForwardingEvent.DROPPED
+        elif rng.random() < p_dy:
+            rng.uniform(0.0, max_dur)  # attack delay duration, within the slot
+            event, _ = forward_once(delayed=True)
+        else:
+            event, _ = forward_once(delayed=False)
+        window = record_event(window, event)
+        malicious_values.append(trust_of(window))
+
+    normal_values: list[float] = []
+    window = EvidenceWindow()
+    for _ in range(n_f):
+        if not initiator.alive or not router.alive:
+            break
+        if not send_to_router():
+            window = record_event(window, ForwardingEvent.DROPPED)
+            normal_values.append(trust_of(window))
+            continue
+        first, delivered = forward_once(delayed=False)
+        reply_seen = False
+        if delivered:
+            pay(dest, tx_energy(bits, d_jk, energy) if energy else 0.0)
+            reply_seen = channel_ok(channel, rng)
+            if reply_seen:
+                pay(router, rx_energy(bits, energy) if energy else 0.0)
+        event = first
+        if not reply_seen:
+            retrans, _ = forward_once(delayed=True)
+            if first is ForwardingEvent.DROPPED:
+                event = retrans
+        window = record_event(window, event)
+        normal_values.append(trust_of(window))
+
+    return malicious_values, normal_values
+
+
+ENERGY = EnergyParams()
+#: The smallest charge of a training round (an overhearing) at training bits.
+OVERHEAR = overhear_energy(CFG.training_bits, ENERGY)
+
+probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+channels = st.one_of(
+    st.sampled_from([CLEAR, JAMMED]),
+    st.builds(ChannelPhase, st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+)
+# From empty to a few dozen overhearings deep (one transmission is ten or
+# more), exact multiples included, so that any role can die mid-label.
+energies = st.one_of(
+    st.just(1.0),
+    st.integers(0, 60).map(lambda k: k * OVERHEAR),
+    st.floats(0.0, 60 * OVERHEAR),
+)
+
+
+@st.composite
+def training_rounds(draw):
+    size = draw(st.integers(2, 6))
+    devs = [
+        DeviceState(
+            id=i,
+            x=draw(st.floats(0.0, 40.0)),
+            y=draw(st.floats(0.0, 40.0)),
+            energy=draw(energies),
+        )
+        for i in range(size)
+    ]
+    for dev in devs:
+        # about one neighbour in five dead; the initiator trains while alive
+        dev.alive = dev.energy > 0.0 and draw(st.integers(0, 4)) > 0
+    devs[0].alive = devs[0].energy > 0.0
+    kwargs = dict(
+        n_f=draw(st.integers(0, 25)),
+        p_dp=draw(probability),
+        p_dy=draw(probability),
+        max_dur=draw(st.floats(0.0, 20.0)),
+        bits=draw(st.sampled_from([CFG.training_bits, 1, 3000])),
+        energy=draw(st.sampled_from([None, ENERGY])),
+    )
+    return devs, draw(channels), draw(st.integers(0, 2**32)), kwargs
+
+
+@settings(max_examples=400, deadline=None)
+@given(training_rounds())
+def test_training_round_matches_reference(case):
+    devs, channel, seed, kwargs = case
+    outcomes = []
+    for run in (reference_training_round, run_training_round):
+        mine = copy.deepcopy(devs)
+        rng = Random(seed)
+        try:
+            result = run(mine[0], mine[1:], channel, rng, **kwargs)
+        except NoNeighborError:
+            result = NoNeighborError
+        outcomes.append(
+            (result, [(d.energy, d.alive) for d in mine], rng.getstate())
+        )
+    assert outcomes[0] == outcomes[1]
+
+
+def test_training_round_matches_reference_when_roles_die():
+    # Exactly enough energy for a few packets: the router dies first, then
+    # the initiator, mid-label, on a lossy channel with attacks.
+    for seed in range(200):
+        devs = devices(4)
+        for dev, packets in zip(devs, (30, 7, 4, 12)):
+            dev.energy = packets * OVERHEAR * 10
+        outcomes = []
+        for run in (reference_training_round, run_training_round):
+            mine = copy.deepcopy(devs)
+            rng = Random(seed)
+            result = run(
+                mine[0], mine[1:], DEFAULT, rng, **dict(ROUND, energy=ENERGY)
+            )
+            outcomes.append(
+                (result, [(d.energy, d.alive) for d in mine], rng.getstate())
+            )
+        assert outcomes[0] == outcomes[1]
+        assert not all(alive for _, alive in outcomes[0][1])

@@ -1,8 +1,10 @@
 """Seconds per section of one default run, timed by wrapping from outside.
 
-Wraps, in the ``protocol`` module, the names a round calls: the data phase
-(``run_data_phase``), broadcast reception (``receive_announcements``, where
-the tree has it; otherwise reception counts as the rest) and the classifier
+Wraps ``engine.run_training_phase`` ("training": the set-up's training of
+the standard clouds, outside the round loop) and, in the ``protocol``
+module, the names a round calls: the data phase (``run_data_phase``),
+broadcast reception (``receive_announcements``, where the tree has it;
+otherwise reception counts as the rest) and the classifier
 (``classify_pairs``: a round's first call is join classification, its second
 post classification), and ``engine.run_round`` for the whole round loop.
 "The rest" is the round loop minus those sections.  Where the tree has
@@ -36,6 +38,9 @@ try:
     from trustcloudsim import normals
 except ImportError:  # a tree from before the classifier had its own normals
     normals = None
+
+#: sections outside the round loop
+SETUP = ("training",)
 
 #: sections timed inside other sections, each with the sections it lies in
 NESTED = {
@@ -81,6 +86,7 @@ def time_sections(cfg) -> dict[str, float]:
                         "classifier normals"))
     if hasattr(runtime, "TrustState"):
         patched.append((runtime.TrustState, "clouds", "individual clouds"))
+    patched.append((engine, "run_training_phase", "training"))
     originals = [(m, n, wrap(m, n, label)) for m, n, label in patched]
     originals.append((engine, "run_round", wrap(engine, "run_round", round_loop)))
     try:
@@ -91,7 +97,8 @@ def time_sections(cfg) -> dict[str, float]:
         for module, name, original in originals:
             setattr(module, name, original)
     spent["rest"] = spent["round loop"] - sum(
-        v for k, v in spent.items() if k not in ("round loop", "run", *NESTED)
+        v for k, v in spent.items()
+        if k not in ("round loop", "run", *SETUP, *NESTED)
     )
     return spent
 
