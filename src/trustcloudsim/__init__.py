@@ -1,7 +1,6 @@
 """Trust-cloud based secure clustering simulator for D2D device networks."""
 
 from .cloud import (
-    DropSet,
     TrustCloud,
     backward_cloud,
     generate_drop,
@@ -20,15 +19,7 @@ from .engine import (
     replicate,
     run_simulation,
 )
-from .fuzzy import (
-    EvidenceWindow,
-    ForwardingEvent,
-    TrustAttributes,
-    TrustTable,
-    compute_attributes,
-    infer_trust,
-    record_event,
-)
+from .fuzzy import TrustTable
 from .medium import (
     ChannelPhase,
     EnergyParams,
@@ -55,11 +46,9 @@ from .runtime import (
 )
 from .training import (
     StandardClouds,
-    TrainingState,
     merge_recommendations,
     run_training_round,
-    training_complete,
-    training_step,
+    train,
 )
 
 __version__ = "0.1.0"

@@ -166,6 +166,8 @@ def cmd_sweep(args) -> int:
         runs.append((value, run_cfg))
     if not runs:
         raise ConfigError("sweep needs a non-empty value list", field="--values")
+    if args.replications < 2:
+        raise ConfigError("must be at least 2", field="--replications")
     outdir = _outdir(args)
     _write_manifest(outdir, cfg, ["sweep.csv"], f"sweep {args.parameter}")
     rows = []

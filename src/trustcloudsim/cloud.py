@@ -11,10 +11,9 @@ cloud, and the drop-sampled similarity between two clouds.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,51 +37,6 @@ class TrustCloud:
             raise DomainError(f"entropy must be non-negative, got {self.en}")
         if self.he < 0.0:
             raise DomainError(f"hyper-entropy must be non-negative, got {self.he}")
-
-
-class DropSet:
-    """Sliding window of trust values with a fixed capacity.
-
-    Adding a value beyond capacity evicts the oldest one.
-    """
-
-    __slots__ = ("capacity", "_drops")
-
-    def __init__(self, capacity: int, values: Iterable[float] = ()):
-        if capacity < 1:
-            raise DomainError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._drops = deque(values, maxlen=capacity)
-
-    def add(self, value: float) -> float | None:
-        """Append a drop, returning the evicted oldest drop if any."""
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"drop must be in [0, 1], got {value}")
-        evicted = None
-        if len(self._drops) == self.capacity:
-            evicted = self._drops[0]
-        self._drops.append(value)
-        return evicted
-
-    def clear(self) -> None:
-        self._drops.clear()
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(self._drops)
-
-    @property
-    def full(self) -> bool:
-        return len(self._drops) >= self.capacity
-
-    def __len__(self) -> int:
-        return len(self._drops)
-
-    def __iter__(self):
-        return iter(self._drops)
-
-    def __repr__(self):
-        return f"DropSet(capacity={self.capacity}, n={len(self._drops)})"
 
 
 def backward_cloud(drops: Sequence[float]) -> TrustCloud:

@@ -14,6 +14,7 @@ to SI on load.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -72,6 +73,10 @@ class ScenarioConfig:
     monitor_seconds: float = 1.0
 
     def validate(self) -> "ScenarioConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError("must be finite", field=f.name)
         if self.device_count < 1:
             raise ConfigError("must be at least 1", field="scenario.devices")
         for side, key in ((self.area_width, "width_m"), (self.area_height, "height_m")):
@@ -105,7 +110,7 @@ class ScenarioConfig:
         ):
             if getattr(self, name) < low:
                 raise ConfigError(f"must be at least {low}", field=name)
-        for name in ("p_dp", "p_dy"):
+        for name in ("p_dp", "p_dy", "alpha", "beta"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError("must be in [0, 1]", field=name)
         for energy_field in fields(EnergyParams):

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Optional
 
 import numpy as np
 
-from .cloud import DropSet
 from .config import ScenarioConfig, with_overrides
 from .errors import (
     ConfigError,
-    NoNeighborError,
     ReplicationError,
     UndefinedMetricError,
 )
@@ -35,14 +34,7 @@ from .protocol import (
     run_round,
 )
 from .runtime import standard_table
-from .training import (
-    StandardClouds,
-    TrainingState,
-    merge_recommendations,
-    run_training_round,
-    training_complete,
-    training_step,
-)
+from .training import StandardClouds, merge_recommendations, run_training_round, train
 
 ATTACKER_ORDER = (GENERIC, ADVANCED, SUPER)
 
@@ -140,40 +132,39 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
     cfg = net.cfg
     phase = net.phase_for(0)
     monitor_cost = monitor_energy(cfg.monitor_seconds, net.energy)
+    # every device's neighbors, in id order
+    neighbor_ids = [np.flatnonzero(row).tolist() for row in net.neighbor_mask]
     reports = []
     for dev in net.devices:
-        state = TrainingState(DropSet(cfg.max_drp), DropSet(cfg.max_drp))
-        neighborhood = [net.devices[nid] for nid, _ in net.neighbors[dev.id]]
-        while dev.alive and not training_complete(state, max_tr=cfg.max_tr):
-            try:
-                malicious, normal = run_training_round(
-                    dev,
-                    neighborhood,
-                    phase,
-                    rng,
-                    n_f=cfg.n_f,
-                    p_dp=cfg.p_dp,
-                    p_dy=cfg.p_dy,
-                    max_dur=cfg.max_dur,
-                    bits=cfg.training_bits,
-                    energy=net.energy,
-                )
-            except NoNeighborError:
-                break
-            training_step(state, malicious, normal, max_tr=cfg.max_tr)
-            dev.spend(monitor_cost)
-        boundary_ok = (
-            state.initial_built
-            and state.stc_m is not None
-            and state.stc_m.ex < state.stc_n.ex
+        neighborhood = [net.devices[i] for i in neighbor_ids[dev.id]]
+        play_round = partial(
+            run_training_round,
+            dev,
+            neighborhood,
+            phase,
+            rng,
+            n_f=cfg.n_f,
+            p_dp=cfg.p_dp,
+            p_dy=cfg.p_dy,
+            max_dur=cfg.max_dur,
+            bits=cfg.training_bits,
+            energy=net.energy,
         )
+        rounds, clouds = train(
+            dev,
+            play_round,
+            max_drp=cfg.max_drp,
+            max_tr=cfg.max_tr,
+            monitor_cost=monitor_cost,
+        )
+        boundary_ok = clouds is not None and clouds.malicious.ex < clouds.normal.ex
         reports.append(
             TrainingReport(
                 device=dev.id,
-                rounds_used=state.rounds_done,
+                rounds_used=rounds,
                 boundary_ok=boundary_ok,
                 forced=not boundary_ok,
-                clouds=state.standard_clouds(),
+                clouds=clouds,
             )
         )
 
@@ -182,7 +173,7 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
     published = [rep.clouds for rep in reports]
     merged = []
     for dev in net.devices:
-        ids = [dev.id] + [nid for nid, _ in net.neighbors[dev.id]]
+        ids = [dev.id, *neighbor_ids[dev.id]]
         clouds = [published[i] for i in ids if published[i] is not None]
         merged.append(merge_recommendations(clouds[0], clouds[1:]) if clouds else None)
     net.std_table = standard_table(merged)

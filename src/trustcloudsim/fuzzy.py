@@ -1,9 +1,11 @@
-"""Forwarding evidence and the interval type-2 fuzzy trust estimator.
+"""The interval type-2 fuzzy trust estimator, looked up by window counts.
 
-Overheard forwarding behavior accumulates in an evidence window, turns into
-two rate attributes (timely forwarding rate and successful forwarding rate),
-and maps to a single trust value through a small interval type-2 fuzzy
-system.  Each attribute is fuzzified into Low/Medium/High interval sets, the
+Overheard forwarding behavior is counted in an evidence window (sent,
+forwarded, timely; a tampered packet fails authentication downstream and
+counts as a drop), turns into two rate attributes (timely forwarding rate
+timely/forwarded and successful forwarding rate forwarded/sent), and maps
+to a single trust value through a small interval type-2 fuzzy system.
+Each attribute is fuzzified into Low/Medium/High interval sets, the
 per-attribute interval grade is reduced with the center-of-sets procedure,
 and the rule table (output grade = the lower of the two attribute grades)
 combines the midpoints with a minimum.
@@ -14,14 +16,11 @@ malicious drop, so the success rate is confounded with the medium's loss
 rate.  The timeliness sets are therefore steep near 1 and the success-rate
 sets are forgiving, letting the cleaner signal dominate the estimate.
 
-``TrustTable`` gives the same trust values looked up by a window's counts,
-which is how training and the protocol rounds infer.
+``TrustTable`` looks those trust values up by a window's counts; training
+and the protocol rounds infer through it.
 """
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,66 +43,6 @@ SFR_SETS = (
     (0.18, 0.45, 1.0, 2.0),
 )
 FOOTPRINT_SCALE = 0.8
-
-
-class ForwardingEvent(enum.Enum):
-    """One overheard outcome for a packet handed over for forwarding."""
-
-    FORWARDED_TIMELY = "forwarded_timely"
-    FORWARDED_DELAYED = "forwarded_delayed"
-    DROPPED = "dropped"
-
-
-@dataclass(frozen=True)
-class EvidenceWindow:
-    """Counters of forwarding behavior observed about one device."""
-
-    sent: int = 0
-    forwarded: int = 0
-    timely: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.timely <= self.forwarded <= self.sent:
-            raise DomainError(
-                f"need 0 <= timely <= forwarded <= sent, got "
-                f"({self.sent}, {self.forwarded}, {self.timely})"
-            )
-
-
-@dataclass(frozen=True)
-class TrustAttributes:
-    """Rate attributes derived from an evidence window."""
-
-    tfr: float
-    sfr: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.tfr <= 1.0 and 0.0 <= self.sfr <= 1.0):
-            raise DomainError(f"attributes must be in [0, 1], got {self}")
-
-
-def record_event(window: EvidenceWindow, event: ForwardingEvent) -> EvidenceWindow:
-    """Add one observed outcome to a window.
-
-    Tampered packets fail authentication downstream and are counted as drops.
-    """
-    sent = window.sent + 1
-    forwarded = window.forwarded + (event is not ForwardingEvent.DROPPED)
-    timely = window.timely + (event is ForwardingEvent.FORWARDED_TIMELY)
-    return EvidenceWindow(sent, forwarded, timely)
-
-
-def compute_attributes(window: EvidenceWindow) -> TrustAttributes:
-    """Derive (tfr, sfr) from a window.
-
-    sfr = forwarded/sent.  tfr = timely/forwarded, defined as 1 when nothing
-    was forwarded so that sfr alone carries the penalty for drops.
-    """
-    if window.sent == 0:
-        raise NoEvidenceError("no packets recorded in evidence window")
-    sfr = window.forwarded / window.sent
-    tfr = window.timely / window.forwarded if window.forwarded else 1.0
-    return TrustAttributes(tfr, sfr)
 
 
 def _upper_membership(x: float, fset: tuple[float, float, float, float]) -> float:
@@ -160,23 +99,13 @@ def _grade_for(x: float, sets) -> float:
     return (y_left + y_right) / 2.0
 
 
-def infer_trust(attrs: TrustAttributes) -> float:
-    """Deterministic trust value in [0, 1] for a pair of attributes.
-
-    With the output grade of every rule equal to the lower of its two
-    antecedent grades, the nine-rule table reduces to the minimum of the two
-    per-attribute grades; the result is monotone non-decreasing in both
-    attributes.
-    """
-    return min(_grade_for(attrs.tfr, TFR_SETS), _grade_for(attrs.sfr, SFR_SETS))
-
-
 class _GradeRows:
     """Grades of the rates num/den, 0 <= num <= den, one row per denominator.
 
     A denominator's row is filled from the scalar ``_grade_for`` on its first
     use, so every entry is bit-equal to grading that rate directly.  A
-    denominator of 0 has the one rate 1.0, as in ``compute_attributes``.
+    denominator of 0 has the one rate 1.0: a window with nothing forwarded
+    has a TFR of 1, so that the SFR alone carries the penalty for drops.
     """
 
     def __init__(self, sets):
@@ -211,14 +140,16 @@ class _GradeRows:
 
 
 class TrustTable:
-    """infer_trust of evidence windows, looked up by their counts.
+    """Trust values of evidence windows, looked up by their counts.
 
-    Trust is the minimum of a TFR grade and an SFR grade, and each grade
-    depends on one rate only, so a table of TFR grades by (forwarded,
-    timely) and one of SFR grades by (sent, forwarded) give a window's trust
-    as the minimum of two lookups, bit-equal to
-    ``infer_trust(compute_attributes(window))``.  Rows are filled on first
-    use, in any order, with the same values.
+    With the output grade of every rule equal to the lower of its two
+    antecedent grades, the nine-rule table reduces to the minimum of the two
+    per-attribute grades; the result is monotone non-decreasing in both
+    attributes.  Each grade depends on one rate only, so a table of TFR
+    grades by (forwarded, timely) and one of SFR grades by (sent, forwarded)
+    give a window's trust as the minimum of two lookups, bit-equal to the
+    minimum of the two scalar ``_grade_for`` grades.  Rows are filled on
+    first use, in any order, with the same values.
     """
 
     def __init__(self):

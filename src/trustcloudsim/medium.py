@@ -26,9 +26,10 @@ class ChannelPhase:
     start_round: int = 0
 
     def __post_init__(self):
-        if self.alpha0 < 0 or self.alpha1 < 0 or self.alpha0 + self.alpha1 <= 0:
+        rates = (self.alpha0, self.alpha1)
+        if not all(0 <= a < math.inf for a in rates) or sum(rates) <= 0:
             raise DomainError(
-                f"need non-negative rates with a positive sum, got "
+                f"need finite non-negative rates with a positive sum, got "
                 f"({self.alpha0}, {self.alpha1})"
             )
 

@@ -206,27 +206,18 @@ class NetworkState:
         self.sink_dist = [
             math.hypot(d.x - self.sink[0], d.y - self.sink[1]) for d in devices
         ]
-        radius = cfg.neighbor_radius
+        # each unordered pair's distance once, mirrored: fl(a - b) is
+        # -fl(b - a) and hypot takes absolute values, so both halves are
+        # what hypot gives in either direction
         n = len(devices)
-        self.neighbors: list[list[tuple[int, float]]] = []
-        rows = []
-        for d in devices:
-            near = []
-            row = [0.0] * n
-            for other in devices:
-                if other.id == d.id:
-                    continue
-                dist = math.hypot(d.x - other.x, d.y - other.y)
-                row[other.id] = dist
-                if dist <= radius:
-                    near.append((other.id, dist))
-            near.sort()
-            self.neighbors.append(near)
-            rows.append(row)
-        self.dist = np.array(rows, dtype=float).reshape(n, n)
-        self.neighbor_mask = np.zeros((n, n), dtype=bool)
-        for d, near in zip(devices, self.neighbors):
-            self.neighbor_mask[d.id, [nid for nid, _ in near]] = True
+        upper = np.zeros((n, n))
+        for i, d in enumerate(devices[:-1]):
+            upper[i, i + 1 :] = [
+                math.hypot(d.x - other.x, d.y - other.y) for other in devices[i + 1 :]
+            ]
+        self.dist = upper + upper.T
+        self.neighbor_mask = self.dist <= cfg.neighbor_radius
+        np.fill_diagonal(self.neighbor_mask, False)
         self.data_tx = TransmitCosts(cfg.data_bits, self.dist, self.energy)
         self.control_tx = TransmitCosts(cfg.control_bits, self.dist, self.energy)
         self.sink_tx = TransmitCosts(

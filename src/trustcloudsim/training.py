@@ -6,9 +6,9 @@ packets (dropping and delaying with small probabilities) and then a normal
 one (forwarding with retransmission on a missing reply).  The initiator
 overhears through the channel, infers one trust value per packet on the
 cumulative per-label window, and collects the values as labeled cloud drops.
-Once both drop sets are full the initial standard clouds are built; training
-ends when the malicious expectation falls below the normal one, or after a
-bounded number of rounds.
+Once both drop lists are full the standard clouds are built, and rebuilt
+after every later round; training ends when the malicious expectation falls
+below the normal one, or after a bounded number of rounds.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .cloud import DropSet, TrustCloud, backward_cloud
-from .errors import DomainError, NoNeighborError
+from .cloud import TrustCloud, backward_cloud
+from .errors import NoNeighborError
 from .fuzzy import trust_table
 from .medium import (
     ChannelPhase,
@@ -36,23 +36,6 @@ class StandardClouds:
 
     malicious: TrustCloud
     normal: TrustCloud
-
-
-@dataclass
-class TrainingState:
-    """Progress of one device through the labeling protocol."""
-
-    malicious_drops: DropSet
-    normal_drops: DropSet
-    rounds_done: int = 0
-    initial_built: bool = False
-    stc_m: Optional[TrustCloud] = None
-    stc_n: Optional[TrustCloud] = None
-
-    def standard_clouds(self) -> Optional[StandardClouds]:
-        if self.stc_m is None or self.stc_n is None:
-            return None
-        return StandardClouds(self.stc_m, self.stc_n)
 
 
 def _distance(a, b) -> float:
@@ -184,39 +167,43 @@ def run_training_round(
     return values[:n_malicious], values[n_malicious:]
 
 
-def training_step(
-    state: TrainingState,
-    malicious_values: Sequence[float],
-    normal_values: Sequence[float],
+def train(
+    device,
+    play_round: Callable[[], tuple[Sequence[float], Sequence[float]]],
     *,
+    max_drp: int,
     max_tr: int,
-) -> TrainingState:
-    """Fold one round of labeled drops into the state.
+    monitor_cost: float,
+) -> tuple[int, Optional[StandardClouds]]:
+    """Train one device's standard clouds; returns (rounds used, clouds).
 
-    When both drop sets first reach capacity the initial standard clouds are
-    built; afterwards the sliding windows keep the clouds current.
+    Each round plays one labeling round (``play_round`` returns its
+    malicious and normal drops) and charges the device the monitoring
+    cost.  The drop lists keep the last max_drp values of each label; once
+    both are full the clouds are rebuilt after every round.  Training stops
+    when the malicious expectation falls below the normal one, after max_tr
+    rounds, when the device dies, or when no route can be staged
+    (``NoNeighborError``).  The clouds are None if the lists never filled.
     """
-    if state.rounds_done >= max_tr:
-        raise DomainError(f"training already ran the maximum {max_tr} rounds")
-    for v in malicious_values:
-        state.malicious_drops.add(v)
-    for v in normal_values:
-        state.normal_drops.add(v)
-    if state.malicious_drops.full and state.normal_drops.full:
-        state.stc_m = backward_cloud(state.malicious_drops.values)
-        state.stc_n = backward_cloud(state.normal_drops.values)
-        state.initial_built = True
-    state.rounds_done += 1
-    return state
-
-
-def training_complete(state: TrainingState, *, max_tr: int) -> bool:
-    """True once a classification boundary exists or rounds are exhausted."""
-    if state.rounds_done >= max_tr:
-        return True
-    if not state.initial_built:
-        return False
-    return state.stc_m.ex < state.stc_n.ex
+    malicious: list[float] = []
+    normal: list[float] = []
+    clouds = None
+    rounds = 0
+    while device.alive and rounds < max_tr:
+        if clouds is not None and clouds.malicious.ex < clouds.normal.ex:
+            break
+        try:
+            new_malicious, new_normal = play_round()
+        except NoNeighborError:
+            break
+        malicious += new_malicious
+        normal += new_normal
+        del malicious[:-max_drp], normal[:-max_drp]
+        if len(malicious) == max_drp and len(normal) == max_drp:
+            clouds = StandardClouds(backward_cloud(malicious), backward_cloud(normal))
+        rounds += 1
+        device.spend(monitor_cost)
+    return rounds, clouds
 
 
 def merge_recommendations(

@@ -17,14 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustcloudsim.cloud import DropSet, TrustCloud, backward_cloud
+from trust_oracle import scalar_trust
+
+from trustcloudsim.cloud import TrustCloud, backward_cloud
 from trustcloudsim.errors import DomainError, NoEvidenceError
-from trustcloudsim.fuzzy import (
-    EvidenceWindow,
-    TrustTable,
-    compute_attributes,
-    infer_trust,
-)
+from trustcloudsim.fuzzy import TrustTable
 from trustcloudsim.protocol import DeviceState, choose_heads, is_eligible
 from trustcloudsim.runtime import (
     TrustState,
@@ -83,8 +80,9 @@ class ReferenceAccumulators:
     """Pools of classified trust values pending a standard-cloud refresh."""
 
     def __init__(self, capacity):
-        self.malicious_pool = DropSet(capacity)
-        self.normal_pool = DropSet(capacity)
+        self.capacity = capacity
+        self.malicious_pool: list[float] = []
+        self.normal_pool: list[float] = []
 
 
 def reference_accumulate(acc, classification, value, std, *, alpha, beta):
@@ -94,9 +92,10 @@ def reference_accumulate(acc, classification, value, std, *, alpha, beta):
         if classification is Classification.MALICIOUS
         else acc.normal_pool
     )
-    pool.add(value)
-    if pool.full:
-        fresh = backward_cloud(pool.values)
+    assert 0.0 <= value <= 1.0
+    pool.append(value)
+    if len(pool) == acc.capacity:
+        fresh = backward_cloud(pool)
         if classification is Classification.MALICIOUS:
             std = StandardClouds(
                 update_standard_cloud(std.malicious, fresh, alpha, beta), std.normal
@@ -231,7 +230,7 @@ def test_update_pools_match_reference(initial, capacity, batch_sizes, seed):
         for o, acc in enumerate(ref_accs):
             for k, pool in enumerate((acc.malicious_pool, acc.normal_pool)):
                 held = pools.values[o, k, : pools.fill[o, k]].tolist()
-                assert tuple(held) == pool.values
+                assert held == pool
 
 
 def count_triples(sent: int) -> list[tuple[int, int, int]]:
@@ -249,16 +248,12 @@ def test_trust_table_matches_scalar_inference(large_first):
     for sent in sents:
         triples = count_triples(sent)
         got = table.trust(*zip(*triples)).tolist()
-        expected = [
-            infer_trust(compute_attributes(EvidenceWindow(*triple)))
-            for triple in triples
-        ]
+        expected = [scalar_trust(*triple) for triple in triples]
         assert got == expected
     # every row is filled now; a mixed batch reads the same values again
     mixed = count_triples(64)[::7] + count_triples(3) + count_triples(1)
     assert table.trust(*zip(*mixed)).tolist() == [
-        infer_trust(compute_attributes(EvidenceWindow(*triple)))
-        for triple in mixed
+        scalar_trust(*triple) for triple in mixed
     ]
 
 

@@ -107,13 +107,19 @@ def test_cmd_sweep_rejects_empty_values(config_path, tmp_path, capsys):
         ("device_count", "1.5", "--values"),
         ("area_side", "10,x", "--values"),
         ("malicious_fraction", "0.1,1.5", "scenario.malicious_fraction"),
+        ("area_side", "nan", "area_width"),
+        ("area_side", "70,inf", "area_width"),
+        # valid values, too few replications to compute an interval
+        ("malicious_fraction", "0.1", "--replications"),
     ],
 )
 def test_cmd_sweep_rejects_bad_values(config_path, tmp_path, capsys,
                                       parameter, values, field):
+    replications = "1" if field == "--replications" else "2"
     code = main([
         "sweep", "--config", str(config_path), "--out", str(tmp_path),
-        "--parameter", parameter, "--values", values, "--replications", "2",
+        "--parameter", parameter, "--values", values,
+        "--replications", replications,
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
@@ -125,13 +131,21 @@ def test_cmd_sweep_rejects_bad_values(config_path, tmp_path, capsys,
     [
         ("protocol", "neighbor_radius_m = -3", "protocol.neighbor_radius_m"),
         ("energy", "initial_j = -1", "energy.initial_j"),
+        ("protocol", "neighbor_radius_m = nan", "protocol.neighbor_radius_m"),
+        ("scenario", "generic_share = nan", "scenario.generic_share"),
+        ("scenario", "sink_y_m = inf", "scenario.sink_y_m"),
+        ("trust", "alpha = 1.5\nbeta = -0.5", "trust.alpha"),
+        ("trust", "alpha = -0.5\nbeta = 1.5", "trust.alpha"),
     ],
 )
 def test_cmd_run_config_error_names_the_file_key(tmp_path, capsys, section, line, key):
     path = tmp_path / "bad.ini"
-    path.write_text(SMALL + f"\n[{section}]\n{line}\n")
+    # SMALL ends inside its [scenario] section
+    header = "" if section == "scenario" else f"\n[{section}]\n"
+    path.write_text(SMALL + header + f"{line}\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("key", ["width_m", "height_m"])

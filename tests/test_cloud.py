@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trustcloudsim.cloud import (
-    DropSet,
     TrustCloud,
     backward_cloud,
     backward_clouds,
@@ -219,17 +218,3 @@ def test_similarity_rejects_bad_count():
     with pytest.raises(DomainError):
         similarity(TrustCloud(0.5, 0.1, 0), TrustCloud(0.5, 0.1, 0), 0, Random(1))
 
-
-def test_drop_set_sliding_window():
-    ds = DropSet(3)
-    assert ds.add(0.1) is None
-    ds.add(0.2)
-    ds.add(0.3)
-    assert ds.full
-    evicted = ds.add(0.4)
-    assert evicted == 0.1
-    assert ds.values == (0.2, 0.3, 0.4)
-    with pytest.raises(DomainError):
-        ds.add(1.5)
-    with pytest.raises(DomainError):
-        DropSet(0)

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustcloudsim.config import ScenarioConfig
-from trustcloudsim.fuzzy import EvidenceWindow
 from trustcloudsim.medium import (
     ChannelPhase,
     aggregate_energy,
@@ -154,9 +153,7 @@ def model_data_phase(net, clusters, phase, np_rng, outcome):
             ledger.pay(head, 2)
         for j, m in enumerate(members):
             if sent[j]:
-                windows[(m.id, head_id)] = EvidenceWindow(
-                    sent[j], forwarded[j], timely[j]
-                )
+                windows[(m.id, head_id)] = (sent[j], forwarded[j], timely[j])
 
     ledger.settle(net.devices)
     return windows, PacketCounts(received_n, timely_n, delayed_n)
@@ -234,10 +231,11 @@ def scenarios(draw):
 
 
 def as_windows(evidence):
-    """Evidence rows as the model's {(observer, head): EvidenceWindow}."""
+    """Evidence rows as the model's {(observer, head): (sent, forwarded, timely)}."""
     rows = list(zip(*(column.tolist() for column in evidence[:5])))
     assert rows == sorted(rows, key=lambda row: (row[1], row[0]))
-    return {(o, h): EvidenceWindow(s, f, t) for o, h, s, f, t in rows}
+    assert all(0 <= t <= f <= s for _, _, s, f, t in rows)
+    return {(o, h): (s, f, t) for o, h, s, f, t in rows}
 
 
 def state_of(net, outcome, windows, packets, np_rng):
@@ -347,7 +345,7 @@ def test_last_joule_completes_the_action():
     ]
     assert (net.devices[0].energy, net.devices[0].alive) == (0.0, False)
     assert as_windows(evidence) == {
-        (1, 0): EvidenceWindow(2, 1, 1), (2, 0): EvidenceWindow(2, 1, 1),
+        (1, 0): (2, 1, 1), (2, 0): (2, 1, 1),
     }
     assert evidence.packets == PacketCounts(1, 1, 0)
 

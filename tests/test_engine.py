@@ -57,11 +57,19 @@ def test_config_validation_errors():
         ScenarioConfig(generic_share=0.5, advanced_share=0.5, super_share=0.5).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(alpha=0.9, beta=0.2).validate()
+    # weights that sum to 1 but lie outside [0, 1]
+    for alpha, beta in ((1.5, -0.5), (-0.5, 1.5)):
+        with pytest.raises(ConfigError, match="must be in"):
+            ScenarioConfig(alpha=alpha, beta=beta).validate()
     for field, value in (
         ("data_bits", -5), ("control_bits", -1), ("training_bits", -1),
         ("neighbor_radius", -3.0), ("max_dur", -1.0), ("monitor_seconds", -1.0),
         ("p_dp", 1.5), ("p_dp", -0.1), ("p_dy", 1.5), ("e0", -1.0),
         ("e_elec", -1e-9),
+        # non-finite floats, which no range check below would catch
+        ("area_width", math.nan), ("neighbor_radius", math.nan),
+        ("generic_share", math.nan), ("sink_x", math.inf), ("sink_y", math.nan),
+        ("kappa", -math.inf), ("e0", math.inf),
     ):
         with pytest.raises(ConfigError) as info:
             ScenarioConfig(**{field: value}).validate()

@@ -1,71 +1,55 @@
 from random import Random
 
 import pytest
+from trust_oracle import rate_trust, scalar_trust
 
 from trustcloudsim.errors import DomainError, NoEvidenceError
-from trustcloudsim.fuzzy import (
-    EvidenceWindow,
-    ForwardingEvent,
-    TrustAttributes,
-    compute_attributes,
-    infer_trust,
-    record_event,
-)
+from trustcloudsim.fuzzy import TrustTable
 
 
-def test_record_event_counting():
-    w = EvidenceWindow()
-    w = record_event(w, ForwardingEvent.FORWARDED_TIMELY)
-    assert (w.sent, w.forwarded, w.timely) == (1, 1, 1)
-
-    w = EvidenceWindow(10, 9, 8)
-    assert record_event(w, ForwardingEvent.DROPPED) == EvidenceWindow(11, 9, 8)
-    assert record_event(w, ForwardingEvent.FORWARDED_DELAYED) == EvidenceWindow(
-        11, 10, 8
-    )
+def trust(sent, forwarded, timely) -> float:
+    """One window's trust from a fresh table."""
+    return TrustTable().trust([sent], [forwarded], [timely]).item()
 
 
 def test_evidence_window_invariant():
     with pytest.raises(DomainError):
-        EvidenceWindow(5, 6, 2)
+        trust(5, 6, 2)
     with pytest.raises(DomainError):
-        EvidenceWindow(5, 3, 4)
+        trust(5, 3, 4)
 
 
 def test_compute_attributes_examples():
-    assert compute_attributes(EvidenceWindow(20, 20, 20)) == TrustAttributes(1.0, 1.0)
-
-    attrs = compute_attributes(EvidenceWindow(20, 18, 15))
-    assert attrs.sfr == pytest.approx(0.9, rel=1e-9)
-    assert attrs.tfr == pytest.approx(15 / 18, rel=1e-9)
+    assert trust(20, 20, 20) == rate_trust(1.0, 1.0)
+    assert trust(20, 18, 15) == rate_trust(15 / 18, 0.9)
+    assert trust(20, 18, 15) == scalar_trust(20, 18, 15)
 
     # no forwarding evidence: no timeliness penalty
-    assert compute_attributes(EvidenceWindow(20, 0, 0)) == TrustAttributes(1.0, 0.0)
+    assert trust(20, 0, 0) == rate_trust(1.0, 0.0)
 
     with pytest.raises(NoEvidenceError):
-        compute_attributes(EvidenceWindow())
+        trust(0, 0, 0)
 
 
 def test_compute_attributes_always_in_range():
     rng = Random(5)
+    table = TrustTable()
     for _ in range(500):
         sent = rng.randint(1, 40)
         forwarded = rng.randint(0, sent)
         timely = rng.randint(0, forwarded)
-        attrs = compute_attributes(EvidenceWindow(sent, forwarded, timely))
-        assert 0.0 <= attrs.tfr <= 1.0
-        assert 0.0 <= attrs.sfr <= 1.0
+        value = table.trust([sent], [forwarded], [timely]).item()
+        assert 0.0 <= value <= 1.0
+        assert value == scalar_trust(sent, forwarded, timely)
 
 
 def test_infer_trust_endpoints():
-    assert infer_trust(TrustAttributes(1.0, 1.0)) >= 0.9 - 1e-12
-    assert infer_trust(TrustAttributes(0.0, 0.0)) <= 0.1 + 1e-12
+    assert rate_trust(1.0, 1.0) >= 0.9 - 1e-12
+    assert rate_trust(0.0, 0.0) <= 0.1 + 1e-12
 
 
 def test_infer_trust_strictly_increases_mid_range():
-    assert infer_trust(TrustAttributes(0.6, 0.6)) > infer_trust(
-        TrustAttributes(0.5, 0.5)
-    )
+    assert rate_trust(0.6, 0.6) > rate_trust(0.5, 0.5)
 
 
 def test_infer_trust_monotone_on_grid():
@@ -73,7 +57,7 @@ def test_infer_trust_monotone_on_grid():
     for t in grid:
         prev = None
         for s in grid:
-            v = infer_trust(TrustAttributes(t, s))
+            v = rate_trust(t, s)
             assert 0.0 <= v <= 1.0
             if prev is not None:
                 assert v >= prev - 1e-12
@@ -81,7 +65,7 @@ def test_infer_trust_monotone_on_grid():
     for s in grid:
         prev = None
         for t in grid:
-            v = infer_trust(TrustAttributes(t, s))
+            v = rate_trust(t, s)
             if prev is not None:
                 assert v >= prev - 1e-12
             prev = v
@@ -89,8 +73,10 @@ def test_infer_trust_monotone_on_grid():
 
 def test_infer_trust_deterministic_on_window_ratios():
     # counts up to the usual window size reproduce identical values
+    table = TrustTable()
     for sent in range(1, 25):
         for forwarded in range(sent + 1):
             timely = forwarded // 2
-            a = compute_attributes(EvidenceWindow(sent, forwarded, timely))
-            assert infer_trust(a) == infer_trust(a)
+            a = table.trust([sent], [forwarded], [timely]).item()
+            assert a == table.trust([sent], [forwarded], [timely]).item()
+            assert a == scalar_trust(sent, forwarded, timely)

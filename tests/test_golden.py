@@ -1,4 +1,5 @@
-"""Golden outputs: `trustcloudsim run` must reproduce these files byte for byte.
+"""Golden outputs: `trustcloudsim run` and `train-only` must reproduce these
+files byte for byte.
 
 The determinism contract says (config, seed) fixes every output byte, so a
 refactor that claims to keep behaviour keeps these hashes.  A change that
@@ -57,6 +58,16 @@ initial_j = 0.04
 SEEDS = (1, 2, 3)
 FILES = ("rounds.csv", "cycles.csv", "summary.txt")
 
+#: sha256 of `train-only`'s training.csv
+TRAINING_GOLDEN = {
+    ('small', 1): '831978567c78e717f563f53f6302ae1e535a6b09d62547da2dd0a2b48856a085',
+    ('small', 2): '5cd5208004c1c36f749d1dba73586cda5ded396375cdb0226fcc7c890f2e09ce',
+    ('small', 3): '7bde56b27c0d08920d6caf2b5188e8863a2e23cd40b278e2246bdfb80f67dbb5',
+    ('tiny', 1): 'dc8f9d23fd224056b3a0ba47bda5bf2acfafedc84fb27b697b48a03df2c62ef8',
+    ('tiny', 2): 'c2969ab5f4eab25c6586b864318181a1d658c789f4d411514e4dbdcf2e474319',
+    ('tiny', 3): '5e430e8b3e92b3d9939197641dd4365ed420343e4e31548592865bbe6882084e',
+}
+
 GOLDEN = {
     ('small', 1): {
         'rounds.csv': '41ce607ec241ba07e3319829b58efd89296073c2ae929b6c45964d23167a447d',
@@ -91,22 +102,34 @@ GOLDEN = {
 }
 
 
-def output_hashes(size: str, seed: int, workdir) -> dict[str, str]:
+def output_hashes(size: str, seed: int, workdir, command: str = "run",
+                  files=FILES) -> dict[str, str]:
     cfg = workdir / f"{size}.ini"
     cfg.write_text(SIZES[size])
-    out = workdir / f"{size}-{seed}"
-    assert main(["run", "--config", str(cfg), "--seed", str(seed),
+    out = workdir / f"{command}-{size}-{seed}"
+    assert main([command, "--config", str(cfg), "--seed", str(seed),
                  "--out", str(out)]) == 0
     return {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in FILES
+        for name in files
     }
+
+
+def training_hash(size: str, seed: int, workdir) -> str:
+    hashes = output_hashes(size, seed, workdir, "train-only", ["training.csv"])
+    return hashes["training.csv"]
 
 
 @pytest.mark.parametrize("size", sorted(SIZES))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_run_outputs_match_golden_hashes(size, seed, tmp_path, capsys):
     assert output_hashes(size, seed, tmp_path) == GOLDEN[(size, seed)]
+
+
+@pytest.mark.parametrize("size", sorted(SIZES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_train_only_matches_golden_hashes(size, seed, tmp_path, capsys):
+    assert training_hash(size, seed, tmp_path) == TRAINING_GOLDEN[(size, seed)]
 
 
 if __name__ == "__main__":
@@ -116,12 +139,15 @@ if __name__ == "__main__":
     from pathlib import Path
 
     with tempfile.TemporaryDirectory() as tmp:
-        lines = []
+        training, lines = [], []
         for size in sorted(SIZES):
             for seed in SEEDS:
                 with contextlib.redirect_stdout(io.StringIO()):
                     hashes = output_hashes(size, seed, Path(tmp))
+                    trained = training_hash(size, seed, Path(tmp))
+                training.append(f"    ({size!r}, {seed}): {trained!r},")
                 lines.append(f"    ({size!r}, {seed}): {{")
                 lines += [f"        {n!r}: {h!r}," for n, h in hashes.items()]
                 lines.append("    },")
+    sys.stdout.write("TRAINING_GOLDEN = {\n" + "\n".join(training) + "\n}\n")
     sys.stdout.write("GOLDEN = {\n" + "\n".join(lines) + "\n}\n")

@@ -1,5 +1,7 @@
 import copy
 import math
+from collections import deque
+from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
@@ -7,17 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from trust_oracle import scalar_trust
 
-from trustcloudsim.cloud import DropSet, TrustCloud
+from trustcloudsim.cloud import TrustCloud, backward_cloud
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.errors import DomainError, NoNeighborError
-from trustcloudsim.fuzzy import (
-    EvidenceWindow,
-    ForwardingEvent,
-    compute_attributes,
-    infer_trust,
-    record_event,
-)
 from trustcloudsim.medium import (
     ChannelPhase,
     EnergyParams,
@@ -29,11 +25,9 @@ from trustcloudsim.medium import (
 from trustcloudsim.protocol import DeviceState
 from trustcloudsim.training import (
     StandardClouds,
-    TrainingState,
     merge_recommendations,
     run_training_round,
-    training_complete,
-    training_step,
+    train,
 )
 
 CLEAR = ChannelPhase(0.0, 1.0)
@@ -48,62 +42,95 @@ ROUND = dict(
 )
 
 
-def new_state(**progress):
-    return TrainingState(DropSet(CFG.max_drp), DropSet(CFG.max_drp), **progress)
-
-
 def devices(n, spacing=5.0):
     return [DeviceState(id=i, x=i * spacing, y=0.0, energy=1.0) for i in range(n)]
 
 
+class Rounds:
+    """A stub labeling round: plays the given rounds in turn, counting calls.
+
+    An entry is a (malicious, normal) pair of drop lists, or an exception
+    to raise.
+    """
+
+    def __init__(self, rounds):
+        self.rounds = list(rounds)
+        self.calls = 0
+
+    def __call__(self):
+        entry = self.rounds[self.calls]
+        self.calls += 1
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
+
+
+def train_with(rounds, *, device=None, max_drp=CFG.max_drp, max_tr=MAX_TR,
+               monitor_cost=0.0):
+    device = device or devices(1)[0]
+    play = Rounds(rounds)
+    used, clouds = train(
+        device, play, max_drp=max_drp, max_tr=max_tr, monitor_cost=monitor_cost
+    )
+    return used, clouds, play.calls
+
+
 def test_training_step_builds_clouds_at_capacity():
-    state = new_state()
-    for _ in range(4):
-        training_step(state, [0.3] * 20, [0.8] * 20, max_tr=MAX_TR)
-    assert not state.initial_built
-    training_step(state, [0.3] * 20, [0.8] * 20, max_tr=MAX_TR)
-    assert state.initial_built
-    assert state.stc_m.ex == pytest.approx(0.3)
-    assert state.stc_n.ex == pytest.approx(0.8)
-    assert state.rounds_done == 5
-
-
-def test_training_step_rejected_after_max_rounds():
-    state = new_state(rounds_done=20)
-    with pytest.raises(DomainError):
-        training_step(state, [0.5], [0.5], max_tr=MAX_TR)
+    # four rounds of 20 drops leave the 100-drop lists short of full
+    used, clouds, _ = train_with([([0.3] * 20, [0.8] * 20)] * 4, max_tr=4)
+    assert (used, clouds) == (4, None)
+    used, clouds, _ = train_with([([0.3] * 20, [0.8] * 20)] * MAX_TR)
+    assert clouds.malicious.ex == pytest.approx(0.3)
+    assert clouds.normal.ex == pytest.approx(0.8)
+    assert used == 5
 
 
 def test_training_complete_rules():
-    ordered = new_state(
-        rounds_done=6,
-        initial_built=True,
-        stc_m=TrustCloud(0.3, 0.1, 0.0),
-        stc_n=TrustCloud(0.8, 0.1, 0.0),
-    )
-    assert training_complete(ordered, max_tr=MAX_TR)
+    # ordered clouds end training on the round that builds them
+    used, clouds, calls = train_with([([0.3] * 100, [0.8] * 100)] * MAX_TR)
+    assert (used, calls) == (1, 1)
+    assert clouds.malicious.ex < clouds.normal.ex
 
-    inverted = new_state(
-        rounds_done=10,
-        initial_built=True,
-        stc_m=TrustCloud(0.8, 0.1, 0.0),
-        stc_n=TrustCloud(0.3, 0.1, 0.0),
-    )
-    assert not training_complete(inverted, max_tr=MAX_TR)
+    # inverted clouds keep it going, rebuilt every round, to the last round
+    rounds = [([0.8] * 100, [0.3] * 100)] * 9 + [([0.6] * 100, [0.5] * 100)] * 11
+    used, clouds, calls = train_with(rounds)
+    assert (used, calls) == (MAX_TR, MAX_TR)
+    assert clouds.malicious.ex == pytest.approx(0.6)
+    assert clouds.normal.ex == pytest.approx(0.5)
 
-    forced = new_state(rounds_done=20)
-    assert training_complete(forced, max_tr=MAX_TR)
+    # no round at all once the rounds are exhausted
+    assert train_with([], max_tr=0) == (0, None, 0)
+
+    # a device without a route stops at once, one that dies after paying
+    used, clouds, calls = train_with([NoNeighborError("alone")])
+    assert (used, clouds, calls) == (0, None, 1)
+    dying = DeviceState(id=0, x=0.0, y=0.0, energy=3.0)
+    used, clouds, calls = train_with(
+        [([0.8] * 100, [0.3] * 100)] * MAX_TR, device=dying, monitor_cost=1.0
+    )
+    assert (used, calls, dying.alive) == (3, 3, False)
+    assert clouds.malicious.ex == pytest.approx(0.8)
 
 
 def test_training_terminates_within_max_rounds():
-    state = new_state()
-    rounds = 0
-    while not training_complete(state, max_tr=MAX_TR):
-        # adversarial drops that never produce an ordered boundary
-        training_step(state, [0.9] * 20, [0.1] * 20, max_tr=MAX_TR)
-        rounds += 1
-        assert rounds <= 20
-    assert rounds == 20
+    # adversarial drops that never produce an ordered boundary
+    used, clouds, calls = train_with([([0.9] * 20, [0.1] * 20)] * MAX_TR)
+    assert used == calls == 20
+    assert clouds.malicious.ex > clouds.normal.ex
+
+
+def test_train_keeps_the_last_drops():
+    # each round's drops are a rising run, so the lists' content shows in ex
+    rounds = [([r / 100] * 30, [0.5 + r / 100] * 30) for r in range(10)]
+    used, clouds, _ = train_with(rounds, max_drp=50, max_tr=2)
+    assert used == 2
+    assert clouds.malicious == backward_cloud([0.0] * 20 + [0.01] * 30)
+    assert clouds.normal == backward_cloud([0.5] * 20 + [0.51] * 30)
+
+
+def test_train_rejects_drops_out_of_range_once_full():
+    with pytest.raises(DomainError):
+        train_with([([1.5] * 100, [0.5] * 100)])
 
 
 def test_merge_recommendations():
@@ -196,6 +223,9 @@ def test_training_boundary_holds_across_seeds():
     assert satisfied / total >= 0.95
 
 
+TIMELY, DELAYED, DROPPED = "forwarded timely", "forwarded delayed", "dropped"
+
+
 def reference_training_round(
     initiator,
     neighborhood: Sequence,
@@ -211,9 +241,9 @@ def reference_training_round(
 ) -> tuple[list[float], list[float]]:
     """run_training_round as it was written per packet, kept as the reference.
 
-    It builds an EvidenceWindow per packet, charges through a closure and
-    calls tx_energy per transmission; the one change from that code is that
-    a window's trust comes from the scalar infer_trust directly.
+    It records each packet's outcome in the label's (sent, forwarded,
+    timely) window, charges through a closure and calls tx_energy per
+    transmission; a window's trust comes from the scalar oracle.
     """
     candidates = [d for d in neighborhood if d.alive and d.id != initiator.id]
     if len(candidates) < 2:
@@ -228,8 +258,9 @@ def reference_training_round(
     def pay(device, cost: float) -> bool:
         return device.spend(cost) if energy is not None else True
 
-    def trust_of(window: EvidenceWindow) -> float:
-        return infer_trust(compute_attributes(window))
+    def record(window: tuple[int, int, int], event: str) -> tuple[int, int, int]:
+        sent, forwarded, timely = window
+        return sent + 1, forwarded + (event != DROPPED), timely + (event == TIMELY)
 
     def send_to_router() -> bool:
         if not pay(initiator, tx_energy(bits, d_ij, energy) if energy else 0.0):
@@ -238,48 +269,44 @@ def reference_training_round(
             return False
         return pay(router, rx_energy(bits, energy) if energy else 0.0)
 
-    def forward_once(delayed: bool) -> tuple[ForwardingEvent, bool]:
+    def forward_once(delayed: bool) -> tuple[str, bool]:
         if not pay(router, tx_energy(bits, d_jk, energy) if energy else 0.0):
-            return ForwardingEvent.DROPPED, False
+            return DROPPED, False
         delivered = channel_ok(channel, rng)
         if delivered:
             pay(dest, rx_energy(bits, energy) if energy else 0.0)
         if channel_ok(channel, rng):
             pay(initiator, overhear_energy(bits, energy) if energy else 0.0)
-            event = (
-                ForwardingEvent.FORWARDED_DELAYED
-                if delayed
-                else ForwardingEvent.FORWARDED_TIMELY
-            )
+            event = DELAYED if delayed else TIMELY
         else:
-            event = ForwardingEvent.DROPPED
+            event = DROPPED
         return event, delivered
 
     malicious_values: list[float] = []
-    window = EvidenceWindow()
+    window = (0, 0, 0)
     for _ in range(n_f):
         if not initiator.alive or not router.alive:
             break
         if not send_to_router():
-            event = ForwardingEvent.DROPPED
+            event = DROPPED
         elif rng.random() < p_dp:
-            event = ForwardingEvent.DROPPED
+            event = DROPPED
         elif rng.random() < p_dy:
             rng.uniform(0.0, max_dur)  # attack delay duration, within the slot
             event, _ = forward_once(delayed=True)
         else:
             event, _ = forward_once(delayed=False)
-        window = record_event(window, event)
-        malicious_values.append(trust_of(window))
+        window = record(window, event)
+        malicious_values.append(scalar_trust(*window))
 
     normal_values: list[float] = []
-    window = EvidenceWindow()
+    window = (0, 0, 0)
     for _ in range(n_f):
         if not initiator.alive or not router.alive:
             break
         if not send_to_router():
-            window = record_event(window, ForwardingEvent.DROPPED)
-            normal_values.append(trust_of(window))
+            window = record(window, DROPPED)
+            normal_values.append(scalar_trust(*window))
             continue
         first, delivered = forward_once(delayed=False)
         reply_seen = False
@@ -291,10 +318,10 @@ def reference_training_round(
         event = first
         if not reply_seen:
             retrans, _ = forward_once(delayed=True)
-            if first is ForwardingEvent.DROPPED:
+            if first == DROPPED:
                 event = retrans
-        window = record_event(window, event)
-        normal_values.append(trust_of(window))
+        window = record(window, event)
+        normal_values.append(scalar_trust(*window))
 
     return malicious_values, normal_values
 
@@ -381,3 +408,135 @@ def test_training_round_matches_reference_when_roles_die():
             )
         assert outcomes[0] == outcomes[1]
         assert not all(alive for _, alive in outcomes[0][1])
+
+
+class ReferenceDropSet:
+    """The drop window training kept before ``train``: a bounded deque."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise DomainError(f"capacity must be positive, got {capacity}")
+        self.capacity = capacity
+        self._drops = deque(maxlen=capacity)
+
+    def add(self, value: float) -> None:
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"drop must be in [0, 1], got {value}")
+        self._drops.append(value)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self._drops)
+
+    @property
+    def full(self) -> bool:
+        return len(self._drops) >= self.capacity
+
+
+@dataclass
+class ReferenceTrainingState:
+    malicious_drops: ReferenceDropSet
+    normal_drops: ReferenceDropSet
+    rounds_done: int = 0
+    initial_built: bool = False
+    stc_m: Optional[TrustCloud] = None
+    stc_n: Optional[TrustCloud] = None
+
+
+def reference_training_step(state, malicious_values, normal_values, *, max_tr):
+    if state.rounds_done >= max_tr:
+        raise DomainError(f"training already ran the maximum {max_tr} rounds")
+    for v in malicious_values:
+        state.malicious_drops.add(v)
+    for v in normal_values:
+        state.normal_drops.add(v)
+    if state.malicious_drops.full and state.normal_drops.full:
+        state.stc_m = backward_cloud(state.malicious_drops.values)
+        state.stc_n = backward_cloud(state.normal_drops.values)
+        state.initial_built = True
+    state.rounds_done += 1
+    return state
+
+
+def reference_training_complete(state, *, max_tr):
+    if state.rounds_done >= max_tr:
+        return True
+    if not state.initial_built:
+        return False
+    return state.stc_m.ex < state.stc_n.ex
+
+
+def reference_train(device, play_round, *, max_drp, max_tr, monitor_cost):
+    """One device's training as the engine ran it before ``train``.
+
+    Returns (rounds used, clouds, boundary_ok) as the training report had
+    them.
+    """
+    state = ReferenceTrainingState(
+        ReferenceDropSet(max_drp), ReferenceDropSet(max_drp)
+    )
+    while device.alive and not reference_training_complete(state, max_tr=max_tr):
+        try:
+            malicious, normal = play_round()
+        except NoNeighborError:
+            break
+        reference_training_step(state, malicious, normal, max_tr=max_tr)
+        device.spend(monitor_cost)
+    boundary_ok = (
+        state.initial_built
+        and state.stc_m is not None
+        and state.stc_m.ex < state.stc_n.ex
+    )
+    clouds = (
+        StandardClouds(state.stc_m, state.stc_n) if state.initial_built else None
+    )
+    return state.rounds_done, clouds, boundary_ok
+
+
+@st.composite
+def trainings(draw):
+    """A device, its labeling rounds and the training bounds.
+
+    A round returns 0 to n_f drops a label (a role that dies mid-label
+    returns fewer), or has no route to stage; drops are on a coarse grid so
+    that the two expectations often tie or cross.
+    """
+    n_f = draw(st.integers(0, 25))
+    drops = st.lists(
+        st.one_of(st.integers(0, 8).map(lambda k: k / 8), st.floats(0.0, 1.0)),
+        max_size=n_f,
+    )
+    rounds = draw(st.lists(
+        st.one_of(st.tuples(drops, drops), st.just(NoNeighborError("no route"))),
+        min_size=26, max_size=26,
+    ))
+    # up to a few dozen monitoring charges deep, exact multiples included
+    energy = draw(st.one_of(
+        st.just(1.0), st.integers(1, 30).map(float), st.floats(0.0, 30.0),
+    ))
+    bounds = dict(
+        max_drp=draw(st.integers(2, 120)),
+        max_tr=draw(st.integers(0, 25)),
+        monitor_cost=draw(st.sampled_from([0.0, 1.0])),
+    )
+    return energy, rounds, bounds
+
+
+@settings(max_examples=400, deadline=None)
+@given(trainings())
+def test_train_matches_reference(case):
+    energy, rounds, bounds = case
+    outcomes = []
+    for run in (reference_train, train):
+        device = DeviceState(id=0, x=0.0, y=0.0, energy=energy)
+        device.alive = energy > 0.0
+        play = Rounds(rounds)
+        result = run(device, play, **bounds)
+        if run is train:
+            used, clouds = result
+            result = (
+                used, clouds,
+                clouds is not None and clouds.malicious.ex < clouds.normal.ex,
+            )
+        outcomes.append((result, play.calls, device.energy, device.alive))
+    assert outcomes[0] == outcomes[1]

@@ -3,20 +3,18 @@
 Wraps ``engine.run_training_phase`` ("training": the set-up's training of
 the standard clouds, outside the round loop) and, in the ``protocol``
 module, the names a round calls: the data phase (``run_data_phase``),
-broadcast reception (``receive_announcements``, where the tree has it;
-otherwise reception counts as the rest) and the classifier
+broadcast reception (``receive_announcements``) and the classifier
 (``classify_pairs``: a round's first call is join classification, its second
 post classification), and ``engine.run_round`` for the whole round loop.
-"The rest" is the round loop minus those sections.  Where the tree has
-``normals.ClassifierNormals``, "classifier normals" is the time the
-classifier spends obtaining its standard normals (waiting on and copying
-from the helper, or drawing them locally); it lies inside the two
-classification sections and is not subtracted again; run the tool under
-``taskset -c 0`` to time the in-process path.  Where the tree has
-``runtime.TrustState``, "individual clouds" is the time spent in
-``TrustState.clouds``, rebuilding stale individual clouds and reading them;
-it too lies inside the two classification sections.  Usage, from the root
-of the tree to time::
+"The rest" is the round loop minus those sections.  "Classifier normals" is
+the time ``normals.ClassifierNormals`` spends obtaining the classifier's
+standard normals (waiting on and copying from the helper, or drawing them
+locally); it lies inside the two classification sections and is not
+subtracted again; run the tool under ``taskset -c 0`` to time the
+in-process path.  "Individual clouds" is the time spent in
+``runtime.TrustState.clouds``, rebuilding stale individual clouds and
+reading them; it too lies inside the two classification sections.  Usage,
+from the root of the tree to time::
 
     PYTHONPATH=src python tools/phase_times.py [--config configs/default.ini]
         [--seed 1] [--repeat 3]
@@ -31,13 +29,8 @@ import json
 import statistics
 from time import perf_counter
 
-from trustcloudsim import engine, protocol, runtime
+from trustcloudsim import engine, normals, protocol, runtime
 from trustcloudsim.config import load_config, with_overrides
-
-try:
-    from trustcloudsim import normals
-except ImportError:  # a tree from before the classifier had its own normals
-    normals = None
 
 #: sections outside the round loop
 SETUP = ("training",)
@@ -77,16 +70,14 @@ def time_sections(cfg) -> dict[str, float]:
         calls_this_round[0] = 0
         return "round loop"
 
-    patched = [(protocol, "run_data_phase", "data phase"),
-               (protocol, "classify_pairs", classification)]
-    if hasattr(protocol, "receive_announcements"):
-        patched.append((protocol, "receive_announcements", "reception"))
-    if normals is not None:
-        patched.append((normals.ClassifierNormals, "standard_normal",
-                        "classifier normals"))
-    if hasattr(runtime, "TrustState"):
-        patched.append((runtime.TrustState, "clouds", "individual clouds"))
-    patched.append((engine, "run_training_phase", "training"))
+    patched = [
+        (protocol, "run_data_phase", "data phase"),
+        (protocol, "classify_pairs", classification),
+        (protocol, "receive_announcements", "reception"),
+        (normals.ClassifierNormals, "standard_normal", "classifier normals"),
+        (runtime.TrustState, "clouds", "individual clouds"),
+        (engine, "run_training_phase", "training"),
+    ]
     originals = [(m, n, wrap(m, n, label)) for m, n, label in patched]
     originals.append((engine, "run_round", wrap(engine, "run_round", round_loop)))
     try:
