@@ -246,7 +246,11 @@ def classify_pairs(
             sim = np.subtract(drops, ex_s, out=sigma_s)
             np.square(sim, out=sim)
             np.negative(sim, out=sim)
-            sim /= denom
+            # A subnormal denominator overflows the quotient to -inf, which
+            # exp takes to its limit 0, and an underflowed one divides by
+            # zero; the reference computes the same, so neither warns.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                sim /= denom
             np.exp(sim, out=sim)
             if degenerate:
                 sim[zero] = 0.0
