@@ -29,10 +29,9 @@ from .medium import (
 )
 from .protocol import (
     ClusterRoundOutcome,
-    DeviceState,
     NetworkState,
     choose_heads,
-    decide_head,
+    elect_heads,
     election_threshold,
     run_round,
 )

@@ -29,7 +29,6 @@ from .protocol import (
     GENERIC,
     HONEST,
     SUPER,
-    DeviceState,
     NetworkState,
     run_round,
 )
@@ -102,11 +101,10 @@ def build_scenario(cfg: ScenarioConfig, rng: Random) -> NetworkState:
     """Deploy devices uniformly at random and assign attacker classes."""
     cfg.validate()
     n = cfg.device_count
-    devices = []
-    for dev_id in range(n):
-        x = rng.uniform(0.0, cfg.area_width)
-        y = rng.uniform(0.0, cfg.area_height)
-        devices.append(DeviceState(id=dev_id, x=x, y=y, energy=cfg.e0))
+    x, y = [], []
+    for _ in range(n):
+        x.append(rng.uniform(0.0, cfg.area_width))
+        y.append(rng.uniform(0.0, cfg.area_height))
     n_mal = int(round(cfg.malicious_fraction * n))
     if n_mal > n:
         raise ConfigError("malicious count exceeds device count")
@@ -114,12 +112,13 @@ def build_scenario(cfg: ScenarioConfig, rng: Random) -> NetworkState:
     counts = _largest_remainder(
         n_mal, (cfg.generic_share, cfg.advanced_share, cfg.super_share)
     )
+    attacker = [HONEST] * n
     cursor = 0
     for klass, count in zip(ATTACKER_ORDER, counts):
         for dev_id in malicious_ids[cursor : cursor + count]:
-            devices[dev_id].attacker = klass
+            attacker[dev_id] = klass
         cursor += count
-    return NetworkState(cfg, devices)
+    return NetworkState(cfg, x, y, attacker)
 
 
 def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
@@ -127,53 +126,48 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
 
     Attackers behave honestly here: the deployment window is assumed clean.
     A device with too few neighbors to stage a route stops immediately and
-    relies on received recommendations, if any.
+    relies on received recommendations, if any.  The devices train one after
+    another, charged on list copies of the network's energy arrays.
     """
     cfg = net.cfg
     phase = net.phase_for(0)
     monitor_cost = monitor_energy(cfg.monitor_seconds, net.energy)
     # every device's neighbors, in id order
     neighbor_ids = [np.flatnonzero(row).tolist() for row in net.neighbor_mask]
+    level, alive = net.level.tolist(), net.alive.tolist()
     reports = []
-    for dev in net.devices:
-        neighborhood = [net.devices[i] for i in neighbor_ids[dev.id]]
+    for dev in range(len(level)):
         play_round = partial(
             run_training_round,
-            dev,
-            neighborhood,
-            phase,
-            rng,
+            net, level, alive, dev, neighbor_ids[dev], phase, rng,
             n_f=cfg.n_f,
             p_dp=cfg.p_dp,
             p_dy=cfg.p_dy,
             max_dur=cfg.max_dur,
             bits=cfg.training_bits,
-            energy=net.energy,
         )
         rounds, clouds = train(
-            dev,
-            play_round,
-            max_drp=cfg.max_drp,
-            max_tr=cfg.max_tr,
-            monitor_cost=monitor_cost,
+            level, alive, dev, play_round,
+            max_drp=cfg.max_drp, max_tr=cfg.max_tr, monitor_cost=monitor_cost,
         )
         boundary_ok = clouds is not None and clouds.malicious.ex < clouds.normal.ex
         reports.append(
             TrainingReport(
-                device=dev.id,
+                device=dev,
                 rounds_used=rounds,
                 boundary_ok=boundary_ok,
                 forced=not boundary_ok,
                 clouds=clouds,
             )
         )
+    net.level[:], net.alive[:] = level, alive
 
     # Every trained device recommends its clouds to neighbors; each device
     # averages its own, if any, with everything received.
     published = [rep.clouds for rep in reports]
     merged = []
-    for dev in net.devices:
-        ids = [dev.id, *neighbor_ids[dev.id]]
+    for dev in range(len(level)):
+        ids = [dev, *neighbor_ids[dev]]
         clouds = [published[i] for i in ids if published[i] is not None]
         merged.append(merge_recommendations(clouds[0], clouds[1:]) if clouds else None)
     net.std_table = standard_table(merged)
@@ -190,15 +184,14 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
     training = run_training_phase(net, rng)
     log = MetricsLog(
         config=cfg,
-        attacker_class={d.id: d.attacker for d in net.devices},
+        attacker_class=dict(enumerate(net.attacker)),
         training=training,
     )
-    is_malicious = np.array([d.is_malicious for d in net.devices], dtype=bool)
     # The helper drawing the classifier's normals ahead, if one starts,
     # lives only as long as the rounds.
     with ClassifierNormals(cfg.seed) as normals:
         for r in range(cfg.max_rounds):
-            if net.alive_count() == 0:
+            if not net.alive.any():
                 break
             outcome = run_round(net, r, rng, np_rng, normals)
             phase = net.phase_for(r)
@@ -206,21 +199,17 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
             with_members = [
                 h for h, members in outcome.clusters.items() if members
             ]
-            malicious_clusters = sum(
-                1 for h in with_members if net.devices[h].is_malicious
-            )
+            malicious_clusters = int(np.count_nonzero(net.malicious[with_members]))
             verdicts = outcome.decisions.malicious
             correct = np.count_nonzero(
-                verdicts == is_malicious[outcome.decisions.target]
+                verdicts == net.malicious[outcome.decisions.target]
             )
             log.round_stats.append(
                 RoundStats(
                     round_index=r,
                     bad_prob=phase.bad_prob,
-                    alive=net.alive_count(),
-                    honest_alive=sum(
-                        1 for d in net.devices if d.alive and not d.is_malicious
-                    ),
+                    alive=int(np.count_nonzero(net.alive)),
+                    honest_alive=int(np.count_nonzero(net.alive & ~net.malicious)),
                     heads=len(outcome.clusters),
                     clusters_with_members=len(with_members),
                     malicious_clusters=malicious_clusters,
@@ -238,7 +227,7 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
                 )
             )
     log.death_round = {
-        d.id: d.death_round for d in net.devices if d.death_round is not None
+        i: r for i, r in enumerate(net.death_round.tolist()) if r >= 0
     }
     return log
 

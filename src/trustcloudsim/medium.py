@@ -4,7 +4,8 @@ Channel quality is bad with the stationary probability alpha0/(alpha0+alpha1)
 and every reception or overhearing opportunity draws independently: a bad
 draw means the packet is not received or overheard.  Energy accounting uses
 the standard first-order radio model with a free-space / multipath amplifier
-crossover at d0 = sqrt(eps_fs / eps_amp).
+crossover at d0 = sqrt(eps_fs / eps_amp), and charges devices whose energy
+levels and alive flags are held per device id.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -111,3 +114,32 @@ def aggregate_energy(bits: int, messages: int, p: EnergyParams) -> float:
 
 def monitor_energy(seconds: float, p: EnergyParams) -> float:
     return seconds * p.e_m
+
+
+def spend(level: list[float], alive: list[bool], i: int, cost: float) -> bool:
+    """Charge device i an action; one that cannot pay dies and the action fails.
+
+    A device that spends its final joule completes the action and is then
+    marked dead.  ``level`` and ``alive`` are Python lists: a chain of
+    charges in a given order runs on list copies of the network's arrays.
+    For finite floats, ``level - cost`` is negative exactly where the level
+    is below the cost, and zero exactly where they are equal.
+    """
+    if not alive[i]:
+        return False
+    left = level[i] - cost
+    if left > 0.0:
+        level[i] = left
+        return True
+    level[i] = 0.0
+    alive[i] = False
+    return left == 0.0
+
+
+def charge(level: np.ndarray, alive: np.ndarray, ids: np.ndarray, cost) -> None:
+    """Charge the distinct live devices ``ids`` once each, as ``spend``
+    would, bit for bit; ``cost`` is a scalar or one cost per device."""
+    left = level[ids] - cost
+    dead = left <= 0.0
+    level[ids] = np.where(dead, 0.0, left)
+    alive[ids[dead]] = False

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,9 +24,11 @@ from .medium import (
     ChannelPhase,
     EnergyParams,
     aggregate_energy,
+    charge,
     monitor_energy,
     overhear_energy,
     rx_energy,
+    spend,
     tx_energy,
 )
 from .runtime import (
@@ -44,46 +46,6 @@ SUPER = "super"
 
 #: Drop/delay probability multipliers by attacker class.
 ATTACK_MULTIPLIER = {HONEST: 0.0, GENERIC: 2.0, ADVANCED: 4.0, SUPER: 6.0}
-
-
-@dataclass(slots=True)
-class DeviceState:
-    """One device: identity, radio position, energy and role.
-
-    Its trust in other devices is row ``id`` of the network's TrustState,
-    and its standard clouds are row ``id`` of the network's std_table.
-    """
-
-    id: int
-    x: float
-    y: float
-    energy: float
-    attacker: str = HONEST
-    alive: bool = True
-    last_head_round: Optional[int] = None
-    death_round: Optional[int] = None
-
-    @property
-    def is_malicious(self) -> bool:
-        return self.attacker != HONEST
-
-    def spend(self, cost: float) -> bool:
-        """Charge an action; a device that cannot pay dies and the action fails.
-
-        A device that spends its final joule completes the action and is then
-        marked dead.
-        """
-        if not self.alive:
-            return False
-        if self.energy >= cost:
-            self.energy -= cost
-            if self.energy <= 0.0:
-                self.energy = 0.0
-                self.alive = False
-            return True
-        self.energy = 0.0
-        self.alive = False
-        return False
 
 
 @dataclass(slots=True)
@@ -190,30 +152,47 @@ class TransmitCosts:
 class NetworkState:
     """Devices, the static topology, scenario parameters and all trust state.
 
+    Device i is at (``x[i]``, ``y[i]``) and of class ``attacker[i]``
+    (``malicious[i]`` unless honest).  It has ``level[i]`` joules left, is
+    ``alive[i]``, may head a cluster from round ``eligible_from[i]`` on, and
+    died in round ``death_round[i]`` (-1 while it lives).  Its trust in
+    other devices is row i of ``trust``, its standard clouds row i of
+    ``std_table``.
+
     ``dist[i, j]`` is the distance from device i to device j, and
     ``data_tx`` and ``control_tx`` the cost of sending a data or a control
     message over it (``sink_tx``: a data message from device i to the
     sink).  The standard clouds' update pools are ``pools``.
     """
 
-    def __init__(self, cfg: ScenarioConfig, devices: list[DeviceState]):
+    def __init__(self, cfg: ScenarioConfig, x, y, attacker: Sequence[str]):
         self.cfg = cfg
         self.energy: EnergyParams = cfg.energy_params()
-        self.devices = devices
+        n = len(x)
+        self.x, self.y = x, y = list(x), list(y)
+        self.attacker = list(attacker)
+        self.malicious = np.array([a != HONEST for a in self.attacker], dtype=bool)
+        self.level = np.full(n, cfg.e0)
+        self.alive = np.ones(n, dtype=bool)
+        self.eligible_from = np.zeros(n, dtype=np.int64)
+        self.death_round = np.full(n, -1, dtype=np.int64)
         self.sink = cfg.sink()
         self.phases = cfg.channel_schedule()
         self.epoch = math.ceil(1.0 / cfg.p_ch)
+        #: an election announcement's cost
+        self.announce_tx = tx_energy(
+            cfg.control_bits, cfg.neighbor_radius, self.energy
+        )
         self.sink_dist = [
-            math.hypot(d.x - self.sink[0], d.y - self.sink[1]) for d in devices
+            math.hypot(xi - self.sink[0], yi - self.sink[1]) for xi, yi in zip(x, y)
         ]
         # each unordered pair's distance once, mirrored: fl(a - b) is
         # -fl(b - a) and hypot takes absolute values, so both halves are
         # what hypot gives in either direction
-        n = len(devices)
         upper = np.zeros((n, n))
-        for i, d in enumerate(devices[:-1]):
+        for i, (xi, yi) in enumerate(zip(x, y)):
             upper[i, i + 1 :] = [
-                math.hypot(d.x - other.x, d.y - other.y) for other in devices[i + 1 :]
+                math.hypot(xi - xj, yi - yj) for xj, yj in zip(x[i + 1 :], y[i + 1 :])
             ]
         self.dist = upper + upper.T
         self.neighbor_mask = self.dist <= cfg.neighbor_radius
@@ -238,16 +217,9 @@ class NetworkState:
                 break
         return current
 
-    def alive_devices(self) -> list[DeviceState]:
-        return [d for d in self.devices if d.alive]
-
-    def alive_count(self) -> int:
-        return sum(1 for d in self.devices if d.alive)
-
     def mark_deaths(self, r: int) -> None:
-        for d in self.devices:
-            if not d.alive and d.death_round is None:
-                d.death_round = r
+        """Record round r as the death round of every newly dead device."""
+        self.death_round[~self.alive & (self.death_round < 0)] = r
 
 
 def election_threshold(r: int, p_ch: float) -> float:
@@ -267,20 +239,19 @@ def election_threshold(r: int, p_ch: float) -> float:
     return min(p_ch / denom, 1.0)
 
 
-def is_eligible(device: DeviceState, r: int, epoch: int) -> bool:
-    return device.last_head_round is None or r - device.last_head_round >= epoch
+def elect_heads(net: NetworkState, r: int, rng: Random) -> np.ndarray:
+    """Round r's self-elected heads, in id order.
 
-
-def decide_head(
-    device: DeviceState, r: int, rng: Random, *, p_ch: float, epoch: int
-) -> bool:
-    """Self-decide headship; a winning device books the round immediately."""
-    if not device.alive or not is_eligible(device, r, epoch):
-        return False
-    if rng.random() < election_threshold(r, p_ch):
-        device.last_head_round = r
-        return True
-    return False
+    Every live device eligible in round r draws one ``rng.random()``, in id
+    order, and heads if it falls below the election threshold.  A head may
+    not head again for ``net.epoch`` rounds, and pays its announcement.
+    """
+    ids = np.flatnonzero(net.alive & (net.eligible_from <= r))
+    draws = np.array([rng.random() for _ in range(len(ids))])
+    heads = ids[draws < election_threshold(r, net.cfg.p_ch)]
+    net.eligible_from[heads] = r + net.epoch
+    charge(net.level, net.alive, heads, net.announce_tx)
+    return heads
 
 
 def choose_heads(
@@ -335,8 +306,8 @@ def _first_death(paid, kind, costs, level) -> tuple[int, bool]:
 
 def receive_announcements(
     net: NetworkState,
-    listeners: list[int],
-    heads: list[int],
+    listeners: Sequence[int],
+    heads: Sequence[int],
     phase: ChannelPhase,
     np_rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -347,14 +318,14 @@ def receive_announcements(
     listener one control reception, charged in head order.  A listener that
     cannot pay dies and hears none of the later heads; one that pays its
     last joule hears that head and then dies.  Rows run by listener, then
-    head, in the orders given.
+    head, in the orders given.  The listeners are distinct live devices.
     """
-    none = np.zeros(0, dtype=np.intp)
-    if not listeners or not heads:
-        return none, none
+    listeners = np.asarray(listeners, dtype=np.intp)
+    heads = np.asarray(heads, dtype=np.intp)
+    if not len(listeners) or not len(heads):
+        return _no_pairs(), _no_pairs()
     cost = rx_energy(net.cfg.control_bits, net.energy)
-    listening = [net.devices[m] for m in listeners]
-    level = np.array([d.energy for d in listening])
+    level = net.level[listeners]
     heard = np_rng.random((len(listeners), len(heads))) >= phase.bad_prob
     deliveries = heard.sum(axis=1)
     left = level - deliveries * cost
@@ -366,15 +337,10 @@ def receive_announcements(
         at, last_joule = _first_death(heard[r], 0, (cost,), level[r])
         heard[r, at + last_joule :] = False
         left[r] = 0.0
-    for d, e in zip(listening, left.tolist()):
-        d.energy = e
-    for r in dying:
-        listening[r].alive = False
+    net.level[listeners] = left
+    net.alive[listeners[dying]] = False
     obs, tgt = np.nonzero(heard)
-    return (
-        np.asarray(listeners, dtype=np.intp)[obs],
-        np.asarray(heads, dtype=np.intp)[tgt],
-    )
+    return listeners[obs], heads[tgt]
 
 
 #: TransferRecord outcomes by code: not delivered, delivered on time, late.
@@ -429,7 +395,6 @@ def run_data_phase(
     energy = net.energy
     bits = cfg.data_bits
     p0 = phase.bad_prob
-    devices = net.devices
     members = [sorted(clusters[h]) for h in heads]
     sizes = [len(ms) for ms in members]
     width = max(max(sizes), 1)
@@ -459,7 +424,7 @@ def run_data_phase(
     pair_at = np.arange(len(hearer)) + (
         (start + k - np.cumsum(per_pair) + per_pair)[cl][hearer]
     )
-    mult = np.array([ATTACK_MULTIPLIER[devices[h].attacker] for h in heads])
+    mult = np.array([ATTACK_MULTIPLIER[net.attacker[h]] for h in heads])
     up_ok = block[slot_at] >= p0
     over_ok = block[pair_at] >= p0
     drop_hit = block[after] < (mult * cfg.p_dp)[cl]
@@ -479,20 +444,20 @@ def run_data_phase(
     report_key = width * step
     never = report_key + 1
 
-    level = np.array([d.energy for d in devices])
-    alive = np.array([d.alive for d in devices])
-    member_level = level[ids]
-    head_level = level[head_ids]
+    member_level = net.level[ids]
+    head_level = net.level[head_ids]
+    was_alive = net.alive[ids]
+    head_was_alive = net.alive[head_ids]
     over_cost = overhear_energy(bits, energy)
     rx_cost = rx_energy(bits, energy)
     aggregate_cost = aggregate_energy(bits, 1, energy)
-    tx_cost = net.data_tx.at(ids * len(devices) + head_ids[cl])
+    tx_cost = net.data_tx.at(ids * len(net.level) + head_ids[cl])
     sink_tx = net.sink_tx.at(head_ids)
 
     # A device's charges succeed up to (and including) the key in `until`:
     # `never` while it lives, -1 if it was dead before the phase.
-    until = np.where(alive[ids], never, -1)
-    head_until = np.where(alive[head_ids], never, -1)
+    until = np.where(was_alive, never, -1)
+    head_until = np.where(head_was_alive, never, -1)
     while True:
         at_head = head_until[cl]
         sends = tx_key <= until
@@ -565,20 +530,13 @@ def run_data_phase(
                 until[r] = key if last_joule else key - 1
 
     # --- write back the energies and the round's records -------------------
-    lives = until == never
-    left = np.where(lives, member_level - spent, 0.0)
-    for m, e, a, was in zip(ids.tolist(), left.tolist(), lives.tolist(),
-                            alive[ids].tolist()):
-        if was:
-            devices[m].energy = e
-            devices[m].alive = a
-    head_lives = head_until == never
-    head_left = np.where(head_lives, head_level - head_spent, 0.0)
-    for h, e, a, was in zip(heads, head_left.tolist(), head_lives.tolist(),
-                            alive[head_ids].tolist()):
-        if was:
-            devices[h].energy = e
-            devices[h].alive = a
+    # (a device dead before the phase keeps its level)
+    for at, was, stop, before, cost in (
+        (ids, was_alive, until, member_level, spent),
+        (head_ids, head_was_alive, head_until, head_level, head_spent),
+    ):
+        net.level[at[was]] = np.where(stop == never, before - cost, 0.0)[was]
+        net.alive[at] = stop == never
 
     dropped = received & drop_hit
     code = (attempted & relay_ok) * (1 + delayed)
@@ -630,27 +588,22 @@ def run_round(
     energy = net.energy
     phase = net.phase_for(r)
     outcome = ClusterRoundOutcome(round_index=r)
-    alive = net.alive_devices()
-    if not alive:
+    if not net.alive.any():
         return outcome
 
     # --- election ---------------------------------------------------------
-    announce_cost = tx_energy(cfg.control_bits, cfg.neighbor_radius, energy)
-    heads: list[int] = []
-    for dev in alive:
-        if decide_head(dev, r, rng, p_ch=cfg.p_ch, epoch=net.epoch):
-            heads.append(dev.id)
-            dev.spend(announce_cost)
-    head_set = set(heads)
+    heads = elect_heads(net, r, rng)
 
     # Broadcast reception: election announcements are control-plane messages
     # heard across the deployment area, but a member only learns of heads
     # whose announcement its own channel actually delivered.  Each delivery
     # is one candidate row (member, head).
-    members = [d.id for d in alive if d.id not in head_set and d.alive]
-    live_heads = [h for h in heads if net.devices[h].alive]
+    n = len(net.level)
+    placed = np.zeros(n, dtype=bool)
+    placed[heads] = True
+    members = np.flatnonzero(net.alive & ~placed)
     cand_obs, cand_tgt = receive_announcements(
-        net, members, live_heads, phase, np_rng
+        net, members, heads[net.alive[heads]], phase, np_rng
     )
 
     # --- cluster joining --------------------------------------------------
@@ -659,7 +612,6 @@ def run_round(
     # change in the update step at the end of the round, so one table of
     # them serves both classifications.
     trust = net.trust
-    n = len(net.devices)
     stds = net.std_table
     has_stds = ~np.isnan(stds[:, 0])
 
@@ -681,28 +633,22 @@ def run_round(
     joiners, chosen_heads = choose_heads(
         trust, cand_obs, cand_tgt, net.dist.take(cand), judged, malicious
     )
-    chosen = dict(zip(joiners.tolist(), chosen_heads.tolist()))
-
-    clusters: dict[int, list[int]] = {h: [] for h in heads}
-    for dev_id in members:
-        member = net.devices[dev_id]
-        if not member.alive:
-            continue
-        head_id = chosen.get(dev_id)
-        if head_id is not None:
-            clusters[head_id].append(dev_id)
-        elif is_eligible(member, r, net.epoch):
-            member.last_head_round = r
-            member.spend(announce_cost)
-            clusters[dev_id] = []
-        else:
-            outcome.direct_to_sink.append(dev_id)
-    # each device pays only its own transmission, so all can pay after
-    direct = outcome.direct_to_sink
-    sink_cost = net.sink_tx.at(np.array(direct, dtype=np.intp)).tolist()
-    for dev_id, cost in zip(direct, sink_cost):
-        net.devices[dev_id].spend(cost)
-
+    # A member that died listening joins no cluster.  One left without a
+    # head self-elects if it is eligible, and sends to the sink otherwise.
+    joined = net.alive[joiners]
+    clusters: dict[int, list[int]] = {h: [] for h in heads.tolist()}
+    for m, h in zip(joiners[joined].tolist(), chosen_heads[joined].tolist()):
+        clusters[h].append(m)
+    placed[joiners] = True
+    alone = np.flatnonzero(net.alive & ~placed)
+    eligible = net.eligible_from[alone] <= r
+    self_elected = alone[eligible]
+    net.eligible_from[self_elected] = r + net.epoch
+    charge(net.level, net.alive, self_elected, net.announce_tx)
+    clusters.update((m, []) for m in self_elected.tolist())
+    direct = alone[~eligible]
+    charge(net.level, net.alive, direct, net.sink_tx.at(direct))
+    outcome.direct_to_sink = direct.tolist()
     outcome.clusters = clusters
 
     # --- data transfer and overhearing -------------------------------------
@@ -711,16 +657,12 @@ def run_round(
 
     # Per-round monitoring duty for every device still alive.
     monitor_cost = monitor_energy(cfg.monitor_seconds, energy)
-    for dev in net.devices:
-        if dev.alive:
-            dev.spend(monitor_cost)
+    charge(net.level, net.alive, np.flatnonzero(net.alive), monitor_cost)
 
     # --- trust inference on own head ---------------------------------------
     # Every pair written this round is distinct: a member infers trust in its
     # own head only, and hears recommendations about other devices only.
-    observed = np.array(
-        [net.devices[o].alive for o in evidence.observer.tolist()], dtype=bool
-    )
+    observed = net.alive[evidence.observer]
     inf_obs = evidence.observer[observed]
     inf_tgt = evidence.head[observed]
     inf_val = trust_table.trust(
@@ -755,19 +697,19 @@ def run_round(
     ask_cost = net.control_tx.at(ask_pair[worth_asking]).tolist()
     control_rx = rx_energy(cfg.control_bits, energy)
     asked: list[int] = []
+    level, alive = net.level.tolist(), net.alive.tolist()
     for i, control_tx in zip(worth_asking.tolist(), ask_cost):
-        head_id, member_id = askers[i]
-        member = net.devices[member_id]
-        head = net.devices[head_id]
-        if not member.alive or not head.alive:
+        head, member = askers[i]
+        if not alive[member] or not alive[head]:
             continue
-        member.spend(control_tx)
+        spend(level, alive, member, control_tx)
         if (
-            head.spend(control_rx)
-            and head.spend(control_tx)
-            and member.spend(control_rx)
+            spend(level, alive, head, control_rx)
+            and spend(level, alive, head, control_tx)
+            and spend(level, alive, member, control_rx)
         ):
             asked.append(i)
+    net.level[:], net.alive[:] = level, alive
     ask, rec_tgt = np.nonzero(offers[asked])
     ask = np.asarray(asked, dtype=np.intp)[ask]
     rec_obs = ask_mem[ask]

@@ -64,21 +64,6 @@ class TrustState:
         obs = np.asarray(observers, dtype=np.intp)
         return obs * self.n + np.asarray(targets, dtype=np.intp)
 
-    @property
-    def known(self) -> np.ndarray:
-        """Pairs with at least one recorded drop."""
-        return self.count > 0
-
-    @property
-    def full(self) -> np.ndarray:
-        """Pairs whose window is full, i.e. that have an individual cloud."""
-        return self.count >= self.window
-
-    @property
-    def immature(self) -> np.ndarray:
-        """Pairs recorded but without a full window yet."""
-        return (self.count > 0) & (self.count < self.window)
-
     def clouds(self, observers, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ex, en, he) of the given pairs, which must all have full windows."""
         p = self.pairs(observers, targets)
@@ -197,9 +182,9 @@ def classify_pairs(
     sufficiently wide cloud outscores a tight one even at the tight cloud's
     own center; pooling the dispersion keeps the comparison a proximity
     judgement.  With equal-entropy standards this is the plain comparison.
-    A sampled dispersion of exactly zero scores a drop by the limit of the
-    membership as the dispersion goes to zero: 1.0 on the standard's
-    expectation, 0.0 anywhere else.
+    A sampled dispersion whose 2 sigma^2 is zero (exactly, or by underflow)
+    scores a drop by the limit of the membership as the dispersion goes to
+    zero: 1.0 on the standard's expectation, 0.0 anywhere else.
 
     With the default kappa = 3 the margin rules are inert in practice: on
     the reference scenario (seed 1) they settle 0 of 345,232 rows, because
@@ -232,14 +217,14 @@ def classify_pairs(
         denom = np.multiply(sigma_s, 2.0, out=sigma)
         denom *= sigma_s
         # A drop on a standard's expectation scores exp(-0.0 / denom) = 1.0
-        # wherever denom is positive; zero entropies (and a NaN or an
-        # underflowed denom) take the masked path.
+        # wherever denom is positive; a zero (zero entropies, or 2 sigma^2
+        # underflowed) or a NaN denom takes the masked path.
         degenerate = not denom.min() > 0.0
         ex_m, ex_n = ex_m[gray, None], ex_n[gray, None]
         if degenerate:
-            # Zero dispersions are scored by their limit below; any positive
-            # denominator keeps their division finite until then.
-            zero = sigma_s == 0.0
+            # Zero denominators are scored by their limit below; any positive
+            # one keeps their division finite until then.
+            zero = denom == 0.0
             denom[zero] = 1.0
         sims = []
         for ex_s in (ex_m, ex_n):
@@ -247,9 +232,9 @@ def classify_pairs(
             np.square(sim, out=sim)
             np.negative(sim, out=sim)
             # A subnormal denominator overflows the quotient to -inf, which
-            # exp takes to its limit 0, and an underflowed one divides by
-            # zero; the reference computes the same, so neither warns.
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # exp takes to its limit 0; the reference computes the same, so
+            # it does not warn.
+            with np.errstate(over="ignore"):
                 sim /= denom
             np.exp(sim, out=sim)
             if degenerate:

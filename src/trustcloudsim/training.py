@@ -13,7 +13,6 @@ below the normal one, or after a bounded number of rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional, Sequence
@@ -23,9 +22,9 @@ from .errors import NoNeighborError
 from .fuzzy import trust_table
 from .medium import (
     ChannelPhase,
-    EnergyParams,
     overhear_energy,
     rx_energy,
+    spend,
     tx_energy,
 )
 
@@ -38,17 +37,12 @@ class StandardClouds:
     normal: TrustCloud
 
 
-def _distance(a, b) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def _free(cost: float) -> bool:
-    return True
-
-
 def run_training_round(
-    initiator,
-    neighborhood: Sequence,
+    net,
+    level: list[float],
+    alive: list[bool],
+    initiator: int,
+    neighborhood: Sequence[int],
     channel: ChannelPhase,
     rng: Random,
     *,
@@ -57,38 +51,31 @@ def run_training_round(
     p_dy: float,
     max_dur: float,
     bits: int,
-    energy: Optional[EnergyParams] = None,
 ) -> tuple[list[float], list[float]]:
     """One active training round; returns (malicious drops, normal drops).
 
     The router accepts the malicious label first and the normal one second,
     forwarding n_f packets per label.  A missed overhearing is recorded as a
     drop and a captured retransmission as a delay, so the collected values
-    embed the medium's own uncertainty.  Devices are charged energy only when
-    an EnergyParams is supplied.  Each packet's value is the trust of the
-    label's cumulative window (sent, forwarded, timely) after it.
+    embed the medium's own uncertainty.  Each packet's value is the trust of
+    the label's cumulative window (sent, forwarded, timely) after it.
+
+    Devices are ids into ``level`` and ``alive``, charged with ``spend``
+    at the costs of the ``NetworkState`` ``net``'s distances and energy
+    model.
     """
-    candidates = [d for d in neighborhood if d.alive and d.id != initiator.id]
+    candidates = sorted(j for j in neighborhood if alive[j] and j != initiator)
     if len(candidates) < 2:
         raise NoNeighborError(
-            f"device {initiator.id}: no router/destination pair in range"
+            f"device {initiator}: no router/destination pair in range"
         )
-    candidates.sort(key=lambda d: d.id)
     router, dest = rng.sample(candidates, 2)
-
-    # A charge is a bound spend, or free when energy is not modelled: a free
-    # charge succeeds even for a dead device and changes nothing.
-    if energy is None:
-        initiator_pays = router_pays = dest_pays = _free
-        tx_ij = tx_jk = rx = overhear = 0.0
-    else:
-        initiator_pays, router_pays, dest_pays = (
-            initiator.spend, router.spend, dest.spend
-        )
-        tx_ij = tx_energy(bits, _distance(initiator, router), energy)
-        tx_jk = tx_energy(bits, _distance(router, dest), energy)
-        rx = rx_energy(bits, energy)
-        overhear = overhear_energy(bits, energy)
+    energy = net.energy
+    # a Python float: tx_energy's powers round a numpy float differently
+    tx_ij = tx_energy(bits, net.dist.item(initiator, router), energy)
+    tx_jk = tx_energy(bits, net.dist.item(router, dest), energy)
+    rx = rx_energy(bits, energy)
+    overhear = overhear_energy(bits, energy)
     # channel_ok inline: a clear channel (bad probability 0) draws nothing.
     bad = channel.bad_prob
     clear = bad == 0.0
@@ -96,7 +83,11 @@ def run_training_round(
 
     def to_router() -> bool:
         """Initiator transmits to the router; True if the router received."""
-        return initiator_pays(tx_ij) and (clear or random() >= bad) and router_pays(rx)
+        return (
+            spend(level, alive, initiator, tx_ij)
+            and (clear or random() >= bad)
+            and spend(level, alive, router, rx)
+        )
 
     def forward() -> tuple[bool, bool]:
         """Router transmits toward the destination; the initiator overhears.
@@ -104,13 +95,13 @@ def run_training_round(
         Returns whether the initiator overheard and whether the destination
         received.
         """
-        if not router_pays(tx_jk):
+        if not spend(level, alive, router, tx_jk):
             return False, False
         delivered = clear or random() >= bad
         if delivered:
-            dest_pays(rx)
+            spend(level, alive, dest, rx)
         if clear or random() >= bad:
-            initiator_pays(overhear)
+            spend(level, alive, initiator, overhear)
             return True, delivered
         return False, delivered
 
@@ -120,7 +111,7 @@ def run_training_round(
     t_after: list[int] = []
     forwarded = timely = 0
     for _ in range(n_f):
-        if not initiator.alive or not router.alive:
+        if not alive[initiator] or not alive[router]:
             break
         if not to_router():
             pass  # dropped
@@ -138,16 +129,16 @@ def run_training_round(
 
     forwarded = timely = 0
     for _ in range(n_f):
-        if not initiator.alive or not router.alive:
+        if not alive[initiator] or not alive[router]:
             break
         if to_router():
             first_heard, delivered = forward()
             reply_seen = False
             if delivered:
-                dest_pays(tx_jk)
+                spend(level, alive, dest, tx_jk)
                 reply_seen = clear or random() >= bad
                 if reply_seen:
-                    router_pays(rx)
+                    spend(level, alive, router, rx)
             # Timeout: one retransmission.  A first attempt the initiator
             # already overheard stays timely; otherwise a captured
             # retransmission is recorded as a delaying event.
@@ -168,7 +159,9 @@ def run_training_round(
 
 
 def train(
-    device,
+    level: list[float],
+    alive: list[bool],
+    device: int,
     play_round: Callable[[], tuple[Sequence[float], Sequence[float]]],
     *,
     max_drp: int,
@@ -178,18 +171,19 @@ def train(
     """Train one device's standard clouds; returns (rounds used, clouds).
 
     Each round plays one labeling round (``play_round`` returns its
-    malicious and normal drops) and charges the device the monitoring
-    cost.  The drop lists keep the last max_drp values of each label; once
-    both are full the clouds are rebuilt after every round.  Training stops
-    when the malicious expectation falls below the normal one, after max_tr
-    rounds, when the device dies, or when no route can be staged
+    malicious and normal drops) and charges the device, an id into
+    ``level`` and ``alive``, the monitoring cost with ``spend``.  The drop
+    lists keep the last max_drp values of each label; once both are full
+    the clouds are rebuilt after every round.  Training stops when the
+    malicious expectation falls below the normal one, after max_tr rounds,
+    when the device dies, or when no route can be staged
     (``NoNeighborError``).  The clouds are None if the lists never filled.
     """
     malicious: list[float] = []
     normal: list[float] = []
     clouds = None
     rounds = 0
-    while device.alive and rounds < max_tr:
+    while alive[device] and rounds < max_tr:
         if clouds is not None and clouds.malicious.ex < clouds.normal.ex:
             break
         try:
@@ -202,7 +196,7 @@ def train(
         if len(malicious) == max_drp and len(normal) == max_drp:
             clouds = StandardClouds(backward_cloud(malicious), backward_cloud(normal))
         rounds += 1
-        device.spend(monitor_cost)
+        spend(level, alive, device, monitor_cost)
     return rounds, clouds
 
 

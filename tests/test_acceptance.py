@@ -23,7 +23,7 @@ from trustcloudsim.engine import (
 )
 from trustcloudsim.medium import ChannelPhase, EnergyParams, channel_ok, \
     stationary_bad_prob, tx_energy
-from trustcloudsim.protocol import DeviceState, decide_head, election_threshold
+from trustcloudsim.protocol import NetworkState, elect_heads, election_threshold
 from trustcloudsim.runtime import recommend_trust, update_standard_cloud
 
 SWEEP_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -156,15 +156,15 @@ def test_election_fairness():
     ok = True
     for seed in range(SWEEP_SEEDS):
         rng = Random(seed)
-        devs = [DeviceState(id=i, x=0.0, y=0.0, energy=1.0) for i in range(100)]
+        cfg = ScenarioConfig(device_count=100, p_ch=0.07)
+        net = NetworkState(cfg, [0.0] * 100, [0.0] * 100, ["honest"] * 100)
         epoch = math.ceil(1 / 0.07)
-        history: dict[int, list[int]] = {d.id: [] for d in devs}
+        history: dict[int, list[int]] = {i: [] for i in range(100)}
         head_count = 0
         for r in range(200):
-            for d in devs:
-                if decide_head(d, r, rng, p_ch=0.07, epoch=epoch):
-                    history[d.id].append(r)
-                    head_count += 1
+            for h in elect_heads(net, r, rng).tolist():
+                history[h].append(r)
+                head_count += 1
         for rounds in history.values():
             for a, b in zip(rounds, rounds[1:]):
                 ok &= b - a >= epoch

@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from device_oracle import DeviceState, is_eligible
 from trust_oracle import scalar_trust
 
 from trustcloudsim.cloud import TrustCloud, backward_cloud
 from trustcloudsim.errors import DomainError, NoEvidenceError
 from trustcloudsim.fuzzy import TrustTable
-from trustcloudsim.protocol import DeviceState, choose_heads, is_eligible
+from trustcloudsim.protocol import choose_heads
 from trustcloudsim.runtime import (
     TrustState,
     UpdatePools,
@@ -155,9 +156,12 @@ def test_choose_heads_matches_reference(scenario):
         DeviceState(id=i, x=0.0, y=0.0, energy=1.0, last_head_round=last)
         for i, last in enumerate(last_head)
     ]
+    # the network's first round of eligibility, as elect_heads reads it
+    eligible_from = [0 if last is None else last + epoch for last in last_head]
     obs = np.array([m for m, _ in rows], dtype=np.intp)
     tgt = np.array([h for _, h in rows], dtype=np.intp)
-    judged = trust.full[obs, tgt] & np.array(has_standards, dtype=bool)[obs]
+    full = trust.count[obs, tgt] >= trust.window
+    judged = full & np.array(has_standards, dtype=bool)[obs]
     malicious = np.array(malicious, dtype=bool) & judged
 
     joiners, heads = choose_heads(
@@ -180,7 +184,7 @@ def test_choose_heads_matches_reference(scenario):
         )
         if m in chosen:
             got = ClusterChoice("join", chosen[m])
-        elif is_eligible(devices[m], r, epoch):
+        elif eligible_from[m] <= r:
             got = ClusterChoice("become_head", None)
         else:
             got = ClusterChoice("sink", None)

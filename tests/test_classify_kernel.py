@@ -2,8 +2,9 @@
 
 ``reference_classify`` is the classifier as it was written before its kernel
 moved into place: three separate normal draws, temporary arrays for every
-step and ``np.where`` on each similarity, with a zero sampled dispersion
-scored by the membership's limit (1 on the expectation, 0 elsewhere).  On
+step and ``np.where`` on each similarity, with a sampled dispersion whose
+2 sigma^2 is zero scored by the membership's limit (1 on the expectation,
+0 elsewhere).  On
 the same trust state, standard table and generator, the in-place kernel
 must return the same verdicts and leave the generator in the same state.
 """
@@ -24,9 +25,9 @@ def reference_classify(state, stds, observers, targets, np_rng, kappa, n_drp):
         raise InsufficientEvidenceError("observer has no standard clouds")
     malicious = ex < ex_m - kappa * en_m
     gray = np.flatnonzero(~malicious & ~(ex > ex_n + kappa * en_n))
-    # np.where evaluates both branches; the one it discards divides by an
-    # underflowed denominator, so its warnings are silenced.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # np.where evaluates both branches; the one it discards overflows on a
+    # subnormal denominator, so its warnings are silenced.
+    with np.errstate(over="ignore"):
         if len(gray):
             shape = (len(gray), n_drp)
             ex_i, en_i, he_i = ex[gray, None], en[gray, None], he[gray, None]
@@ -36,8 +37,9 @@ def reference_classify(state, stds, observers, targets, np_rng, kappa, n_drp):
             sigma_i = np.abs(np_rng.standard_normal(shape) * he_i + en_i)
             drops = np.clip(np_rng.standard_normal(shape) * sigma_i + ex_i, 0.0, 1.0)
             sigma_s = np.abs(np_rng.standard_normal(shape) * he_p + en_p)
-            zero = sigma_s == 0.0
-            denom = np.where(zero, 1.0, 2.0 * sigma_s * sigma_s)
+            denom = 2.0 * sigma_s * sigma_s
+            zero = denom == 0.0
+            denom = np.where(zero, 1.0, denom)
             sim_m = np.where(
                 drops == ex_m,
                 1.0,
@@ -173,6 +175,11 @@ def test_underflowing_denominator_matches_reference():
     stds = np.array([[0.5, tiny, tiny, 0.52, tiny, tiny]] * 2)
     assert_same(state, stds, [0], [1], 11, kappa=0.0)
     assert_same(constant_state(0.5), stds, [0], [1], 11, kappa=0.0)
+    # A drop within 1e-162 of the malicious expectation but not on it scores
+    # the limit 0 under both standards, so the tie judges it malicious.
+    stds = np.array([[0.0, tiny, 0.0, 0.9, tiny, 0.0]] * 2)
+    verdicts = assert_same(constant_state(1e-200), stds, [0], [1], 11, kappa=0.0)
+    assert verdicts == [True]
 
 
 def test_missing_standard_clouds_raise():

@@ -6,9 +6,11 @@ energy with the production arithmetic: a device's balance after a charge is
 its energy at the start of the phase minus, for each kind of charge paid so
 far, the count times that kind's cost.  A device that cannot pay dies and
 the action fails; one that pays its last joule completes the action and
-dies.  On the same network and generator, model and production must leave
-every packet record, evidence window, attack counter, device energy, alive
-flag and the generator itself in the same state.
+dies.  The models charge ``DeviceState`` objects (``device_oracle``), and
+production the network's arrays.  On the same scenario and generator,
+model and production must leave every packet record, evidence window,
+attack counter, device energy, alive flag and the generator itself in the
+same state.
 """
 
 import copy
@@ -16,8 +18,10 @@ from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
+from device_oracle import DeviceState, network, state
 from hypothesis import strategies as st
 
+from trustcloudsim import protocol
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.medium import (
     ChannelPhase,
@@ -33,8 +37,6 @@ from trustcloudsim.protocol import (
     HONEST,
     SUPER,
     ClusterRoundOutcome,
-    DeviceState,
-    NetworkState,
     PacketCounts,
     TransferRecord,
     receive_announcements,
@@ -75,8 +77,9 @@ class Ledger:
                 dev.energy = self.level[dev.id] - self.spent(dev)
 
 
-def model_data_phase(net, clusters, phase, np_rng, outcome):
-    """The data phase one event at a time; returns (windows, packet counts)."""
+def model_data_phase(net, devices, clusters, phase, np_rng, outcome):
+    """The data phase one event at a time over ``devices``, reading only the
+    topology and parameters of ``net``; returns (windows, packet counts)."""
     cfg = net.cfg
     energy = net.energy
     bits = cfg.data_bits
@@ -86,7 +89,7 @@ def model_data_phase(net, clusters, phase, np_rng, outcome):
         return {}, PacketCounts(0, 0, 0)
     sizes = [len(clusters[h]) for h in heads]
     block = iter(np_rng.random(sum(2 * k * k + 4 * k for k in sizes)).tolist())
-    ledger = Ledger(net.devices)
+    ledger = Ledger(devices)
     over_cost = overhear_energy(bits, energy)
     windows = {}
     received_n = timely_n = delayed_n = 0
@@ -95,8 +98,8 @@ def model_data_phase(net, clusters, phase, np_rng, outcome):
         uplink, over, drop, delay, relay, relay_over = (
             [next(block) for _ in range(n)] for n in (k, k * k, k, k, k, k * k)
         )
-        head = net.devices[head_id]
-        members = [net.devices[m] for m in sorted(clusters[head_id])]
+        head = devices[head_id]
+        members = [devices[m] for m in sorted(clusters[head_id])]
         mult = ATTACK_MULTIPLIER[head.attacker]
         sink_tx = tx_energy(bits, net.sink_dist[head_id], energy)
         ledger.counts[head_id] = [0, 0, 0]
@@ -155,25 +158,25 @@ def model_data_phase(net, clusters, phase, np_rng, outcome):
             if sent[j]:
                 windows[(m.id, head_id)] = (sent[j], forwarded[j], timely[j])
 
-    ledger.settle(net.devices)
+    ledger.settle(devices)
     return windows, PacketCounts(received_n, timely_n, delayed_n)
 
 
-def model_reception(net, listeners, heads, phase, np_rng):
+def model_reception(net, devices, listeners, heads, phase, np_rng):
     """Announcement reception one delivery at a time; returns the rows heard."""
     rows = []
     if not listeners or not heads:
         return rows
     draws = np_rng.random((len(listeners), len(heads))).tolist()
-    ledger = Ledger(net.devices)
+    ledger = Ledger(devices)
     for m, row in zip(listeners, draws):
-        dev = net.devices[m]
+        dev = devices[m]
         ledger.counts[m] = [0]
         ledger.costs[m] = (rx_energy(net.cfg.control_bits, net.energy),)
         for h, x in zip(heads, row):
             if x >= phase.bad_prob and ledger.pay(dev, 0):
                 rows.append((m, h))
-    ledger.settle(net.devices)
+    ledger.settle(devices)
     return rows
 
 
@@ -227,7 +230,7 @@ def scenarios(draw):
         p_dp=draw(st.sampled_from((0.0, 0.05, 0.1, 0.2))),
         p_dy=draw(st.sampled_from((0.0, 0.05, 0.1, 0.2))),
     )
-    return NetworkState(cfg, devices), clusters
+    return network(cfg, devices), devices, clusters
 
 
 def as_windows(evidence):
@@ -238,30 +241,29 @@ def as_windows(evidence):
     return {(o, h): (s, f, t) for o, h, s, f, t in rows}
 
 
-def state_of(net, outcome, windows, packets, np_rng):
+def state_of(devices, outcome, windows, packets, np_rng):
     return (
         outcome.transfers,
         windows,
         packets,
         (outcome.attack_drops, outcome.attack_delays),
-        [d.energy for d in net.devices],
-        [d.alive for d in net.devices],
+        *state(devices),
         np_rng.bit_generator.state,
     )
 
 
-def run_both(net, clusters, phase, seed, rounds=1):
+def run_both(net, devices, clusters, phase, seed, rounds=1):
     """Production and model side by side; returns the production network
     and its last outcome."""
-    model = copy.deepcopy(net)
+    model = copy.deepcopy(devices)
     rng, model_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for r in range(rounds):
         outcome = ClusterRoundOutcome(round_index=r)
         model_outcome = ClusterRoundOutcome(round_index=r)
-        with mock.patch.object(DeviceState, "spend", side_effect=AssertionError):
+        with mock.patch.object(protocol, "spend", side_effect=AssertionError):
             evidence = run_data_phase(net, clusters, phase, rng, outcome)
         windows, packets = model_data_phase(
-            model, clusters, phase, model_rng, model_outcome
+            net, model, clusters, phase, model_rng, model_outcome
         )
         assert state_of(net, outcome, as_windows(evidence), evidence.packets, rng) == (
             state_of(model, model_outcome, windows, packets, model_rng)
@@ -272,8 +274,8 @@ def run_both(net, clusters, phase, seed, rounds=1):
 @settings(max_examples=300, deadline=None)
 @given(scenarios(), channels, st.integers(0, 2**32 - 1), st.integers(1, 3))
 def test_data_phase_matches_reference(scenario, phase, seed, rounds):
-    net, clusters = scenario
-    run_both(net, clusters, phase, seed, rounds)
+    net, devices, clusters = scenario
+    run_both(net, devices, clusters, phase, seed, rounds)
 
 
 def test_data_phase_drains_devices_mid_packet():
@@ -285,9 +287,9 @@ def test_data_phase_drains_devices_mid_packet():
                     + tx_energy(CFG.data_bits, 10.0, CFG.energy_params()))
         for i in range(1, 13)
     ]
-    net = NetworkState(ScenarioConfig(device_count=len(devices)), devices)
-    run_both(net, {0: list(range(1, 13))}, ChannelPhase(1.0, 3.0), 5)
-    assert sum(not d.alive for d in net.devices) > 3
+    net = network(ScenarioConfig(device_count=len(devices)), devices)
+    run_both(net, devices, {0: list(range(1, 13))}, ChannelPhase(1.0, 3.0), 5)
+    assert sum(not a for a in net.alive) > 3
 
 
 def test_head_that_dies_partway_stops_relaying():
@@ -296,9 +298,11 @@ def test_head_that_dies_partway_stops_relaying():
     # nothing more is received or relayed.
     devices = [DeviceState(id=0, x=50.0, y=50.0, energy=3.5 * RX)]
     devices += [DeviceState(id=i, x=50.0 + i, y=50.0, energy=1.0) for i in range(1, 9)]
-    net = NetworkState(ScenarioConfig(device_count=len(devices)), devices)
-    net, outcome = run_both(net, {0: list(range(1, 9))}, ChannelPhase(0.0, 1.0), 3)
-    assert (net.devices[0].energy, net.devices[0].alive) == (0.0, False)
+    net = network(ScenarioConfig(device_count=len(devices)), devices)
+    net, outcome = run_both(
+        net, devices, {0: list(range(1, 9))}, ChannelPhase(0.0, 1.0), 3
+    )
+    assert (net.level[0], net.alive[0]) == (0.0, False)
     assert [(t.received, t.outcome) for t in outcome.transfers[:3]] == [
         (True, "timely"), (True, "dropped"), (False, "dropped"),
     ]
@@ -318,9 +322,9 @@ def test_overhear_that_empties_a_device_kills_it():
         DeviceState(id=2, x=10.0, y=10.0, energy=1.0),
     ]
     net, _ = run_both(
-        NetworkState(cfg, devices), {0: [1, 2]}, ChannelPhase(0.0, 1.0), 1
+        network(cfg, devices), devices, {0: [1, 2]}, ChannelPhase(0.0, 1.0), 1
     )
-    assert (net.devices[1].energy, net.devices[1].alive) == (0.0, False)
+    assert (net.level[1], net.alive[1]) == (0.0, False)
 
 
 def test_last_joule_completes_the_action():
@@ -336,14 +340,14 @@ def test_last_joule_completes_the_action():
         DeviceState(id=1, x=10.0, y=10.0, energy=1.0),
         DeviceState(id=2, x=10.0, y=10.0, energy=1.0),
     ]
-    net = NetworkState(cfg, devices)
+    net = network(cfg, devices)
     outcome = ClusterRoundOutcome(round_index=0)
     evidence = run_data_phase(net, {0: [1, 2]}, ChannelPhase(0.0, 1.0),
                               np.random.default_rng(1), outcome)
     assert [(t.member, t.received, t.outcome) for t in outcome.transfers] == [
         (1, True, "timely"), (2, False, "dropped"),
     ]
-    assert (net.devices[0].energy, net.devices[0].alive) == (0.0, False)
+    assert (net.level[0], net.alive[0]) == (0.0, False)
     assert as_windows(evidence) == {
         (1, 0): (2, 1, 1), (2, 0): (2, 1, 1),
     }
@@ -366,22 +370,20 @@ def listening(draw):
         DeviceState(id=n_heads + i, x=0.0, y=0.0, energy=e)
         for i, e in enumerate(levels)
     ]
-    net = NetworkState(ScenarioConfig(device_count=max(len(devices), 1)), devices)
+    net = network(ScenarioConfig(device_count=max(len(devices), 1)), devices)
     listeners = draw(st.permutations(range(n_heads, len(devices))))
-    return net, list(listeners), list(range(n_heads))
+    return net, devices, list(listeners), list(range(n_heads))
 
 
 @settings(max_examples=200, deadline=None)
 @given(listening(), channels, st.integers(0, 2**32 - 1))
 def test_reception_matches_model(scenario, phase, seed):
-    net, listeners, heads = scenario
-    model = copy.deepcopy(net)
+    net, devices, listeners, heads = scenario
+    model = copy.deepcopy(devices)
     rng, model_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    with mock.patch.object(DeviceState, "spend", side_effect=AssertionError):
+    with mock.patch.object(protocol, "spend", side_effect=AssertionError):
         obs, tgt = receive_announcements(net, listeners, heads, phase, rng)
-    rows = model_reception(model, listeners, heads, phase, model_rng)
+    rows = model_reception(net, model, listeners, heads, phase, model_rng)
     assert list(zip(obs.tolist(), tgt.tolist())) == rows
-    assert [(d.energy, d.alive) for d in net.devices] == [
-        (d.energy, d.alive) for d in model.devices
-    ]
+    assert state(net) == state(model)
     assert rng.bit_generator.state == model_rng.bit_generator.state

@@ -1,7 +1,6 @@
 import math
 from random import Random
 
-import numpy as np
 import pytest
 
 from trustcloudsim import engine, protocol
@@ -35,8 +34,8 @@ def test_build_scenario_attacker_split():
     cfg = ScenarioConfig(device_count=100, malicious_fraction=0.2, seed=1)
     net = build_scenario(cfg, Random(1))
     by_class = {}
-    for dev in net.devices:
-        by_class[dev.attacker] = by_class.get(dev.attacker, 0) + 1
+    for attacker in net.attacker:
+        by_class[attacker] = by_class.get(attacker, 0) + 1
     assert by_class[HONEST] == 80
     assert by_class[GENERIC] == 6
     assert by_class[ADVANCED] == 8
@@ -46,8 +45,8 @@ def test_build_scenario_attacker_split():
 def test_build_scenario_all_honest_and_bounds():
     cfg = ScenarioConfig(device_count=50, malicious_fraction=0.0, seed=2)
     net = build_scenario(cfg, Random(2))
-    assert all(d.attacker == HONEST for d in net.devices)
-    assert all(0 <= d.x <= 100 and 0 <= d.y <= 100 for d in net.devices)
+    assert all(attacker == HONEST for attacker in net.attacker)
+    assert all(0 <= x <= 100 and 0 <= y <= 100 for x, y in zip(net.x, net.y))
 
 
 def test_config_validation_errors():
@@ -133,7 +132,7 @@ def test_oracle_classifier_accuracy_is_one(monkeypatch):
     cfg = small_cfg()
     # run_simulation deploys the same devices from the same seed
     net = build_scenario(cfg, Random(cfg.seed))
-    truth = np.array([d.is_malicious for d in net.devices], dtype=bool)
+    truth = net.malicious
 
     def oracle(state, stds, observers, targets, *args, **kwargs):
         return truth[targets]

@@ -3,6 +3,8 @@
 Every round of a random small network must keep:
 
 - energy never negative, and never rising;
+- a dead device never revives and is never charged again, and its death
+  round is set once, to the first round whose end finds it dead;
 - every evidence window with timely <= forwarded <= sent;
 - each device in at most one cluster, as head or as member, and never both
   in a cluster and on the direct-to-sink list;
@@ -16,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustcloudsim import protocol
+from trustcloudsim import engine, protocol
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import build_scenario, run_simulation, run_training_phase
 from trustcloudsim.medium import ChannelPhase
@@ -58,21 +60,37 @@ def test_round_invariants(cfg):
         return evidence
 
     def classify(state, stds, observers, targets, *args, **kwargs):
-        assert state.full[observers, targets].all(), "classified a partial window"
+        full = state.count[observers, targets] >= state.window
+        assert full.all(), "classified a partial window"
         return classify_pairs(state, stds, observers, targets, *args, **kwargs)
 
+    def charge(level, alive, ids, cost):
+        assert alive[ids].all(), "charged a dead device"
+        return charge_live(level, alive, ids, cost)
+
     run_data_phase, classify_pairs = protocol.run_data_phase, protocol.classify_pairs
+    charge_live = protocol.charge
     rng, np_rng = Random(cfg.seed + 1), np.random.default_rng(cfg.seed)
-    energy = [d.energy for d in net.devices]
+    energy = net.level.tolist()
+    alive = net.alive.copy()
+    # training's deaths are booked at round 0
+    assert net.death_round.tolist() == np.where(alive, -1, 0).tolist()
     with mock.patch.object(protocol, "run_data_phase", data_phase), \
-            mock.patch.object(protocol, "classify_pairs", classify):
+            mock.patch.object(protocol, "classify_pairs", classify), \
+            mock.patch.object(protocol, "charge", charge):
         for r in range(cfg.max_rounds):
+            death_round = net.death_round.copy()
             out = protocol.run_round(net, r, rng, np_rng, np_rng)
 
-            now = [d.energy for d in net.devices]
+            now = net.level.tolist()
             assert all(e >= 0.0 for e in now)
             assert all(b <= a for a, b in zip(energy, now))
-            energy = now
+            assert not (net.alive & ~alive).any(), "a dead device revived"
+            assert all(b == a for a, b, was in zip(energy, now, alive) if not was)
+            died = alive & ~net.alive
+            assert (net.death_round[died] == r).all()
+            assert (net.death_round[~died] == death_round[~died]).all()
+            energy, alive = now, net.alive.copy()
 
             placed = list(out.clusters) + [
                 m for members in out.clusters.values() for m in members
@@ -90,9 +108,38 @@ def test_round_invariants(cfg):
                 assert np.all(evidence.forwarded <= evidence.sent)
 
             decided = out.decisions
-            assert trust.full[decided.observer, decided.target].all()
+            full = trust.count[decided.observer, decided.target] >= trust.window
+            assert full.all()
             assert len(set(zip(decided.observer.tolist(),
                                decided.target.tolist()))) == len(decided.observer)
+
+
+@settings(max_examples=25, deadline=None)
+@given(configs)
+def test_logged_death_rounds_are_first_rounds_found_dead(cfg):
+    # each device's alive flag at the end of training and of every round
+    ends = []
+
+    def training(net, rng):
+        reports = run_training_phase(net, rng)
+        ends.append(net.alive.copy())
+        return reports
+
+    def round_(net, r, *args):
+        outcome = run_round(net, r, *args)
+        ends.append(net.alive.copy())
+        return outcome
+
+    run_training_phase, run_round = engine.run_training_phase, engine.run_round
+    with mock.patch.object(engine, "run_training_phase", training), \
+            mock.patch.object(engine, "run_round", round_):
+        log = run_simulation(cfg)
+    # training's end counts as round 0's
+    first_dead = {}
+    for r, alive in enumerate(ends):
+        for i in np.flatnonzero(~alive).tolist():
+            first_dead.setdefault(i, max(r - 1, 0))
+    assert log.death_round == first_dead
 
 
 def test_zero_entropy_standards_run_to_completion():

@@ -1,7 +1,11 @@
 import math
 from random import Random
 
+import numpy as np
 import pytest
+from device_oracle import DeviceState
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustcloudsim.errors import DomainError
 from trustcloudsim.medium import (
@@ -9,9 +13,11 @@ from trustcloudsim.medium import (
     EnergyParams,
     aggregate_energy,
     channel_ok,
+    charge,
     monitor_energy,
     overhear_energy,
     rx_energy,
+    spend,
     stationary_bad_prob,
     tx_energy,
 )
@@ -84,3 +90,48 @@ def test_energy_params_validation():
         EnergyParams(e_elec=-1.0)
     with pytest.raises(DomainError):
         tx_energy(10, -1.0, EnergyParams())
+
+
+@st.composite
+def charges(draw):
+    """Levels, alive flags, distinct live ids and their costs (a scalar or
+    one per id); levels of 0.0, exact multiples of a cost and values below
+    it are all common."""
+    unit = draw(st.sampled_from((2.0**-20, 1e-4, 3.7e-5, 0.1)))
+    amounts = st.one_of(
+        st.just(0.0), st.integers(0, 4).map(lambda k: k * unit),
+        st.floats(0.0, 4 * unit),
+    )
+    level = draw(st.lists(amounts, min_size=1, max_size=30))
+    alive = draw(st.lists(st.booleans(), min_size=len(level), max_size=len(level)))
+    live = [i for i, a in enumerate(alive) if a]
+    ids = draw(st.lists(st.sampled_from(live), unique=True)) if live else []
+    cost = draw(st.one_of(
+        amounts, st.lists(amounts, min_size=len(ids), max_size=len(ids))
+    ))
+    return level, alive, ids, cost
+
+
+@settings(max_examples=500, deadline=None)
+@given(charges())
+def test_charge_matches_sequential_spend(case):
+    level, alive, ids, cost = case
+    costs = cost if isinstance(cost, list) else [cost] * len(ids)
+    # the device objects the simulator charged before, and spend on lists
+    devices = [
+        DeviceState(id=i, x=0.0, y=0.0, energy=e, alive=a)
+        for i, (e, a) in enumerate(zip(level, alive))
+    ]
+    seq_level, seq_alive = list(level), list(alive)
+    for i, c in zip(ids, costs):
+        assert spend(seq_level, seq_alive, i, c) == devices[i].spend(c)
+    assert np.array(seq_level).tobytes() == np.array(
+        [d.energy for d in devices]
+    ).tobytes()
+    assert seq_alive == [d.alive for d in devices]
+
+    vec_level, vec_alive = np.array(level), np.array(alive)
+    charge(vec_level, vec_alive, np.array(ids, dtype=np.intp),
+           np.array(cost) if isinstance(cost, list) else cost)
+    assert vec_level.tobytes() == np.array(seq_level).tobytes()
+    assert vec_alive.tolist() == seq_alive

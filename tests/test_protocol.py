@@ -2,6 +2,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from device_oracle import DeviceState, is_eligible
 
 from trustcloudsim.cloud import TrustCloud
 from trustcloudsim.config import ScenarioConfig
@@ -9,12 +10,11 @@ from trustcloudsim.engine import build_scenario, run_training_phase
 from trustcloudsim.medium import ChannelPhase, EnergyParams, tx_energy
 from trustcloudsim.protocol import (
     ClusterRoundOutcome,
-    DeviceState,
+    NetworkState,
     TransmitCosts,
     choose_heads,
-    decide_head,
+    elect_heads,
     election_threshold,
-    is_eligible,
     run_data_phase,
     run_round,
 )
@@ -36,20 +36,28 @@ def test_election_threshold_values():
     assert election_threshold(1, 0.5) == pytest.approx(1.0, rel=REL)
 
 
+def at_origin(n):
+    """A network of n devices at the origin, electing with p_ch = 0.07."""
+    cfg = ScenarioConfig(device_count=n, p_ch=0.07)
+    return NetworkState(cfg, [0.0] * n, [0.0] * n, ["honest"] * n)
+
+
 def test_decide_head_eligibility():
     rng = Random(1)
-    dev = DeviceState(id=0, x=0, y=0, energy=1.0, last_head_round=5)
-    assert not any(decide_head(dev, r, rng, p_ch=0.07, epoch=15) for r in range(6, 20))
+    net = at_origin(1)
+    assert net.epoch == 15
+    net.eligible_from[0] = 5 + net.epoch  # headed in round 5
+    assert not any(len(elect_heads(net, r, rng)) for r in range(6, 20))
     # eligible with threshold capped at 1: always heads
-    dev2 = DeviceState(id=1, x=0, y=0, energy=1.0)
-    assert decide_head(dev2, 14, Random(2), p_ch=0.07, epoch=15)
-    assert dev2.last_head_round == 14
+    net = at_origin(2)
+    assert elect_heads(net, 14, Random(2)).tolist() == [0, 1]
+    assert net.eligible_from[1] == 14 + net.epoch
+    assert net.level[1] == 1.0 - net.announce_tx
 
 
 def test_decide_head_fraction():
     rng = Random(3)
-    devs = [DeviceState(id=i, x=0, y=0, energy=1.0) for i in range(300)]
-    heads = sum(decide_head(d, 0, rng, p_ch=0.07, epoch=15) for d in devs)
+    heads = len(elect_heads(at_origin(300), 0, rng))
     assert 0.03 < heads / 300 < 0.12
 
 
@@ -73,7 +81,7 @@ def choose(member, candidates, trust, *, r=0, epoch=15):
     """The member's (kind, head), classified and chosen as run_round does."""
     obs = np.full(len(candidates), member.id, dtype=np.intp)
     tgt = np.array([h.id for h, _ in candidates], dtype=np.intp)
-    judged = trust.full[obs, tgt]
+    judged = trust.count[obs, tgt] >= trust.window
     table = standard_table([margin_stds()] * len(trust.count))
     malicious = np.zeros(len(candidates), dtype=bool)
     malicious[judged] = classify_pairs(
@@ -146,7 +154,7 @@ def small_net(cfg=None, **overrides):
 
 def test_run_data_phase_honest_perfect_channel():
     net = small_net()
-    clusters = {0: [d.id for d in net.devices[1:6]]}
+    clusters = {0: list(range(1, 6))}
     outcome = ClusterRoundOutcome(round_index=0)
     evidence = run_data_phase(
         net, clusters, ChannelPhase(0.0, 1.0), np.random.default_rng(4), outcome
@@ -162,9 +170,8 @@ def test_run_data_phase_super_attack_drop_fraction():
     cfg = ScenarioConfig(device_count=12, area_width=60.0, area_height=60.0,
                          malicious_fraction=0.0, seed=3, max_rounds=50)
     net = build_scenario(cfg, Random(cfg.seed))
-    head = net.devices[0]
-    head.attacker = "super"
-    members = [d.id for d in net.devices[1:11]]
+    net.attacker[0] = "super"
+    members = list(range(1, 11))
     rng = np.random.default_rng(99)
     received = dropped = 0
     for _ in range(10_000):
@@ -173,17 +180,16 @@ def test_run_data_phase_super_attack_drop_fraction():
         for t in outcome.transfers:
             received += t.received
             dropped += t.attack_drop
-        for d in net.devices:
-            d.energy = 1.0
-            d.alive = True
+        net.level[:] = 1.0
+        net.alive[:] = True
     assert received == 100_000
     assert abs(dropped / received - 0.30) < 0.01
 
 
 def test_run_data_phase_depleted_member_sends_nothing():
     net = small_net()
-    net.devices[1].energy = 0.0
-    net.devices[1].alive = False
+    net.level[1] = 0.0
+    net.alive[1] = False
     clusters = {0: [1, 2, 3]}
     outcome = ClusterRoundOutcome(round_index=0)
     run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), np.random.default_rng(4), outcome)
@@ -193,8 +199,7 @@ def test_run_data_phase_depleted_member_sends_nothing():
 
 def test_run_round_zero_alive():
     net = small_net()
-    for d in net.devices:
-        d.alive = False
+    net.alive[:] = False
     np_rng = np.random.default_rng(1)
     out = run_round(net, 0, Random(1), np_rng, np_rng)
     assert out.clusters == {} and out.transfers == []
@@ -203,12 +208,11 @@ def test_run_round_zero_alive():
 
 def test_run_round_all_recently_heads_direct_to_sink():
     net = small_net()
-    for d in net.devices:
-        d.last_head_round = 0
+    net.eligible_from[:] = 0 + net.epoch  # all headed in round 0
     np_rng = np.random.default_rng(1)
     out = run_round(net, 1, Random(1), np_rng, np_rng)
     assert out.clusters == {}
-    assert sorted(out.direct_to_sink) == [d.id for d in net.devices]
+    assert sorted(out.direct_to_sink) == list(range(len(net.level)))
 
 
 def test_run_round_accounting_invariants():
@@ -218,7 +222,7 @@ def test_run_round_accounting_invariants():
     run_training_phase(net, Random(cfg.seed + 1))
     rng = Random(10)
     np_rng = np.random.default_rng(10)
-    prev_energy = {d.id: d.energy for d in net.devices}
+    prev_energy = net.level.copy()
     head_rounds: dict[int, list[int]] = {}
     for r in range(60):
         out = run_round(net, r, rng, np_rng, np_rng)
@@ -226,9 +230,9 @@ def test_run_round_accounting_invariants():
         assert counted == len(out.transfers)
         for h in out.clusters:
             head_rounds.setdefault(h, []).append(r)
-        for d in net.devices:
-            assert d.energy <= prev_energy[d.id] + 1e-15
-            prev_energy[d.id] = d.energy
+        for i, e in enumerate(net.level.tolist()):
+            assert e <= prev_energy[i] + 1e-15
+            prev_energy[i] = e
     epoch = net.epoch
     for rounds in head_rounds.values():
         for a, b in zip(rounds, rounds[1:]):
@@ -247,7 +251,7 @@ def test_run_round_detects_malicious_around_round_60():
         run_training_phase(net, Random(cfg.seed))
         rng = Random(cfg.seed)
         np_rng = np.random.default_rng(cfg.seed)
-        is_malicious = np.array([d.is_malicious for d in net.devices])
+        is_malicious = net.malicious
         flagged = False
         for r in range(66):
             out = run_round(net, r, rng, np_rng, np_rng)

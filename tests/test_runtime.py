@@ -75,11 +75,11 @@ def test_record_trust_window_and_cloud():
     state = TrustState(8, 20)
     for i in range(19):
         record_trust(state, [7], [3], [0.5])
-    assert not state.full[7, 3]
+    assert state.count[7, 3] < state.window
     with pytest.raises(InsufficientEvidenceError):
         state.clouds([7], [3])
     record_trust(state, [7], [3], [0.5])
-    assert state.full[7, 3]
+    assert state.count[7, 3] >= state.window
 
     # sliding: oldest evicted, cloud rebuilt over the latest 20
     record_trust(state, [7], [3], [1.0])
@@ -88,7 +88,7 @@ def test_record_trust_window_and_cloud():
     ex, en, he = state.clouds([7], [3])
     assert (ex[0], en[0], he[0]) == (expected.ex, expected.en, expected.he)
     assert state.mean[7, 3] == pytest.approx(sum(values) / 20, rel=1e-9)
-    assert state.count[7, 3] == 21 and not state.immature[7, 3]
+    assert state.count[7, 3] == 21 and state.count[7, 3] >= state.window
 
 
 def test_record_trust_all_zero_window():

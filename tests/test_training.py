@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from device_oracle import DeviceState, network, state
 from hypothesis import strategies as st
 from trust_oracle import scalar_trust
 
@@ -22,7 +23,6 @@ from trustcloudsim.medium import (
     rx_energy,
     tx_energy,
 )
-from trustcloudsim.protocol import DeviceState
 from trustcloudsim.training import (
     StandardClouds,
     merge_recommendations,
@@ -46,6 +46,20 @@ def devices(n, spacing=5.0):
     return [DeviceState(id=i, x=i * spacing, y=0.0, energy=1.0) for i in range(n)]
 
 
+def play(run, devs, channel, rng, **kwargs):
+    """A training round of devs[0] among devs[1:], charged on list copies
+    of the arrays of a network of them (``run_training_round``) or on the
+    objects (the reference); returns (drops, (levels, alive flags))."""
+    if run is not run_training_round:
+        result = run(devs[0], devs[1:], channel, rng, energy=ENERGY, **kwargs)
+        return result, state(devs)
+    net = network(CFG, devs)
+    level, alive = state(net)
+    ids = [d.id for d in devs]
+    result = run(net, level, alive, ids[0], ids[1:], channel, rng, **kwargs)
+    return result, (level, alive)
+
+
 class Rounds:
     """A stub labeling round: plays the given rounds in turn, counting calls.
 
@@ -65,12 +79,13 @@ class Rounds:
         return entry
 
 
-def train_with(rounds, *, device=None, max_drp=CFG.max_drp, max_tr=MAX_TR,
-               monitor_cost=0.0):
-    device = device or devices(1)[0]
+def train_with(rounds, *, level=None, alive=None, max_drp=CFG.max_drp,
+               max_tr=MAX_TR, monitor_cost=0.0):
+    level, alive = level or [1.0], alive or [True]
     play = Rounds(rounds)
     used, clouds = train(
-        device, play, max_drp=max_drp, max_tr=max_tr, monitor_cost=monitor_cost
+        level, alive, 0, play, max_drp=max_drp, max_tr=max_tr,
+        monitor_cost=monitor_cost,
     )
     return used, clouds, play.calls
 
@@ -104,11 +119,12 @@ def test_training_complete_rules():
     # a device without a route stops at once, one that dies after paying
     used, clouds, calls = train_with([NoNeighborError("alone")])
     assert (used, clouds, calls) == (0, None, 1)
-    dying = DeviceState(id=0, x=0.0, y=0.0, energy=3.0)
+    alive = [True]
     used, clouds, calls = train_with(
-        [([0.8] * 100, [0.3] * 100)] * MAX_TR, device=dying, monitor_cost=1.0
+        [([0.8] * 100, [0.3] * 100)] * MAX_TR, level=[3.0], alive=alive,
+        monitor_cost=1.0,
     )
-    assert (used, calls, dying.alive) == (3, 3, False)
+    assert (used, calls, alive[0]) == (3, 3, False)
     assert clouds.malicious.ex == pytest.approx(0.8)
 
 
@@ -168,13 +184,13 @@ def test_merge_permutation_invariant():
 def test_run_training_round_requires_two_neighbors():
     devs = devices(2)
     with pytest.raises(NoNeighborError):
-        run_training_round(devs[0], devs[1:], DEFAULT, Random(1), **ROUND)
+        play(run_training_round, devs, DEFAULT, Random(1), **ROUND)
 
 
 def test_run_training_round_perfect_channel_normal_label():
     devs = devices(4)
-    malicious, normal = run_training_round(
-        devs[0], devs[1:], CLEAR, Random(2), **dict(ROUND, p_dp=0.0, p_dy=0.0)
+    (malicious, normal), _ = play(
+        run_training_round, devs, CLEAR, Random(2), **dict(ROUND, p_dp=0.0, p_dy=0.0)
     )
     # no loss, no retransmission, no role-played attacks: perfect evidence
     assert len(normal) == 20
@@ -184,9 +200,7 @@ def test_run_training_round_perfect_channel_normal_label():
 
 def test_run_training_round_jammed_channel_indistinguishable():
     devs = devices(4)
-    malicious, normal = run_training_round(
-        devs[0], devs[1:], JAMMED, Random(3), **ROUND
-    )
+    (malicious, normal), _ = play(run_training_round, devs, JAMMED, Random(3), **ROUND)
     # nothing is ever overheard: both labels collapse to the same evidence
     assert malicious == normal
     assert all(v <= 0.2 for v in malicious)
@@ -196,8 +210,8 @@ def test_run_training_round_label_separation_majority():
     devs = devices(5)
     wins = 0
     for seed in range(100):
-        malicious, normal = run_training_round(
-            devs[0], devs[1:], DEFAULT, Random(seed), **ROUND
+        (malicious, normal), _ = play(
+            run_training_round, devs, DEFAULT, Random(seed), **ROUND
         )
         if sum(malicious) / len(malicious) < sum(normal) / len(normal):
             wins += 1
@@ -237,7 +251,7 @@ def reference_training_round(
     p_dy: float,
     max_dur: float,
     bits: int,
-    energy: Optional[EnergyParams] = None,
+    energy: EnergyParams,
 ) -> tuple[list[float], list[float]]:
     """run_training_round as it was written per packet, kept as the reference.
 
@@ -256,27 +270,27 @@ def reference_training_round(
     d_jk = math.hypot(router.x - dest.x, router.y - dest.y)
 
     def pay(device, cost: float) -> bool:
-        return device.spend(cost) if energy is not None else True
+        return device.spend(cost)
 
     def record(window: tuple[int, int, int], event: str) -> tuple[int, int, int]:
         sent, forwarded, timely = window
         return sent + 1, forwarded + (event != DROPPED), timely + (event == TIMELY)
 
     def send_to_router() -> bool:
-        if not pay(initiator, tx_energy(bits, d_ij, energy) if energy else 0.0):
+        if not pay(initiator, tx_energy(bits, d_ij, energy)):
             return False
         if not channel_ok(channel, rng):
             return False
-        return pay(router, rx_energy(bits, energy) if energy else 0.0)
+        return pay(router, rx_energy(bits, energy))
 
     def forward_once(delayed: bool) -> tuple[str, bool]:
-        if not pay(router, tx_energy(bits, d_jk, energy) if energy else 0.0):
+        if not pay(router, tx_energy(bits, d_jk, energy)):
             return DROPPED, False
         delivered = channel_ok(channel, rng)
         if delivered:
-            pay(dest, rx_energy(bits, energy) if energy else 0.0)
+            pay(dest, rx_energy(bits, energy))
         if channel_ok(channel, rng):
-            pay(initiator, overhear_energy(bits, energy) if energy else 0.0)
+            pay(initiator, overhear_energy(bits, energy))
             event = DELAYED if delayed else TIMELY
         else:
             event = DROPPED
@@ -311,10 +325,10 @@ def reference_training_round(
         first, delivered = forward_once(delayed=False)
         reply_seen = False
         if delivered:
-            pay(dest, tx_energy(bits, d_jk, energy) if energy else 0.0)
+            pay(dest, tx_energy(bits, d_jk, energy))
             reply_seen = channel_ok(channel, rng)
             if reply_seen:
-                pay(router, rx_energy(bits, energy) if energy else 0.0)
+                pay(router, rx_energy(bits, energy))
         event = first
         if not reply_seen:
             retrans, _ = forward_once(delayed=True)
@@ -326,7 +340,7 @@ def reference_training_round(
     return malicious_values, normal_values
 
 
-ENERGY = EnergyParams()
+ENERGY = CFG.energy_params()
 #: The smallest charge of a training round (an overhearing) at training bits.
 OVERHEAR = overhear_energy(CFG.training_bits, ENERGY)
 
@@ -366,7 +380,6 @@ def training_rounds(draw):
         p_dy=draw(probability),
         max_dur=draw(st.floats(0.0, 20.0)),
         bits=draw(st.sampled_from([CFG.training_bits, 1, 3000])),
-        energy=draw(st.sampled_from([None, ENERGY])),
     )
     return devs, draw(channels), draw(st.integers(0, 2**32)), kwargs
 
@@ -380,12 +393,10 @@ def test_training_round_matches_reference(case):
         mine = copy.deepcopy(devs)
         rng = Random(seed)
         try:
-            result = run(mine[0], mine[1:], channel, rng, **kwargs)
+            result, levels = play(run, mine, channel, rng, **kwargs)
         except NoNeighborError:
-            result = NoNeighborError
-        outcomes.append(
-            (result, [(d.energy, d.alive) for d in mine], rng.getstate())
-        )
+            result, levels = NoNeighborError, state(mine)
+        outcomes.append((result, levels, rng.getstate()))
     assert outcomes[0] == outcomes[1]
 
 
@@ -400,14 +411,10 @@ def test_training_round_matches_reference_when_roles_die():
         for run in (reference_training_round, run_training_round):
             mine = copy.deepcopy(devs)
             rng = Random(seed)
-            result = run(
-                mine[0], mine[1:], DEFAULT, rng, **dict(ROUND, energy=ENERGY)
-            )
-            outcomes.append(
-                (result, [(d.energy, d.alive) for d in mine], rng.getstate())
-            )
+            result, levels = play(run, mine, DEFAULT, rng, **ROUND)
+            outcomes.append((result, levels, rng.getstate()))
         assert outcomes[0] == outcomes[1]
-        assert not all(alive for _, alive in outcomes[0][1])
+        assert not all(outcomes[0][1][1])
 
 
 class ReferenceDropSet:
@@ -527,16 +534,16 @@ def trainings(draw):
 def test_train_matches_reference(case):
     energy, rounds, bounds = case
     outcomes = []
-    for run in (reference_train, train):
-        device = DeviceState(id=0, x=0.0, y=0.0, energy=energy)
-        device.alive = energy > 0.0
-        play = Rounds(rounds)
-        result = run(device, play, **bounds)
-        if run is train:
-            used, clouds = result
-            result = (
-                used, clouds,
-                clouds is not None and clouds.malicious.ex < clouds.normal.ex,
-            )
-        outcomes.append((result, play.calls, device.energy, device.alive))
+    # the reference charges a device object, train the entries of two lists
+    device = DeviceState(id=0, x=0.0, y=0.0, energy=energy, alive=energy > 0.0)
+    rounds_played = Rounds(rounds)
+    result = reference_train(device, rounds_played, **bounds)
+    outcomes.append((result, rounds_played.calls, device.energy, device.alive))
+    level, alive = [energy], [energy > 0.0]
+    rounds_played = Rounds(rounds)
+    used, clouds = train(level, alive, 0, rounds_played, **bounds)
+    result = (
+        used, clouds, clouds is not None and clouds.malicious.ex < clouds.normal.ex,
+    )
+    outcomes.append((result, rounds_played.calls, level[0], alive[0]))
     assert outcomes[0] == outcomes[1]

@@ -60,8 +60,8 @@ def assert_matches(state: TrustState, ref: dict, n: int) -> None:
             assert state.fh_count[o, t] == 0
         else:
             assert state.firsthand[o, t] == pair.fh_mean
-    assert np.array_equal(state.known, known)
-    assert np.array_equal(state.immature, immature)
+    assert np.array_equal(state.count > 0, known)
+    assert np.array_equal((state.count > 0) & (state.count < state.window), immature)
     full = [(o, t) for (o, t), pair in ref.items() if pair.full]
     if full:
         obs, tgt = (list(x) for x in zip(*full))
