@@ -1,12 +1,6 @@
 """Trust-cloud based secure clustering simulator for D2D device networks."""
 
-from .cloud import (
-    TrustCloud,
-    backward_cloud,
-    generate_drop,
-    membership_degree,
-    similarity,
-)
+from .cloud import TrustCloud, backward_cloud
 from .config import ScenarioConfig, load_config, with_overrides
 from .engine import (
     MetricsLog,
@@ -20,13 +14,7 @@ from .engine import (
     run_simulation,
 )
 from .fuzzy import TrustTable
-from .medium import (
-    ChannelPhase,
-    EnergyParams,
-    channel_ok,
-    stationary_bad_prob,
-    tx_energy,
-)
+from .medium import ChannelPhase, EnergyParams, stationary_bad_prob, tx_energy
 from .protocol import (
     ClusterRoundOutcome,
     NetworkState,
@@ -41,6 +29,7 @@ from .runtime import (
     classify_pairs,
     recommend_trust,
     record_trust,
+    similarities,
     update_standard_cloud,
 )
 from .training import (

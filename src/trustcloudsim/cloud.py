@@ -3,21 +3,20 @@
 A qualitative trust concept is represented by three numbers: the expectation
 ``ex`` of its drops, the entropy ``en`` measuring how fuzzy the concept is,
 and the hyper-entropy ``he`` measuring how uncertain that fuzziness itself is.
-This module provides the backward estimator (drops -> cloud), the forward
-generator (cloud -> drops), the membership degree of a drop in a standard
-cloud, and the drop-sampled similarity between two clouds.
+This module provides the backward estimator (drops -> cloud), one window at
+a time or over the columns of a block.  The forward generator and the
+drop-sampled similarities live in the classifier, ``runtime.similarities``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from random import Random
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, ZeroEntropyError
+from .errors import DomainError, InsufficientDataError
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -94,62 +93,3 @@ def backward_clouds(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     var = sequential_sum(dev * dev) / (n - 1)
     he = np.sqrt(np.maximum(var - en * en, 0.0))
     return ex, en, he
-
-
-def generate_drop(cloud: TrustCloud, rng: Random) -> float:
-    """Sample one drop from a cloud.
-
-    Two-stage sampling: a standard deviation is drawn around the entropy
-    (spread given by the hyper-entropy), then the drop is drawn around the
-    expectation with that deviation.  The absolute value guards against
-    negative deviations when he is large; the result is clamped to [0, 1].
-    """
-    sigma = abs(rng.gauss(cloud.en, cloud.he))
-    if sigma == 0.0:
-        return cloud.ex
-    drop = rng.gauss(cloud.ex, sigma)
-    return min(max(drop, 0.0), 1.0)
-
-
-def membership_degree(drop: float, standard: TrustCloud, rng: Random) -> float:
-    """Degree to which a drop belongs to a standard cloud.
-
-    A deviation sigma_s is sampled around the standard cloud's entropy and
-    the degree is exp(-(drop - ex)^2 / (2 sigma_s^2)).  A drop equal to the
-    expectation has degree 1 regardless of entropy; otherwise a zero-entropy
-    standard cloud leaves the degree undefined.
-    """
-    if drop == standard.ex:
-        return 1.0
-    if standard.en == 0.0:
-        raise ZeroEntropyError(
-            "membership degree undefined: standard cloud has zero entropy "
-            f"and drop {drop} differs from expectation {standard.ex}"
-        )
-    sigma_s = abs(rng.gauss(standard.en, standard.he))
-    if sigma_s == 0.0:
-        raise ZeroEntropyError("sampled standard deviation is zero")
-    return math.exp(-((drop - standard.ex) ** 2) / (2.0 * sigma_s * sigma_s))
-
-
-def similarity(
-    individual: TrustCloud,
-    standard: TrustCloud,
-    n_drp: int,
-    rng: Random | None = None,
-) -> float:
-    """Mean membership of drops generated from one cloud in another.
-
-    For each of the n_drp drops the four-step procedure runs in order: sample
-    the individual deviation, sample the drop with it, sample the standard
-    deviation, and evaluate the membership degree.
-    """
-    if n_drp < 1:
-        raise DomainError(f"n_drp must be at least 1, got {n_drp}")
-    if rng is None:
-        rng = Random()
-    total = 0.0
-    for _ in range(n_drp):
-        drop = generate_drop(individual, rng)
-        total += membership_degree(drop, standard, rng)
-    return total / n_drp

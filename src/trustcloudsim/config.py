@@ -92,10 +92,14 @@ class ScenarioConfig:
                 f"attacker mix must sum to 1, got {share_sum}",
                 field="scenario.generic_share",
             )
-        if self.max_rounds < 1:
-            raise ConfigError("must be at least 1", field="scenario.max_rounds")
-        if self.rounds_per_cycle < 1:
-            raise ConfigError("must be at least 1", field="scenario.rounds_per_cycle")
+        for key, value, low in (
+            ("scenario.max_rounds", self.max_rounds, 1),
+            ("scenario.rounds_per_cycle", self.rounds_per_cycle, 1),
+            ("scenario.seed", self.seed, 0),
+            ("trust.kappa", self.kappa, 0),
+        ):
+            if value < low:
+                raise ConfigError(f"must be at least {low}", field=key)
         if not 0.0 < self.p_ch < 1.0:
             raise ConfigError("must be in (0, 1)", field="protocol.p_ch")
         if abs(self.alpha + self.beta - 1.0) > 1e-9:

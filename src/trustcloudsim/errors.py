@@ -17,10 +17,6 @@ class InsufficientEvidenceError(TrustCloudSimError):
     """A target was judged before an individual trust cloud exists for it."""
 
 
-class ZeroEntropyError(TrustCloudSimError):
-    """Membership degree is undefined for a zero-entropy standard cloud."""
-
-
 class NoEvidenceError(TrustCloudSimError):
     """Trust attributes requested from an empty evidence window."""
 

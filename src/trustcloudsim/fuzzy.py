@@ -45,65 +45,48 @@ SFR_SETS = (
 FOOTPRINT_SCALE = 0.8
 
 
-def _upper_membership(x: float, fset: tuple[float, float, float, float]) -> float:
+def _membership(x: np.ndarray, fset: tuple[float, float, float, float]) -> np.ndarray:
+    """Membership of each x in a set (left_foot, apex_lo, apex_hi, right_foot)."""
     left, apex_lo, apex_hi, right = fset
-    if apex_lo <= x <= apex_hi:
-        return 1.0
-    if x < apex_lo:
-        if x <= left:
-            return 0.0
-        return (x - left) / (apex_lo - left)
-    if x >= right:
-        return 0.0
-    return (right - x) / (right - apex_hi)
+    rising = np.where(x <= left, 0.0, (x - left) / (apex_lo - left))
+    falling = np.where(x >= right, 0.0, (right - x) / (right - apex_hi))
+    return np.where(x < apex_lo, rising, np.where(x <= apex_hi, 1.0, falling))
 
 
-def _lower_membership(x: float, fset: tuple[float, float, float, float]) -> float:
-    left, apex_lo, apex_hi, right = fset
-    scaled = (
-        apex_lo - (apex_lo - left) * FOOTPRINT_SCALE,
-        apex_lo,
-        apex_hi,
-        apex_hi + (right - apex_hi) * FOOTPRINT_SCALE,
-    )
-    return _upper_membership(x, scaled)
-
-
-def _grade_for(x: float, sets) -> float:
-    """Interval type-2 grade of one attribute value.
+def _grades(x: np.ndarray, sets) -> np.ndarray:
+    """Interval type-2 grade of each attribute value in x.
 
     Lower/upper memberships of the three sets give each output centroid a
     firing interval; the center-of-sets bounds are located by switch-point
-    enumeration and the grade is the interval midpoint.
+    enumeration and the grade is the interval midpoint.  Every sum adds the
+    sets in order, starting from 0, so each grade is bit-equal to the
+    scalar statement of the law (``tests/trust_oracle.py``).
     """
-    lowers = [_lower_membership(x, s) for s in sets]
-    uppers = [_upper_membership(x, s) for s in sets]
-    n = len(sets)
-    y_left = None
-    y_right = None
-    for k in range(n + 1):
-        num_l = den_l = num_r = den_r = 0.0
-        for i in range(n):
-            w_l = uppers[i] if i < k else lowers[i]
-            w_r = lowers[i] if i < k else uppers[i]
-            num_l += w_l * OUTPUT_CENTROIDS[i]
-            den_l += w_l
-            num_r += w_r * OUTPUT_CENTROIDS[i]
-            den_r += w_r
-        if den_l > 0.0:
-            v = num_l / den_l
-            y_left = v if y_left is None else min(y_left, v)
-        if den_r > 0.0:
-            v = num_r / den_r
-            y_right = v if y_right is None else max(y_right, v)
+    lowers = [
+        _membership(x, (lo - (lo - left) * FOOTPRINT_SCALE, lo, hi,
+                        hi + (right - hi) * FOOTPRINT_SCALE))
+        for left, lo, hi, right in sets
+    ]
+    uppers = [_membership(x, s) for s in sets]
+    y_left = np.full(x.shape, np.inf)
+    y_right = np.full(x.shape, -np.inf)
+    for k in range(len(sets) + 1):
+        for weights, y, pick in (
+            (uppers[:k] + lowers[k:], y_left, np.minimum),
+            (lowers[:k] + uppers[k:], y_right, np.maximum),
+        ):
+            num = sum(w * c for w, c in zip(weights, OUTPUT_CENTROIDS))
+            den = sum(weights)
+            # a switch point that fires no set leaves the bound as it is
+            pick(y, np.divide(num, den, out=y.copy(), where=den > 0.0), out=y)
     return (y_left + y_right) / 2.0
 
 
 class _GradeRows:
     """Grades of the rates num/den, 0 <= num <= den, one row per denominator.
 
-    A denominator's row is filled from the scalar ``_grade_for`` on its first
-    use, so every entry is bit-equal to grading that rate directly.  A
+    The rows of new denominators are graded together, as arrays, on their
+    first use, so every entry is bit-equal to grading that rate directly.  A
     denominator of 0 has the one rate 1.0: a window with nothing forwarded
     has a TFR of 1, so that the SFR alone carries the penalty for drops.
     """
@@ -122,12 +105,12 @@ class _GradeRows:
         if not filled.all():
             # a set, not np.unique: with np.unique here a 300-round sweep
             # replica's peak RSS (ru_maxrss) was ≈1 MB higher
-            for d in set(den[~filled].tolist()):
-                row = [
-                    _grade_for(k / d if d else 1.0, self._sets) for k in range(d + 1)
-                ]
-                self._grades[d, : d + 1] = row
-                self._filled[d] = True
+            new = sorted(set(den[~filled].tolist()))
+            k = np.concatenate([np.arange(d + 1) for d in new])
+            d = np.repeat(new, np.add(new, 1))
+            rates = np.divide(k, d, out=np.ones(len(d)), where=d > 0)
+            self._grades[d, k] = _grades(rates, self._sets)
+            self._filled[new] = True
         return self._grades.take(den * self._grades.shape[1] + num)
 
     def _grow(self, size: int) -> None:
@@ -148,7 +131,7 @@ class TrustTable:
     attributes.  Each grade depends on one rate only, so a table of TFR
     grades by (forwarded, timely) and one of SFR grades by (sent, forwarded)
     give a window's trust as the minimum of two lookups, bit-equal to the
-    minimum of the two scalar ``_grade_for`` grades.  Rows are filled on
+    minimum of the two grades of its rates.  Rows are filled on
     first use, in any order, with the same values.
     """
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from random import Random
 
 import numpy as np
 
@@ -49,18 +48,6 @@ def stationary_bad_prob(alpha0: float, alpha1: float) -> float:
             f"need non-negative rates with a positive sum, got ({alpha0}, {alpha1})"
         )
     return alpha0 / (alpha0 + alpha1)
-
-
-def channel_ok(phase: ChannelPhase, rng: Random) -> bool:
-    """One independent reception/overhearing opportunity.
-
-    Each opportunity draws independently at the stationary bad probability,
-    so per-device channel quality is independent by construction.
-    """
-    p0 = phase.bad_prob
-    if p0 == 0.0:
-        return True
-    return rng.random() >= p0
 
 
 @dataclass(frozen=True)

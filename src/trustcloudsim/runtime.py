@@ -6,7 +6,7 @@ trust estimate, and an individual trust cloud rebuilt from the window once it
 is full.  The whole network's trust lives in one TrustState of n x n arrays,
 written and read a batch of distinct pairs at a time.  Targets are
 classified against the device's standard clouds with an expectation-margin
-rule backed by a drop-sampled similarity comparison, and the classified
+rule backed by comparing drop-sampled similarities, and the classified
 trust values accumulate into pools that periodically refresh the standard
 clouds.
 """
@@ -154,6 +154,62 @@ def standard_table(stds: list[Optional[StandardClouds]]) -> np.ndarray:
     ).reshape(len(stds), 6)
 
 
+def similarities(
+    ex, en, he, stds: np.ndarray, normals, n_drp: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Drop-sampled similarities of each row's individual cloud to its standards.
+
+    Row r's individual cloud is (ex[r], en[r], he[r]) and ``stds[r]`` is its
+    observer's standard_table row.  ``normals`` (anything with a numpy-style
+    ``standard_normal(shape)``) gives one (3, rows, n_drp) block z.  Per
+    drop: sigma_i = |en + he z1|, drop = clip(ex + sigma_i z2, 0, 1), and
+    one dispersion sigma_s = |(en_m + en_n)/2 + (he_m + he_n)/2 z3| shared
+    by both standards.  The drop's membership in a standard of expectation
+    mu is exp(-(drop - mu)^2 / (2 sigma_s^2)), or, where 2 sigma_s^2 is zero
+    (exactly, or by underflow), its limit: 1.0 on mu, 0.0 elsewhere.
+    Returns the mean membership in the malicious and in the normal standard.
+    """
+    ex_m, en_m, he_m, ex_n, en_n, he_n = stds.T
+    # One draw fills the three sampling steps in C order, the same stream as
+    # three (rows, n_drp) draws; every step then works in place in its block.
+    sigma, drops, sigma_s = normals.standard_normal((3, len(ex), n_drp))
+    np.multiply(sigma, he[:, None], out=sigma)
+    sigma += en[:, None]
+    np.abs(sigma, out=sigma)
+    drops *= sigma
+    drops += ex[:, None]
+    np.clip(drops, 0.0, 1.0, out=drops)
+    sigma_s *= ((he_m + he_n) / 2.0)[:, None]
+    sigma_s += ((en_m + en_n) / 2.0)[:, None]
+    np.abs(sigma_s, out=sigma_s)
+    denom = np.multiply(sigma_s, 2.0, out=sigma)
+    denom *= sigma_s
+    # A drop on a standard's expectation scores exp(-0.0 / denom) = 1.0
+    # wherever denom is positive; a zero (zero entropies, or 2 sigma^2
+    # underflowed) or a NaN denom takes the masked path.
+    degenerate = not denom.min() > 0.0
+    if degenerate:
+        # Zero denominators are scored by their limit below; any positive
+        # one keeps their division finite until then.
+        zero = denom == 0.0
+        denom[zero] = 1.0
+    sims = []
+    for ex_s in (ex_m[:, None], ex_n[:, None]):
+        sim = np.subtract(drops, ex_s, out=sigma_s)
+        np.square(sim, out=sim)
+        np.negative(sim, out=sim)
+        # A subnormal denominator overflows the quotient to -inf, which exp
+        # takes to its limit 0: an expected overflow, so it does not warn.
+        with np.errstate(over="ignore"):
+            sim /= denom
+        np.exp(sim, out=sim)
+        if degenerate:
+            sim[zero] = 0.0
+            sim[drops == ex_s] = 1.0
+        sims.append(sim.mean(axis=1))
+    return sims[0], sims[1]
+
+
 def classify_pairs(
     state: TrustState,
     stds: np.ndarray,
@@ -169,11 +225,9 @@ def classify_pairs(
     ``stds`` is the standard_table of the observers.  An expectation clearly
     below the malicious cloud (by kappa entropies) is malicious, clearly
     above the normal cloud is normal; the rows in between are resolved by
-    comparing drop-sampled similarities, with ties breaking to malicious as
-    the fail-safe.  One (rows, n_drp) draw per sampling step covers all of
-    them, in row order; ``normals`` is anything with a numpy-style
-    ``standard_normal(shape)``, a Generator or an engine's
-    ``ClassifierNormals``.
+    comparing their ``similarities`` to the two standards, in one draw from
+    ``normals`` (a Generator or an engine's ``ClassifierNormals``), with
+    ties breaking to malicious as the fail-safe.
 
     The two similarities are compared under a shared membership dispersion
     pooled from both standard clouds.  The update pools give the two
@@ -182,9 +236,6 @@ def classify_pairs(
     sufficiently wide cloud outscores a tight one even at the tight cloud's
     own center; pooling the dispersion keeps the comparison a proximity
     judgement.  With equal-entropy standards this is the plain comparison.
-    A sampled dispersion whose 2 sigma^2 is zero (exactly, or by underflow)
-    scores a drop by the limit of the membership as the dispersion goes to
-    zero: 1.0 on the standard's expectation, 0.0 anywhere else.
 
     With the default kappa = 3 the margin rules are inert in practice: on
     the reference scenario (seed 1) they settle 0 of 345,232 rows, because
@@ -195,53 +246,17 @@ def classify_pairs(
     check the margin width against.
     """
     ex, en, he = state.clouds(observers, targets)
-    ex_m, en_m, he_m, ex_n, en_n, he_n = stds[observers].T
+    stds = stds[observers]
+    ex_m, en_m, _, ex_n, en_n, _ = stds.T
     if np.isnan(ex_m).any():
         raise InsufficientEvidenceError("observer has no standard clouds")
     malicious = ex < ex_m - kappa * en_m
     gray = np.flatnonzero(~malicious & ~(ex > ex_n + kappa * en_n))
     if len(gray):
-        # One draw fills the three sampling steps in C order, the same
-        # stream as three (rows, n_drp) draws; every step then works in
-        # place in its block.
-        sigma, drops, sigma_s = normals.standard_normal((3, len(gray), n_drp))
-        np.multiply(sigma, he[gray, None], out=sigma)
-        sigma += en[gray, None]
-        np.abs(sigma, out=sigma)
-        drops *= sigma
-        drops += ex[gray, None]
-        np.clip(drops, 0.0, 1.0, out=drops)
-        sigma_s *= ((he_m + he_n) / 2.0)[gray, None]
-        sigma_s += ((en_m + en_n) / 2.0)[gray, None]
-        np.abs(sigma_s, out=sigma_s)
-        denom = np.multiply(sigma_s, 2.0, out=sigma)
-        denom *= sigma_s
-        # A drop on a standard's expectation scores exp(-0.0 / denom) = 1.0
-        # wherever denom is positive; a zero (zero entropies, or 2 sigma^2
-        # underflowed) or a NaN denom takes the masked path.
-        degenerate = not denom.min() > 0.0
-        ex_m, ex_n = ex_m[gray, None], ex_n[gray, None]
-        if degenerate:
-            # Zero denominators are scored by their limit below; any positive
-            # one keeps their division finite until then.
-            zero = denom == 0.0
-            denom[zero] = 1.0
-        sims = []
-        for ex_s in (ex_m, ex_n):
-            sim = np.subtract(drops, ex_s, out=sigma_s)
-            np.square(sim, out=sim)
-            np.negative(sim, out=sim)
-            # A subnormal denominator overflows the quotient to -inf, which
-            # exp takes to its limit 0; the reference computes the same, so
-            # it does not warn.
-            with np.errstate(over="ignore"):
-                sim /= denom
-            np.exp(sim, out=sim)
-            if degenerate:
-                sim[zero] = 0.0
-                sim[drops == ex_s] = 1.0
-            sims.append(sim.mean(axis=1))
-        malicious[gray] = sims[0] >= sims[1]
+        sim_m, sim_n = similarities(
+            ex[gray], en[gray], he[gray], stds[gray], normals, n_drp
+        )
+        malicious[gray] = sim_m >= sim_n
     return malicious
 
 

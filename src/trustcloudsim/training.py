@@ -76,7 +76,8 @@ def run_training_round(
     tx_jk = tx_energy(bits, net.dist.item(router, dest), energy)
     rx = rx_energy(bits, energy)
     overhear = overhear_energy(bits, energy)
-    # channel_ok inline: a clear channel (bad probability 0) draws nothing.
+    # One draw per opportunity against the stationary bad probability; a
+    # clear channel (bad probability 0) draws nothing.
     bad = channel.bad_prob
     clear = bad == 0.0
     random = rng.random

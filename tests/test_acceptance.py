@@ -8,10 +8,12 @@ import math
 import time
 from random import Random
 
+import numpy as np
 import pytest
+from cloud_oracle import generate_drop
 
 from trustcloudsim.cli import main
-from trustcloudsim.cloud import TrustCloud, backward_cloud, generate_drop, similarity
+from trustcloudsim.cloud import TrustCloud, backward_cloud
 from trustcloudsim.config import ScenarioConfig, with_overrides
 from trustcloudsim.engine import (
     metric_decision_accuracy,
@@ -21,10 +23,11 @@ from trustcloudsim.engine import (
     replicate,
     run_simulation,
 )
-from trustcloudsim.medium import ChannelPhase, EnergyParams, channel_ok, \
-    stationary_bad_prob, tx_energy
-from trustcloudsim.protocol import NetworkState, elect_heads, election_threshold
-from trustcloudsim.runtime import recommend_trust, update_standard_cloud
+from trustcloudsim.medium import ChannelPhase, EnergyParams, stationary_bad_prob, \
+    tx_energy
+from trustcloudsim.protocol import NetworkState, elect_heads, election_threshold, \
+    receive_announcements
+from trustcloudsim.runtime import recommend_trust, similarities, update_standard_cloud
 
 SWEEP_FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5)
 SWEEP_SEEDS = 20
@@ -131,21 +134,32 @@ def test_cloud_roundtrip_recovery():
 
 
 def test_similarity_closed_form():
-    c = TrustCloud(0.5, 0.1, 0.0)
-    sim = similarity(c, c, 100_000, Random(77))
-    err = abs(sim - 1 / math.sqrt(2))
+    # the cloud (0.5, 0.1, 0) against itself as both standards
+    ex, en, he = np.array([0.5]), np.array([0.1]), np.array([0.0])
+    stds = np.array([[0.5, 0.1, 0.0, 0.5, 0.1, 0.0]])
+    sim, _ = similarities(ex, en, he, stds, np.random.default_rng(77), 100_000)
+    err = abs(sim.item() - 1 / math.sqrt(2))
     report("self-similarity = 1/sqrt(2) +/- 0.02", err <= 0.02, f"err {err:.4f}")
 
 
 def test_channel_stationarity():
+    # 100 listeners hear 100 heads' announcements, 100 times: 1e6 draws.
+    # At most 0.15 J of reception each, so no listener dies mid-draw.
     ok = True
     details = []
+    listeners, heads = range(100), range(100, 200)
     for alpha0, alpha1 in ((1, 9), (2, 8), (3, 7)):
         phase = ChannelPhase(alpha0, alpha1)
-        rng = Random(alpha0 * 1000)
-        n = 1_000_000
-        bad = sum(0 if channel_ok(phase, rng) else 1 for _ in range(n))
-        err = abs(bad / n - phase.bad_prob)
+        np_rng = np.random.default_rng(alpha0 * 1000)
+        net = NetworkState(ScenarioConfig(device_count=200), [0.0] * 200,
+                           [0.0] * 200, ["honest"] * 200)
+        n = 100 * 100 * 100
+        heard = sum(
+            len(receive_announcements(net, listeners, heads, phase, np_rng)[0])
+            for _ in range(100)
+        )
+        ok &= bool(net.alive.all())
+        err = abs((n - heard) / n - phase.bad_prob)
         details.append(f"({alpha0},{alpha1}) err {err:.4f}")
         ok &= err <= 0.005
     report("channel stationarity +/-0.005 over 1e6 draws", ok, "; ".join(details))

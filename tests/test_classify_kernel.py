@@ -1,21 +1,30 @@
-"""classify_pairs against the sampling expressions it replaced.
+"""classify_pairs against the sampling expressions it replaced and its oracle.
 
 ``reference_classify`` is the classifier as it was written before its kernel
 moved into place: three separate normal draws, temporary arrays for every
 step and ``np.where`` on each similarity, with a sampled dispersion whose
 2 sigma^2 is zero scored by the membership's limit (1 on the expectation,
-0 elsewhere).  On
-the same trust state, standard table and generator, the in-place kernel
-must return the same verdicts and leave the generator in the same state.
+0 elsewhere).  On the same trust state, standard table and generator, the
+in-place kernel must return the same verdicts and leave the generator in the
+same state.  ``classifier_oracle.classify`` states the law one drop at a
+time from the same normals; its verdicts must agree wherever its two mean
+memberships are more than 1e-12 apart (numpy sums a row's memberships
+pairwise, the oracle in order).
 """
 
+import math
+from random import Random
+
+import classifier_oracle
 import numpy as np
 import pytest
+from cloud_oracle import similarity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustcloudsim.cloud import TrustCloud
 from trustcloudsim.errors import InsufficientEvidenceError
-from trustcloudsim.runtime import TrustState, classify_pairs, record_trust
+from trustcloudsim.runtime import TrustState, classify_pairs, record_trust, similarities
 
 
 def reference_classify(state, stds, observers, targets, np_rng, kappa, n_drp):
@@ -66,6 +75,14 @@ def assert_same(state, stds, obs, tgt, seed, kappa=3.0, n_drp=50):
     ours = outcome(classify_pairs, state, stds, obs, tgt, seed, kappa, n_drp)
     ref = outcome(reference_classify, state, stds, obs, tgt, seed, kappa, n_drp)
     assert ours == ref
+    np_rng = np.random.default_rng(seed)
+    verdicts, sims = classifier_oracle.classify(
+        state, stds, obs, tgt, np_rng, kappa=kappa, n_drp=n_drp
+    )
+    assert np_rng.bit_generator.state == ours[1]
+    for ours_v, oracle_v, row in zip(ours[0], verdicts.tolist(), sims):
+        if row is None or abs(row[0] - row[1]) > 1e-12:
+            assert ours_v == oracle_v
     return ours[0]
 
 
@@ -189,3 +206,57 @@ def test_missing_standard_clouds_raise():
         classify_pairs(
             state, stds, [0], [1], np.random.default_rng(0), kappa=3.0, n_drp=50
         )
+
+
+def test_similarities_match_the_closed_form_without_hyper_entropy():
+    # With he = 0 and no clipping, a drop is N(ex, en^2) and the pooled
+    # dispersion is fixed at s = (en_m + en_n) / 2, so the mean membership
+    # in a standard of expectation mu is
+    # s / sqrt(s^2 + en^2) * exp(-(ex - mu)^2 / (2 (s^2 + en^2))).
+    ex = np.array([0.5, 0.6, 0.45])
+    en = np.array([0.1, 0.05, 0.08])
+    stds = np.array([
+        [0.5, 0.1, 0.0, 0.5, 0.1, 0.0],
+        [0.3, 0.04, 0.0, 0.7, 0.08, 0.0],
+        [0.35, 0.1, 0.0, 0.8, 0.02, 0.0],
+    ])
+    sims = similarities(ex, en, np.zeros(3), stds, np.random.default_rng(5), 200_000)
+    for r in range(3):
+        s = (stds[r, 1] + stds[r, 4]) / 2.0
+        var = s * s + en[r] ** 2
+        for sim, mu in zip(sims, stds[r, [0, 3]]):
+            closed = s / math.sqrt(var) * math.exp(-((ex[r] - mu) ** 2) / (2.0 * var))
+            assert abs(sim[r] - closed) <= 3e-3
+
+
+def test_pooled_dispersion_keeps_a_tight_normal_standard_winning_at_its_center():
+    # The individual cloud (0.8, 0.1, 0) sits on the tight normal standard's
+    # center.  Under the raw law, each standard with its own dispersion, the
+    # wide malicious standard outscores it (about 0.272 against 0.198), so
+    # the target would be judged malicious; the pooled dispersion judges it
+    # normal (about 0.025 against 0.851).
+    individual = TrustCloud(0.8, 0.1, 0.0)
+    malicious, normal = TrustCloud(0.3, 0.3, 0.0), TrustCloud(0.8, 0.02, 0.0)
+    rng = Random(5)
+    raw_m = similarity(individual, malicious, 20_000, rng)
+    raw_n = similarity(individual, normal, 20_000, rng)
+    assert raw_m > raw_n + 0.05
+
+    # A window of two values at each of 0.8 -/+ a has en = sqrt(pi/2) a and
+    # a negative radicand for he, clamped to 0.
+    a = 0.1 / math.sqrt(math.pi / 2.0)
+    state = TrustState(2, 4)
+    for v in (0.8 - a, 0.8 - a, 0.8 + a, 0.8 + a):
+        record_trust(state, [0], [1], [v])
+    cloud = [c.item() for c in state.clouds([0], [1])]
+    assert cloud == pytest.approx([0.8, 0.1, 0.0], abs=1e-12)
+    stds = np.array([[0.3, 0.3, 0.0, 0.8, 0.02, 0.0]] * 2)
+    verdict = classify_pairs(
+        state, stds, [0], [1], np.random.default_rng(5), kappa=3.0, n_drp=20_000
+    )
+    assert verdict.tolist() == [False]
+    sim_m, sim_n = similarities(
+        np.array([0.8]), np.array([0.1]), np.zeros(1), stds[:1],
+        np.random.default_rng(5), 20_000,
+    )
+    assert sim_n[0] > sim_m[0] + 0.5

@@ -156,6 +156,25 @@ def test_cmd_run_config_error_names_each_area_side(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith(f"config error: scenario.{key}: ")
 
 
+@pytest.mark.parametrize(
+    "command, text, argv, key",
+    [
+        ("run", SMALL, ["--seed", "-1"], "scenario.seed"),
+        ("train-only", SMALL.replace("seed = 42", "seed = -5"), [], "scenario.seed"),
+        ("run", SMALL + "\n[trust]\nkappa = -3\n", [], "trust.kappa"),
+    ],
+    ids=["run_seed", "train_only_seed", "run_kappa"],
+)
+def test_negative_seed_and_kappa_are_config_errors(tmp_path, capsys, command, text,
+                                                   argv, key):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: must be at least 0\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_manifest_config_round_trip(config_path, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0

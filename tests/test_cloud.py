@@ -3,19 +3,13 @@ from random import Random
 
 import numpy as np
 import pytest
+from cloud_oracle import ZeroEntropyError, generate_drop, membership_degree, similarity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trustcloudsim.cloud import (
-    TrustCloud,
-    backward_cloud,
-    backward_clouds,
-    generate_drop,
-    membership_degree,
-    similarity,
-)
-from trustcloudsim.errors import DomainError, InsufficientDataError, ZeroEntropyError
+from trustcloudsim.cloud import TrustCloud, backward_cloud, backward_clouds
+from trustcloudsim.errors import DomainError, InsufficientDataError
 
 REL = 1e-9
 

@@ -1,10 +1,27 @@
+from functools import lru_cache
 from random import Random
 
+import numpy as np
 import pytest
-from trust_oracle import rate_trust, scalar_trust
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from trust_oracle import grade_for, rate_trust, scalar_trust
 
 from trustcloudsim.errors import DomainError, NoEvidenceError
-from trustcloudsim.fuzzy import TrustTable
+from trustcloudsim.fuzzy import SFR_SETS, TFR_SETS, TrustTable, _GradeRows
+
+TABLES = {"tfr": TFR_SETS, "sfr": SFR_SETS}
+
+
+@lru_cache(maxsize=None)
+def oracle_row(table: str, den: int) -> tuple[float, ...]:
+    """The scalar grades of the rates k/den, k = 0..den (1.0 alone at 0)."""
+    sets = TABLES[table]
+    return tuple(grade_for(k / den if den else 1.0, sets) for k in range(den + 1))
+
+
+def filled_row(rows: _GradeRows, den: int) -> tuple[float, ...]:
+    return tuple(rows.lookup(np.full(den + 1, den), np.arange(den + 1)).tolist())
 
 
 def trust(sent, forwarded, timely) -> float:
@@ -80,3 +97,28 @@ def test_infer_trust_deterministic_on_window_ratios():
             a = table.trust([sent], [forwarded], [timely]).item()
             assert a == table.trust([sent], [forwarded], [timely]).item()
             assert a == scalar_trust(sent, forwarded, timely)
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_filled_rows_equal_the_scalar_grades(table):
+    # every rate k/d with d < 600, filled in one lookup
+    rows = _GradeRows(TABLES[table])
+    den = np.repeat(np.arange(600), np.arange(1, 601))
+    num = np.concatenate([np.arange(d + 1) for d in range(600)])
+    got = rows.lookup(den, num).tolist()
+    assert got == [g for d in range(600) for g in oracle_row(table, d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(TABLES)),
+    st.lists(st.lists(st.integers(0, 120), min_size=1, max_size=6), max_size=6),
+)
+def test_rows_fill_alike_in_any_order(table, batches):
+    # each lookup fills the new denominators among its rows together
+    rows = _GradeRows(TABLES[table])
+    for batch in batches:
+        den = np.array(batch)
+        rows.lookup(den, den // 2)
+        for d in batch:
+            assert filled_row(rows, d) == oracle_row(table, d)

@@ -3,6 +3,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from cloud_oracle import channel_ok
 from device_oracle import DeviceState
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from trustcloudsim.medium import (
     ChannelPhase,
     EnergyParams,
     aggregate_energy,
-    channel_ok,
     charge,
     monitor_energy,
     overhear_energy,

@@ -7,8 +7,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from cloud_oracle import channel_ok
 from device_oracle import DeviceState, network, state
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from trust_oracle import scalar_trust
 
@@ -18,7 +19,6 @@ from trustcloudsim.errors import DomainError, NoNeighborError
 from trustcloudsim.medium import (
     ChannelPhase,
     EnergyParams,
-    channel_ok,
     overhear_energy,
     rx_energy,
     tx_energy,
