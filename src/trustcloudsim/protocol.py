@@ -571,6 +571,76 @@ def run_data_phase(
     )
 
 
+def exchange_recommendations(
+    net: NetworkState,
+    clusters: dict[int, list[int]],
+    cand_obs: np.ndarray,
+    cand_tgt: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Members ask their heads for recommendations; returns the (observer,
+    target) pairs recorded.
+
+    A member asks its trusted head about the devices it must judge soon
+    (the candidate heads it heard this round, rows ``cand_obs``,
+    ``cand_tgt``) and about pairs it has no individual cloud for yet.  The
+    head only relays trust it formed by its own overhearing, so
+    recommendation chains cannot drift away from observed behavior.
+
+    Askers take turns by head, then member id.  An exchange is four
+    charges: the member's request, the head's reception, the head's reply
+    and the member's reception.  A sender that cannot pay sends nothing, so
+    nobody pays to receive it, and a member hears recommendations only once
+    its reception is paid.
+    """
+    cfg = net.cfg
+    trust = net.trust
+    n = len(net.level)
+    askers = [(h, m) for h in sorted(clusters) for m in sorted(clusters[h])]
+    ask_head = np.array([h for h, _ in askers], dtype=np.intp)
+    ask_mem = np.array([m for _, m in askers], dtype=np.intp)
+    ask_pair = ask_mem * n + ask_head
+    t_ij = trust.mean.take(ask_pair)
+    heard = np.zeros((n, n), dtype=bool)
+    heard.put(cand_obs * n + cand_tgt, True)
+    # wanted: heard of this round, or a neighbour never recorded, or a
+    # recorded pair without a full window yet
+    count = trust.count[ask_mem]
+    wanted = heard[ask_mem] | np.where(
+        count == 0, net.neighbor_mask[ask_mem], count < trust.window
+    )
+    rows = np.arange(len(askers)) * n
+    wanted.put(rows + ask_head, False)
+    wanted.put(rows + ask_mem, False)
+    offers = wanted & (trust.fh_count[ask_head] > 0)
+    worth_asking = np.flatnonzero(offers.any(axis=1) & (t_ij > 0.0))
+    ask_cost = net.control_tx.at(ask_pair[worth_asking]).tolist()
+    control_rx = rx_energy(cfg.control_bits, net.energy)
+    asked: list[int] = []
+    level, alive = net.level.tolist(), net.alive.tolist()
+    for i, control_tx in zip(worth_asking.tolist(), ask_cost):
+        head, member = askers[i]
+        if not alive[member] or not alive[head]:
+            continue
+        if (
+            spend(level, alive, member, control_tx)
+            and spend(level, alive, head, control_rx)
+            and spend(level, alive, head, control_tx)
+            and spend(level, alive, member, control_rx)
+        ):
+            asked.append(i)
+    net.level[:], net.alive[:] = level, alive
+    ask, rec_tgt = np.nonzero(offers[asked])
+    ask = np.asarray(asked, dtype=np.intp)[ask]
+    rec_obs = ask_mem[ask]
+    rec_val = recommend_trust(
+        trust.mean.take(rec_obs * n + rec_tgt),
+        trust.firsthand.take(ask_head[ask] * n + rec_tgt),
+        t_ij[ask],
+    )
+    record_trust(trust, rec_obs, rec_tgt, rec_val)
+    return rec_obs, rec_tgt
+
+
 def run_round(
     net: NetworkState,
     r: int,
@@ -671,54 +741,7 @@ def run_round(
     record_trust(trust, inf_obs, inf_tgt, inf_val, direct=True)
 
     # --- recommendations from the chosen head ------------------------------
-    # A member asks its trusted head about the devices it must judge soon
-    # (the round's candidate heads) and about pairs it has no individual
-    # cloud for yet.  The head only relays trust it formed by its own
-    # overhearing, so recommendation chains cannot drift away from observed
-    # behavior.
-    askers = [(h, m) for h in sorted(clusters) for m in sorted(clusters[h])]
-    ask_head = np.array([h for h, _ in askers], dtype=np.intp)
-    ask_mem = np.array([m for _, m in askers], dtype=np.intp)
-    ask_pair = ask_mem * n + ask_head
-    t_ij = trust.mean.take(ask_pair)
-    heard = np.zeros((n, n), dtype=bool)
-    heard.put(cand, True)
-    # wanted: heard of this round, or a neighbour never recorded, or a
-    # recorded pair without a full window yet
-    count = trust.count[ask_mem]
-    wanted = heard[ask_mem] | np.where(
-        count == 0, net.neighbor_mask[ask_mem], count < trust.window
-    )
-    rows = np.arange(len(askers)) * n
-    wanted.put(rows + ask_head, False)
-    wanted.put(rows + ask_mem, False)
-    offers = wanted & (trust.fh_count[ask_head] > 0)
-    worth_asking = np.flatnonzero(offers.any(axis=1) & (t_ij > 0.0))
-    ask_cost = net.control_tx.at(ask_pair[worth_asking]).tolist()
-    control_rx = rx_energy(cfg.control_bits, energy)
-    asked: list[int] = []
-    level, alive = net.level.tolist(), net.alive.tolist()
-    for i, control_tx in zip(worth_asking.tolist(), ask_cost):
-        head, member = askers[i]
-        if not alive[member] or not alive[head]:
-            continue
-        spend(level, alive, member, control_tx)
-        if (
-            spend(level, alive, head, control_rx)
-            and spend(level, alive, head, control_tx)
-            and spend(level, alive, member, control_rx)
-        ):
-            asked.append(i)
-    net.level[:], net.alive[:] = level, alive
-    ask, rec_tgt = np.nonzero(offers[asked])
-    ask = np.asarray(asked, dtype=np.intp)[ask]
-    rec_obs = ask_mem[ask]
-    rec_val = recommend_trust(
-        trust.mean.take(rec_obs * n + rec_tgt),
-        trust.firsthand.take(ask_head[ask] * n + rec_tgt),
-        t_ij[ask],
-    )
-    record_trust(trust, rec_obs, rec_tgt, rec_val)
+    rec_obs, rec_tgt = exchange_recommendations(net, clusters, cand_obs, cand_tgt)
 
     # --- classification and standard-cloud updates -------------------------
     upd_obs = np.concatenate([inf_obs, rec_obs])

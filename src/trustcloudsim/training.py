@@ -134,9 +134,10 @@ def run_training_round(
             break
         if to_router():
             first_heard, delivered = forward()
+            # A destination that cannot pay its reply sends none, so the
+            # router pays to receive nothing and the timeout follows.
             reply_seen = False
-            if delivered:
-                spend(level, alive, dest, tx_jk)
+            if delivered and spend(level, alive, dest, tx_jk):
                 reply_seen = clear or random() >= bad
                 if reply_seen:
                     spend(level, alive, router, rx)

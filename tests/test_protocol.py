@@ -7,7 +7,7 @@ from device_oracle import DeviceState, is_eligible
 from trustcloudsim.cloud import TrustCloud
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import build_scenario, run_training_phase
-from trustcloudsim.medium import ChannelPhase, EnergyParams, tx_energy
+from trustcloudsim.medium import ChannelPhase, EnergyParams, rx_energy, tx_energy
 from trustcloudsim.protocol import (
     ClusterRoundOutcome,
     NetworkState,
@@ -15,6 +15,7 @@ from trustcloudsim.protocol import (
     choose_heads,
     elect_heads,
     election_threshold,
+    exchange_recommendations,
     run_data_phase,
     run_round,
 )
@@ -195,6 +196,24 @@ def test_run_data_phase_depleted_member_sends_nothing():
     run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), np.random.default_rng(4), outcome)
     senders = {t.member for t in outcome.transfers}
     assert 1 not in senders and {2, 3} <= senders
+
+
+def test_member_that_cannot_pay_its_request_costs_its_head_nothing():
+    # Head 0 answers members 1 and 2 about device 3, of which it has
+    # first-hand trust.  Member 1 cannot pay its request, so the head
+    # receives and answers member 2's only.
+    net = NetworkState(CFG, [0.0, 1.0, 2.0, 3.0], [0.0] * 4, ["honest"] * 4)
+    record_trust(net.trust, [0, 1, 2], [3, 0, 0], [0.8, 0.9, 0.9], direct=True)
+    rx = rx_energy(CFG.control_bits, net.energy)
+    tx_1, tx_2 = (tx_energy(CFG.control_bits, d, net.energy) for d in (1.0, 2.0))
+    net.level[1] = tx_1 / 2
+    rec_obs, rec_tgt = exchange_recommendations(
+        net, {0: [1, 2]}, np.array([1, 2]), np.array([0, 0])
+    )
+    assert not net.alive[1] and net.level[1] == 0.0
+    assert net.level[0] == (1.0 - rx) - tx_2
+    assert net.level[2] == (1.0 - tx_2) - rx
+    assert list(zip(rec_obs.tolist(), rec_tgt.tolist())) == [(2, 3)]
 
 
 def test_run_round_zero_alive():

@@ -198,6 +198,27 @@ def test_run_training_round_perfect_channel_normal_label():
     assert all(v >= 0.9 - 1e-12 for v in malicious)
 
 
+def test_destination_that_cannot_pay_its_reply_sends_none():
+    # One packet per label on a clear channel with no role-played attacks.
+    # The destination pays to receive both forwards but cannot pay its
+    # reply, so the router receives no reply and the timeout makes it
+    # retransmit.
+    devs = devices(3)
+    kwargs = dict(ROUND, n_f=1, p_dp=0.0, p_dy=0.0)
+    router, dest = Random(7).sample([1, 2], 2)
+    rx = rx_energy(kwargs["bits"], ENERGY)
+    tx_jk = tx_energy(kwargs["bits"], math.hypot(devs[router].x - devs[dest].x, 0.0),
+                      ENERGY)
+    devs[dest].energy = 2 * rx + tx_jk / 2
+    (malicious, normal), (level, alive) = play(
+        run_training_round, devs, CLEAR, Random(7), **kwargs
+    )
+    assert not alive[dest] and level[dest] == 0.0
+    # receive, forward; receive, forward, and the retransmission
+    assert level[router] == ((((1.0 - rx) - tx_jk) - rx) - tx_jk) - tx_jk
+    assert len(malicious) == len(normal) == 1
+
+
 def test_run_training_round_jammed_channel_indistinguishable():
     devs = devices(4)
     (malicious, normal), _ = play(run_training_round, devs, JAMMED, Random(3), **ROUND)
@@ -324,8 +345,7 @@ def reference_training_round(
             continue
         first, delivered = forward_once(delayed=False)
         reply_seen = False
-        if delivered:
-            pay(dest, tx_energy(bits, d_jk, energy))
+        if delivered and pay(dest, tx_energy(bits, d_jk, energy)):
             reply_seen = channel_ok(channel, rng)
             if reply_seen:
                 pay(router, rx_energy(bits, energy))
