@@ -189,40 +189,41 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
     )
     # The helper drawing the classifier's normals ahead, if one starts,
     # lives only as long as the rounds.
+    honest = ~net.malicious
     with ClassifierNormals(cfg.seed) as normals:
         for r in range(cfg.max_rounds):
             if not net.alive.any():
                 break
             outcome = run_round(net, r, rng, np_rng, normals)
-            phase = net.phase_for(r)
             received, timely, delayed = outcome.packets
-            with_members = [
-                h for h, members in outcome.clusters.items() if members
-            ]
-            malicious_clusters = int(np.count_nonzero(net.malicious[with_members]))
-            verdicts = outcome.decisions.malicious
-            correct = np.count_nonzero(
-                verdicts == net.malicious[outcome.decisions.target]
-            )
+            clusters = outcome.clusters
+            with_members = clusters.heads[clusters.sizes > 0]
+            decisions = outcome.decisions
+            verdicts = decisions.malicious
+            sent = len(outcome.transfers)
             log.round_stats.append(
                 RoundStats(
                     round_index=r,
-                    bad_prob=phase.bad_prob,
+                    bad_prob=outcome.phase.bad_prob,
                     alive=int(np.count_nonzero(net.alive)),
-                    honest_alive=int(np.count_nonzero(net.alive & ~net.malicious)),
-                    heads=len(outcome.clusters),
+                    honest_alive=int(np.count_nonzero(net.alive & honest)),
+                    heads=len(clusters.heads),
                     clusters_with_members=len(with_members),
-                    malicious_clusters=malicious_clusters,
-                    packets_sent=len(outcome.transfers),
+                    malicious_clusters=int(
+                        np.count_nonzero(net.malicious[with_members])
+                    ),
+                    packets_sent=sent,
                     packets_received=received,
                     timely=timely,
                     delayed=delayed,
-                    dropped=len(outcome.transfers) - timely - delayed,
+                    dropped=sent - timely - delayed,
                     attack_drops=outcome.attack_drops,
                     attack_delays=outcome.attack_delays,
                     direct_to_sink=len(outcome.direct_to_sink),
                     decisions=len(verdicts),
-                    correct_decisions=int(correct),
+                    correct_decisions=int(np.count_nonzero(
+                        verdicts == net.malicious[decisions.target]
+                    )),
                     malicious_verdicts=int(np.count_nonzero(verdicts)),
                 )
             )

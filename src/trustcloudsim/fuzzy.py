@@ -95,10 +95,18 @@ class _GradeRows:
         self._sets = sets
         self._grades = np.zeros((0, 0))
         self._filled = np.zeros(0, dtype=bool)
+        #: rows 0 to _complete - 1 are all filled
+        self._complete = 0
 
     def lookup(self, den: np.ndarray, num: np.ndarray) -> np.ndarray:
         """Grades of num/den for non-empty arrays with 0 <= num <= den."""
         top = int(den.max())
+        if top >= self._complete:
+            self._fill(den, top)
+        return self._grades.take(den * self._grades.shape[1] + num)
+
+    def _fill(self, den: np.ndarray, top: int) -> None:
+        """Fill the rows of den not filled yet."""
         if top >= len(self._filled):
             self._grow(max(top + 1, 2 * len(self._filled)))
         filled = self._filled.take(den)
@@ -111,7 +119,8 @@ class _GradeRows:
             rates = np.divide(k, d, out=np.ones(len(d)), where=d > 0)
             self._grades[d, k] = _grades(rates, self._sets)
             self._filled[new] = True
-        return self._grades.take(den * self._grades.shape[1] + num)
+        unfilled = np.flatnonzero(~self._filled)
+        self._complete = unfilled[0] if len(unfilled) else len(self._filled)
 
     def _grow(self, size: int) -> None:
         grades = np.zeros((size, size))

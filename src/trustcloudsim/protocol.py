@@ -12,9 +12,10 @@ the standard-cloud update pools.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from random import Random
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .medium import (
     monitor_energy,
     overhear_energy,
     rx_energy,
-    spend,
     tx_energy,
 )
 from .runtime import (
@@ -101,14 +101,102 @@ class Decisions(NamedTuple):
     malicious: np.ndarray
 
 
+class Transfers(Sequence):
+    """A data phase's TransferRecords, one per packet sent, made when read.
+
+    Slot i of the column arrays is a member's packet, listed where ``sent[i]``
+    holds; ``code`` indexes ``_OUTCOMES``.
+    """
+
+    def __init__(self, sent, member, head, received, code, attack_drop, attack_delay):
+        self._count = int(np.count_nonzero(sent))
+        self._columns = (sent, member, head, received, code, attack_drop, attack_delay)
+        self._records: Optional[list[TransferRecord]] = None
+
+    def _list(self) -> list[TransferRecord]:
+        if self._records is None:
+            sent, *columns = self._columns
+            member, head, received, code, drop, delay = (
+                c[sent].tolist() for c in columns
+            )
+            self._records = list(
+                map(TransferRecord, member, head, received,
+                    map(_OUTCOMES.__getitem__, code), drop, delay)
+            )
+        return self._records
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return self._list() == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+class Clusters(Mapping):
+    """A round's clusters, held as arrays; as a mapping, each head's members.
+
+    ``heads`` are the round's heads in id order.  ``members`` lists every
+    head's members, by head then member id; ``head_of[s]`` is the head of
+    ``members[s]`` and ``cluster[s]`` its index into ``heads``.  Head
+    ``heads[c]`` has ``sizes[c]`` members, from ``members[first[c]]`` on.
+    """
+
+    def __init__(self, heads: np.ndarray, members: np.ndarray, head_of: np.ndarray):
+        self.heads = heads
+        self.members = members
+        self.head_of = head_of
+        self.cluster = heads.searchsorted(head_of)
+        self.sizes = np.bincount(self.cluster, minlength=len(heads))
+        self.first = self.sizes.cumsum() - self.sizes
+
+    @classmethod
+    def of(cls, clusters: Mapping[int, Sequence[int]]) -> "Clusters":
+        """The Clusters of a mapping of each head to its members."""
+        if isinstance(clusters, Clusters):
+            return clusters
+        rows = [(h, m) for h in sorted(clusters) for m in sorted(clusters[h])]
+        return cls(
+            np.array(sorted(clusters), dtype=np.intp),
+            np.array([m for _, m in rows], dtype=np.intp),
+            np.array([h for h, _ in rows], dtype=np.intp),
+        )
+
+    def __getitem__(self, head) -> list[int]:
+        c = int(np.searchsorted(self.heads, head))
+        if c == len(self.heads) or self.heads[c] != head:
+            raise KeyError(head)
+        return self.members[self.first[c] : self.first[c] + self.sizes[c]].tolist()
+
+    def __iter__(self):
+        return iter(self.heads.tolist())
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+
+_NO_CLUSTERS = Clusters(_no_pairs(), _no_pairs(), _no_pairs())
+
+
 @dataclass
 class ClusterRoundOutcome:
     """Everything observable about one protocol round."""
 
     round_index: int
-    clusters: dict[int, list[int]] = field(default_factory=dict)
+    #: the channel phase the round ran in
+    phase: Optional[ChannelPhase] = None
+    clusters: Clusters = field(default_factory=lambda: _NO_CLUSTERS)
     direct_to_sink: list[int] = field(default_factory=list)
-    transfers: list[TransferRecord] = field(default_factory=list)
+    transfers: Sequence[TransferRecord] = field(default_factory=list)
     attack_drops: int = 0
     attack_delays: int = 0
     packets: PacketCounts = PacketCounts(0, 0, 0)
@@ -138,8 +226,9 @@ class TransmitCosts:
     def at(self, flat: np.ndarray) -> np.ndarray:
         """The costs at the given flat indices."""
         costs = self._costs.take(flat)
-        missing = np.flatnonzero(np.isnan(costs))
-        if len(missing):
+        # a sum of finite costs is NaN only where one is missing
+        if np.isnan(np.add.reduce(costs)):
+            missing = np.flatnonzero(np.isnan(costs))
             new = flat[missing]
             costs[missing] = [
                 tx_energy(self._bits, d, self._energy)
@@ -197,6 +286,11 @@ class NetworkState:
         self.dist = upper + upper.T
         self.neighbor_mask = self.dist <= cfg.neighbor_radius
         np.fill_diagonal(self.neighbor_mask, False)
+        #: flat indices of the neighbour pairs with no trust recorded yet, as
+        #: of the last recommendation exchange
+        self.quiet_neighbors = np.flatnonzero(self.neighbor_mask)
+        #: a False flag per pair, for a phase to set, read and clear again
+        self.pair_mark = np.zeros(n * n, dtype=bool)
         self.data_tx = TransmitCosts(cfg.data_bits, self.dist, self.energy)
         self.control_tx = TransmitCosts(cfg.control_bits, self.dist, self.energy)
         self.sink_tx = TransmitCosts(
@@ -246,7 +340,7 @@ def elect_heads(net: NetworkState, r: int, rng: Random) -> np.ndarray:
     order, and heads if it falls below the election threshold.  A head may
     not head again for ``net.epoch`` rounds, and pays its announcement.
     """
-    ids = np.flatnonzero(net.alive & (net.eligible_from <= r))
+    ids = (net.alive & (net.eligible_from <= r)).nonzero()[0]
     draws = np.array([rng.random() for _ in range(len(ids))])
     heads = ids[draws < election_threshold(r, net.cfg.p_ch)]
     net.eligible_from[heads] = r + net.epoch
@@ -265,26 +359,43 @@ def choose_heads(
     wins (ties to the lowest id).  Without one, the unjudged candidates
     (no individual cloud yet) are ranked by first-hand heuristics: the
     nearest never-recorded one, else the one with the highest trust
-    estimate.  Candidates judged malicious are discarded.
+    estimate.  Candidates judged malicious are discarded.  The rows may
+    come in any order, but each (member, head) pair at most once.
 
-    Returns (members, heads) of the members left with a candidate; the
-    others must become a head or send to the sink.
+    Returns (members, heads) of the members left with a candidate, in
+    member order; the others must become a head or send to the sink.
     """
-    obs = np.asarray(observers, dtype=np.intp)
-    tgt = np.asarray(heads, dtype=np.intp)
-    pairs = trust.pairs(obs, tgt)
-    recorded = trust.count.take(pairs) > 0
+    pairs = trust.pairs(observers, heads)
+    if not len(pairs):
+        return _no_pairs(), _no_pairs()
+    judged = np.asarray(judged, dtype=bool)
+    malicious = np.asarray(malicious, dtype=bool)
+    dist = np.asarray(dist, dtype=float)
+    if np.count_nonzero(pairs[1:] < pairs[:-1]):
+        # by member, then head
+        order = pairs.argsort()
+        pairs, judged, malicious, dist = (
+            a[order] for a in (pairs, judged, malicious, dist)
+        )
+    obs = pairs // trust.n
     # 0 normal, 1 unjudged and never recorded, 2 unjudged but recorded,
-    # 3 malicious; one sort ranks every member's rows by it, then by the
-    # distance (by the trust estimate for category 2), then by head id.
-    category = np.where(judged, 3 * np.asarray(malicious, dtype=bool), 1 + recorded)
+    # 3 malicious; a member's best rows are those of its least category,
+    # then of the least distance (the highest trust estimate for category
+    # 2); the first of them has the lowest head id.
+    category = np.where(judged, 3 * malicious, 1 + (trust.count.take(pairs) > 0))
     key = np.where(category == 2, -trust.mean.take(pairs), dist)
-    order = np.lexsort((tgt, key, 4 * obs + category))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = obs[order[1:]] != obs[order[:-1]]
-    best = order[first]
-    best = best[category[best] != 3]
-    return obs[best], tgt[best]
+    first = np.empty(len(obs), dtype=bool)
+    first[0] = True
+    np.not_equal(obs[1:], obs[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    member = first.cumsum() - 1
+    best = category == np.minimum.reduceat(category, starts)[member]
+    key[~best] = np.inf
+    best &= key == np.minimum.reduceat(key, starts)[member]
+    rows = best.nonzero()[0]
+    rows = rows[member[rows].searchsorted(np.arange(len(starts)))]
+    rows = rows[category[rows] != 3]
+    return obs[rows], pairs[rows] - obs[rows] * trust.n
 
 
 def _first_death(paid, kind, costs, level) -> tuple[int, bool]:
@@ -332,14 +443,14 @@ def receive_announcements(
     # Only a listener whose deliveries cost its whole energy dies; a running
     # count over its deliveries finds the first it cannot pay or that
     # empties it, and it hears none after that.
-    dying = np.flatnonzero((deliveries > 0) & (left <= 0.0)).tolist()
+    dying = ((deliveries > 0) & (left <= 0.0)).nonzero()[0].tolist()
     for r in dying:
         at, last_joule = _first_death(heard[r], 0, (cost,), level[r])
         heard[r, at + last_joule :] = False
         left[r] = 0.0
     net.level[listeners] = left
     net.alive[listeners[dying]] = False
-    obs, tgt = np.nonzero(heard)
+    obs, tgt = heard.nonzero()
     return listeners[obs], heads[tgt]
 
 
@@ -349,7 +460,7 @@ _OUTCOMES = ("dropped", "timely", "delayed")
 
 def run_data_phase(
     net: NetworkState,
-    clusters: dict[int, list[int]],
+    clusters: Mapping[int, Sequence[int]],
     phase: ChannelPhase,
     np_rng: np.random.Generator,
     outcome: ClusterRoundOutcome,
@@ -361,7 +472,8 @@ def run_data_phase(
     while malicious heads drop or delay with their class probabilities.
     Members overhear both the uplinks and the relays through independent
     channel draws, producing the evidence counts of each (observer, head)
-    pair for this round.
+    pair for this round.  ``clusters`` maps each head to its members; the
+    round passes its ``Clusters``.
 
     The phase's channel events come from one ``np_rng.random`` block, laid
     out per cluster (heads by id) as: uplink reception (k values for k
@@ -384,96 +496,96 @@ def run_data_phase(
     resolved again; clusters share no device, so a death in one changes
     nothing in another.  A round with no death takes one pass.
 
-    Appends one TransferRecord per packet sent to ``outcome.transfers`` and
-    adds the attacks to its counters; the returned Evidence also carries
-    the phase's packet counts.
+    Sets ``outcome.transfers`` to the phase's TransferRecords, one per
+    packet sent, and adds the attacks to its counters; the returned
+    Evidence also carries the phase's packet counts.
     """
-    heads = sorted(clusters)
-    if not heads:
+    clusters = Clusters.of(clusters)
+    heads = clusters.heads
+    if not len(heads):
         return _no_evidence()
     cfg = net.cfg
     energy = net.energy
     bits = cfg.data_bits
     p0 = phase.bad_prob
-    members = [sorted(clusters[h]) for h in heads]
-    sizes = [len(ms) for ms in members]
-    width = max(max(sizes), 1)
-    head_ids = np.array(heads, dtype=np.intp)
+    ids, cl, k, first_slot = (
+        clusters.members, clusters.cluster, clusters.sizes, clusters.first
+    )
+    width = max(int(k.max()), 1)
 
     # One slot per member, by head id then member id; a pair is an
     # (overhearer, sender) pair of slots of one cluster, in the drawn order.
-    ids = np.array([m for ms in members for m in ms], dtype=np.intp)
-    k = np.array(sizes, dtype=np.intp)
-    first_slot = np.cumsum(k) - k
-    cl = np.repeat(np.arange(len(heads)), k)
     pos = np.arange(len(ids)) - first_slot[cl]
-    per_pair = k * k
     reps = k[cl]
-    pairs_of = np.cumsum(reps) - reps  # each overhearer's first pair
-    hearer = np.repeat(np.arange(len(ids)), reps)
-    sender = np.arange(len(hearer)) + (first_slot[cl] - pairs_of)[hearer]
-    own = sender == hearer
+    pairs_of = reps.cumsum() - reps  # each overhearer's first pair
+    own = pairs_of + pos  # each overhearer's pair with itself
+    hearer = np.arange(len(ids)).repeat(reps)
+    per_pair = k * k
+    pair_cl = np.arange(len(heads)).repeat(per_pair)
+    pair_index = np.arange(len(hearer))
+    sender = pair_index + (first_slot[cl] - pairs_of)[hearer]
 
     # Cluster c's draws start at start[c]: uplink (k), overhears (k × k),
     # drop, delay and relay (k each), relay overhears (k × k).
     size = 2 * per_pair + 4 * k
     block = np_rng.random(int(size.sum()))
-    start = np.cumsum(size) - size
+    start = size.cumsum() - size
     slot_at = start[cl] + pos
     after = slot_at + (per_pair + k)[cl]
-    pair_at = np.arange(len(hearer)) + (
-        (start + k - np.cumsum(per_pair) + per_pair)[cl][hearer]
-    )
-    mult = np.array([ATTACK_MULTIPLIER[net.attacker[h]] for h in heads])
+    pair_at = pair_index + (start + k - per_pair.cumsum() + per_pair)[pair_cl]
+    mult = np.array([ATTACK_MULTIPLIER[net.attacker[h]] for h in heads.tolist()])
     up_ok = block[slot_at] >= p0
-    over_ok = block[pair_at] >= p0
-    drop_hit = block[after] < (mult * cfg.p_dp)[cl]
+    heard_ok = block[pair_at] >= p0
+    heard_ok[own] = True  # the sender knows its own uplink
+    kept = block[after] >= (mult * cfg.p_dp)[cl]
     delay_hit = block[after + reps] < (mult * cfg.p_dy)[cl]
     relay_ok = block[after + 2 * reps] >= p0
-    relay_over_ok = block[pair_at + (per_pair + 3 * k)[cl][hearer]] >= p0
-
-    # Every charge has a key that orders it within its cluster's phase: slot
-    # i holds the sender's transmit (i·s), the head's reception (i·s + 1),
-    # the uplink overhear of the member at position j (i·s + 2 + j), the
-    # head's aggregation and relay (i·s + 2 + w, i·s + 3 + w), then the
-    # relay overhear of position j (i·s + 4 + w + j), for a step s of 2w + 4
-    # with w the largest cluster; the head's own report comes last.
-    step = 2 * width + 4
-    tx_key = pos * step
-    sender_key = tx_key[sender]
-    report_key = width * step
-    never = report_key + 1
+    relay_heard_ok = block[pair_at + (per_pair + 3 * k)[pair_cl]] >= p0
 
     member_level = net.level[ids]
-    head_level = net.level[head_ids]
+    head_level = net.level[heads]
     was_alive = net.alive[ids]
-    head_was_alive = net.alive[head_ids]
+    head_was_alive = net.alive[heads]
+    if np.count_nonzero(was_alive) < len(ids):
+        # a member dead before the phase neither sends nor overhears
+        heard_ok &= was_alive[sender] & was_alive[hearer]
     over_cost = overhear_energy(bits, energy)
     rx_cost = rx_energy(bits, energy)
     aggregate_cost = aggregate_energy(bits, 1, energy)
-    tx_cost = net.data_tx.at(ids * len(net.level) + head_ids[cl])
-    sink_tx = net.sink_tx.at(head_ids)
+    tx_cost = net.data_tx.at(ids * len(net.level) + clusters.head_of)
+    sink_tx = net.sink_tx.at(heads)
 
-    # A device's charges succeed up to (and including) the key in `until`:
-    # `never` while it lives, -1 if it was dead before the phase.
-    until = np.where(was_alive, never, -1)
-    head_until = np.where(head_was_alive, never, -1)
+    # The first pass assumes that every device alive at the start lives to
+    # the end.  Once a death is found, each device's charges succeed up to
+    # (and including) the key in `until`: `never` while it lives, -1 if it
+    # was dead before the phase.
+    until = head_until = None
+    lives, head_lives = was_alive, head_was_alive
     while True:
-        at_head = head_until[cl]
-        sends = tx_key <= until
-        received = sends & up_ok & (tx_key + 1 <= at_head)
-        # The head relays once; a lost relay surfaces as a drop, so a
-        # delaying event can only come from an actual delaying attack.
-        relayed = received & ~drop_hit
-        delayed = relayed & delay_hit
-        aggregated = relayed & (tx_key + 2 + width <= at_head)
-        attempted = relayed & (tx_key + 3 + width <= at_head)
-        # Cluster mates that catch an uplink know the packet awaits
-        # forwarding; the sender knows its own.
-        over_alive = sender_key <= (until - 2 - pos)[hearer]
-        watch = sends[sender] & (own | (over_ok & over_alive))
-        relay_alive = sender_key <= (until - 4 - width - pos)[hearer]
-        relay_seen = watch & attempted[sender] & relay_over_ok & relay_alive
+        if until is None:
+            sends = was_alive
+            received = sends & up_ok & head_was_alive[cl]
+            relayed = received & kept
+            aggregated = attempted = relayed
+            watch = heard_ok
+            relay_seen = watch & attempted[sender] & relay_heard_ok
+        else:
+            at_head = head_until[cl]
+            sends = tx_key <= until
+            received = sends & up_ok & (rx_key <= at_head)
+            # The head relays once; a lost relay surfaces as a drop, so a
+            # delaying event can only come from an actual delaying attack.
+            relayed = received & kept
+            aggregated = relayed & (aggregate_key <= at_head)
+            attempted = relayed & (relay_key <= at_head)
+            # Cluster mates that catch an uplink know the packet awaits
+            # forwarding; the sender knows its own.
+            hearer_until = until[hearer]
+            watch = sends[sender] & heard_ok & (over_key <= hearer_until)
+            relay_seen = (
+                watch & attempted[sender] & relay_heard_ok
+                & (relay_over_key <= hearer_until)
+            )
         sent = np.add.reduceat(watch, pairs_of, dtype=np.intp)
         forwarded = np.add.reduceat(relay_seen, pairs_of, dtype=np.intp)
         spent = tx_cost + over_cost * (sent - 1 + forwarded)
@@ -483,11 +595,35 @@ def run_data_phase(
             + relays * aggregate_cost
             + (relays + 1) * sink_tx
         )
+        dying = lives & (spent >= member_level)
+        head_dying = head_lives & (head_spent >= head_level)
+        if not (np.count_nonzero(dying) or np.count_nonzero(head_dying)):
+            break
+        if until is None:
+            # Every charge has a key that orders it within its cluster's
+            # phase: slot i holds the sender's transmit (i·s), the head's
+            # reception (i·s + 1), the uplink overhear of the member at
+            # position j (i·s + 2 + j), the head's aggregation and relay
+            # (i·s + 2 + w, i·s + 3 + w), then the relay overhear of position
+            # j (i·s + 4 + w + j), for a step s of 2w + 4 with w the largest
+            # cluster; the head's own report comes last.  A sender's own
+            # uplink is known without an overhear (key -1).
+            step = 2 * width + 4
+            tx_key = pos * step
+            rx_key = tx_key + 1
+            aggregate_key = tx_key + (2 + width)
+            relay_key = tx_key + (3 + width)
+            over_key = tx_key[sender] + 2 + pos[hearer]
+            relay_over_key = over_key + (2 + width)
+            over_key[own] = -1
+            report_key = width * step
+            never = report_key + 1
+            until = np.where(was_alive, never, -1)
+            head_until = np.where(head_was_alive, never, -1)
 
         # cluster -> (key, slot or None for the head, paid its last joule)
         deaths: dict[int, tuple[int, Optional[int], bool]] = {}
-        dying = (until == never) & (spent >= member_level)
-        for r in np.flatnonzero(dying).tolist():
+        for r in dying.nonzero()[0].tolist():
             pairs = slice(pairs_of[r], pairs_of[r] + reps[r])
             j = int(pos[r])
             at, last_joule = _first_death(
@@ -503,8 +639,7 @@ def run_data_phase(
             c = int(cl[r])
             if c not in deaths or key < deaths[c][0]:
                 deaths[c] = (key, r, last_joule)
-        dying = (head_until == never) & (head_spent >= head_level)
-        for c in np.flatnonzero(dying).tolist():
+        for c in head_dying.nonzero()[0].tolist():
             slots = slice(first_slot[c], first_slot[c] + k[c])
             paid = np.stack([received[slots], aggregated[slots], attempted[slots]])
             kind = np.arange(3 * k[c] + 1) % 3
@@ -520,49 +655,42 @@ def run_data_phase(
             )
             if c not in deaths or key < deaths[c][0]:
                 deaths[c] = (key, None, last_joule)
-        if not deaths:
-            break
         # Fix the earliest death of each cluster, then resolve again.
         for c, (key, r, last_joule) in deaths.items():
             if r is None:
                 head_until[c] = key if last_joule else key - 1
             else:
                 until[r] = key if last_joule else key - 1
+        lives, head_lives = until == never, head_until == never
 
     # --- write back the energies and the round's records -------------------
-    # (a device dead before the phase keeps its level)
-    for at, was, stop, before, cost in (
-        (ids, was_alive, until, member_level, spent),
-        (head_ids, head_was_alive, head_until, head_level, head_spent),
+    for at, was, stays, before, cost in (
+        (ids, was_alive, lives, member_level, spent),
+        (heads, head_was_alive, head_lives, head_level, head_spent),
     ):
-        net.level[at[was]] = np.where(stop == never, before - cost, 0.0)[was]
-        net.alive[at] = stop == never
+        left = before - cost
+        if np.count_nonzero(stays) < len(stays):
+            # the dying end at 0; a device dead before the phase keeps its level
+            left = np.where(stays, left, np.where(was, 0.0, before))
+        net.level[at] = left
+        net.alive[at] = stays
 
-    dropped = received & drop_hit
+    delayed = relayed & delay_hit
+    dropped = received & ~kept
     code = (attempted & relay_ok) * (1 + delayed)
-    s = np.flatnonzero(sends)
-    outcome.transfers.extend(
-        map(
-            TransferRecord,
-            ids[s].tolist(),
-            head_ids[cl[s]].tolist(),
-            received[s].tolist(),
-            map(_OUTCOMES.__getitem__, code[s].tolist()),
-            dropped[s].tolist(),
-            delayed[s].tolist(),
-        )
+    outcome.transfers = Transfers(
+        sends, ids, clusters.head_of, received, code, dropped, delayed
     )
     outcome.attack_drops += int(np.count_nonzero(dropped))
     outcome.attack_delays += int(np.count_nonzero(delayed))
 
-    timely = np.add.reduceat(relay_seen & ~delayed[sender], pairs_of, dtype=np.intp)
-    r = np.flatnonzero(sent)
+    timely = np.add.reduceat(relay_seen & (~delayed)[sender], pairs_of, dtype=np.intp)
+    rows = (ids, clusters.head_of, sent, forwarded, timely)
+    if np.count_nonzero(sent) < len(sent):
+        r = sent.nonzero()[0]
+        rows = tuple(column[r] for column in rows)
     return Evidence(
-        ids[r],
-        head_ids[cl[r]],
-        sent[r],
-        forwarded[r],
-        timely[r],
+        *rows,
         PacketCounts(
             int(np.count_nonzero(received)),
             int(np.count_nonzero(code == 1)),
@@ -571,74 +699,305 @@ def run_data_phase(
     )
 
 
-def exchange_recommendations(
+def _judgeable(net: NetworkState, obs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Where the observer has a full window of the pair and standard clouds."""
+    trust = net.trust
+    return (trust.count.take(pairs) >= trust.window) & ~np.isnan(
+        net.std_table[:, 0].take(obs)
+    )
+
+
+def _judge(net: NetworkState, obs: np.ndarray, tgt: np.ndarray, normals) -> np.ndarray:
+    """True where the observer classifies the target malicious."""
+    cfg = net.cfg
+    return classify_pairs(
+        net.trust, net.std_table, obs, tgt, normals, kappa=cfg.kappa, n_drp=cfg.n_drp
+    )
+
+
+def join_clusters(
     net: NetworkState,
-    clusters: dict[int, list[int]],
+    r: int,
+    heads: np.ndarray,
+    listeners: np.ndarray,
     cand_obs: np.ndarray,
     cand_tgt: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Members ask their heads for recommendations; returns the (observer,
-    target) pairs recorded.
+    normals,
+) -> tuple[Clusters, np.ndarray, Decisions]:
+    """Every listener joins a head it trusts, heads alone, or sends to the sink.
+
+    ``heads`` are round r's elected heads and ``listeners`` the other live
+    devices, both in id order; rows (``cand_obs``, ``cand_tgt``) are the
+    announcements the listeners heard, by listener then head.  A listener
+    classifies each candidate it has a full window of and standard clouds
+    for (the round's join decisions), and ``choose_heads`` picks its head.
+    A listener that died listening joins no cluster.  One left without a
+    head self-elects if it is eligible, paying its announcement, and sends
+    to the sink otherwise, paying that transmission.
+
+    Returns the round's clusters, the devices that sent to the sink, and
+    the join decisions, by observer then target.
+    """
+    n = len(net.level)
+    cand = cand_obs * n + cand_tgt
+    judged = _judgeable(net, cand_obs, cand)
+    rows = judged.nonzero()[0]
+    join_obs, join_tgt = cand_obs[rows], cand_tgt[rows]
+    join_mal = _judge(net, join_obs, join_tgt, normals)
+    malicious = np.zeros(len(cand), dtype=bool)
+    malicious[rows] = join_mal
+    joiners, chosen = choose_heads(
+        net.trust, cand_obs, cand_tgt, net.dist.take(cand), judged, malicious
+    )
+    alone = net.alive[listeners]
+    alone[listeners.searchsorted(joiners)] = False
+    alone = listeners[alone]
+    joined = net.alive[joiners]
+    joiners, chosen = joiners[joined], chosen[joined]
+    direct = alone
+    if len(alone):
+        eligible = net.eligible_from[alone] <= r
+        self_elected = alone[eligible]
+        net.eligible_from[self_elected] = r + net.epoch
+        charge(net.level, net.alive, self_elected, net.announce_tx)
+        direct = alone[~eligible]
+        charge(net.level, net.alive, direct, net.sink_tx.at(direct))
+        heads = np.concatenate([heads, self_elected])
+        heads.sort()
+    order = chosen.argsort(kind="stable")
+    clusters = Clusters(heads, joiners[order], chosen[order])
+    return clusters, direct, Decisions(join_obs, join_tgt, join_mal)
+
+
+def monitor(net: NetworkState) -> None:
+    """Charge every live device its per-round monitoring duty."""
+    cost = monitor_energy(net.cfg.monitor_seconds, net.energy)
+    charge(net.level, net.alive, net.alive.nonzero()[0], cost)
+
+
+def infer_head_trust(net: NetworkState, evidence: Evidence) -> np.ndarray:
+    """Every live observer records the trust its evidence shows in its head.
+
+    Returns the flat indices of the pairs written.
+    """
+    obs, head, sent, forwarded, timely, _ = evidence
+    live = net.alive[obs]
+    if np.count_nonzero(live) < len(live):
+        rows = live.nonzero()[0]
+        obs, head, sent, forwarded, timely = (
+            a[rows] for a in (obs, head, sent, forwarded, timely)
+        )
+    record_trust(
+        net.trust, obs, head, trust_table.trust(sent, forwarded, timely), direct=True
+    )
+    return obs * len(net.level) + head
+
+
+def _charge_exchanges(
+    net: NetworkState, mem: np.ndarray, head: np.ndarray, cost: np.ndarray
+) -> np.ndarray:
+    """Charge each row's exchange in turn; True where the member got its reply.
+
+    Row j is member ``mem[j]`` asking its head ``head[j]``, with ``cost[j]``
+    the control transmission between them.  Rows run by head, then member.
+    An exchange is four charges, in order: the member's request (``cost``),
+    the head's reception, the head's reply (``cost``) and the member's
+    reception.  A member has one row; a head pays its charges row by row.
+
+    ``spend``'s rule holds charge by charge: a device that cannot pay dies
+    and the action fails; one that pays its last joule completes it and
+    then dies.  A sender that cannot pay sends nothing, so nobody pays to
+    receive it, and a head that died answers no later row.  A device's
+    charges are subtracted one at a time, in row order, as a chain of
+    scalar charges would (``np.subtract.at`` applies repeated indices in
+    sequence).  Passes find the deaths: a pass assumes that every device
+    not yet known to die pays all its charges; a device left with no
+    balance dies at the first charge its running balance
+    (``np.subtract.accumulate``) cannot pay or empties.  The earliest such
+    death of each head's rows is fixed and the rows are charged again.
+    """
+    rows = len(mem)
+    level, alive = net.level, net.alive
+    rx = rx_energy(net.cfg.control_bits, net.energy)
+    # Pass 1: a member's two charges, then each head's, in row order.
+    after = level.copy()
+    after[mem] = (after[mem] - cost) - rx
+    head_costs = np.empty((rows, 2))
+    head_costs[:, 0] = rx
+    head_costs[:, 1] = cost
+    np.subtract.at(after, head.repeat(2), head_costs.ravel())
+    if not np.count_nonzero((after <= 0.0) & alive):
+        level[:] = after
+        return np.ones(rows, dtype=bool)
+
+    # Charge 4 j + e of the flat arrays is row j's e-th charge.
+    dev = np.stack([mem, head, head, mem], axis=1).ravel()
+    costs = np.stack([cost, head_costs[:, 0], cost, head_costs[:, 0]], axis=1).ravel()
+    # Rows of a head fail from the first it cannot pay; `member_paid` and
+    # `head_paid` count the charges each side pays at a row (0 to 2), -1 for
+    # a head's rows after its death.
+    member_paid = np.full(rows, 2)
+    head_paid = np.full(rows, 2)
+    involved = np.zeros(len(level), dtype=bool)
+    involved[dev] = True
+    dead = np.zeros(len(level), dtype=bool)
+    row_index = np.arange(rows)
+    while True:
+        request = (head_paid >= 0) & (member_paid >= 1)
+        receive = request & (head_paid >= 1)
+        reply = receive & (head_paid >= 2)
+        answered = reply & (member_paid >= 2)
+        paid = np.stack([request, receive, reply, answered], axis=1).ravel()
+        after = level.copy()
+        np.subtract.at(after, dev[paid], costs[paid])
+        dying = ((after <= 0.0) & involved & ~dead).nonzero()[0]
+        if not len(dying):
+            break
+        # head -> (row, charge, paid it) of the earliest death of its rows
+        deaths: dict[int, tuple[int, int, bool]] = {}
+        for d in dying.tolist():
+            charges = (paid & (dev == d)).nonzero()[0]
+            balance = np.subtract.accumulate(np.append(level[d], costs[charges]))[1:]
+            at = int(np.argmax(balance <= 0.0))
+            row, e = divmod(int(charges[at]), 4)
+            h = int(head[row])
+            if h not in deaths or (row, e) < deaths[h][:2]:
+                deaths[h] = (row, e, bool(balance[at] == 0.0))
+        for row, e, last_joule in deaths.values():
+            dead[dev[4 * row + e]] = True
+            if e in (0, 3):
+                member_paid[row] = (e == 3) + last_joule
+            else:
+                head_paid[(head == head[row]) & (row_index > row)] = -1
+                head_paid[row] = e - 1 + last_joule
+    after[dead] = 0.0
+    level[:] = after
+    alive[dead] = False
+    return answered
+
+
+def exchange_recommendations(
+    net: NetworkState,
+    clusters: Mapping[int, Sequence[int]],
+    cand_obs: np.ndarray,
+    cand_tgt: np.ndarray,
+) -> np.ndarray:
+    """Members ask their heads for recommendations; returns the flat indices
+    of the pairs recorded.
 
     A member asks its trusted head about the devices it must judge soon
     (the candidate heads it heard this round, rows ``cand_obs``,
-    ``cand_tgt``) and about pairs it has no individual cloud for yet.  The
-    head only relays trust it formed by its own overhearing, so
-    recommendation chains cannot drift away from observed behavior.
+    ``cand_tgt``) and about pairs it has no individual cloud for yet: a
+    neighbour it never recorded, or a pair whose window is not yet full.
+    The head only relays trust it formed by its own overhearing, so
+    recommendation chains cannot drift away from observed behavior.  A
+    member asks only if its head has first-hand trust in one of these
+    devices and it trusts its head above 0.
 
-    Askers take turns by head, then member id.  An exchange is four
-    charges: the member's request, the head's reception, the head's reply
-    and the member's reception.  A sender that cannot pay sends nothing, so
-    nobody pays to receive it, and a member hears recommendations only once
-    its reception is paid.
+    Askers take turns by head, then member id, each charged as
+    ``_charge_exchanges`` states; a member hears recommendations only once
+    its reception is paid.  The wanted pairs are gathered from the heard
+    rows, the window fills (``TrustState.filling``) and the neighbours not
+    yet recorded, so the phase costs the pairs it touches, not n².
     """
-    cfg = net.cfg
+    clusters = Clusters.of(clusters)
     trust = net.trust
     n = len(net.level)
-    askers = [(h, m) for h in sorted(clusters) for m in sorted(clusters[h])]
-    ask_head = np.array([h for h, _ in askers], dtype=np.intp)
-    ask_mem = np.array([m for _, m in askers], dtype=np.intp)
-    ask_pair = ask_mem * n + ask_head
-    t_ij = trust.mean.take(ask_pair)
-    heard = np.zeros((n, n), dtype=bool)
-    heard.put(cand_obs * n + cand_tgt, True)
-    # wanted: heard of this round, or a neighbour never recorded, or a
-    # recorded pair without a full window yet
-    count = trust.count[ask_mem]
-    wanted = heard[ask_mem] | np.where(
-        count == 0, net.neighbor_mask[ask_mem], count < trust.window
+    mem, head = clusters.members, clusters.head_of
+    wanted = cand_obs * n + cand_tgt
+    unsettled = trust.filling()
+    quiet = net.quiet_neighbors
+    if len(quiet):
+        quiet = net.quiet_neighbors = quiet[trust.count.take(quiet) == 0]
+        unsettled = np.concatenate([unsettled, quiet])
+    if len(unsettled):
+        # the unsettled pairs not heard of this round
+        net.pair_mark.put(wanted, True)
+        unsettled = unsettled[~net.pair_mark.take(unsettled)]
+        net.pair_mark.put(wanted, False)
+        wanted = np.concatenate([wanted, unsettled])
+    wanted_obs = wanted // n
+    wanted_tgt = wanted - wanted_obs * n
+
+    # Every device's head while it is a member, else -1; a member's offers
+    # are the wanted targets, other than its head, its head has first-hand
+    # trust in.
+    head_of = np.full(n, -1)
+    head_of[mem] = head
+    asks_head = head_of.take(wanted_obs)
+    offers = (
+        (asks_head >= 0)
+        & (wanted_tgt != asks_head)
+        & (trust.fh_count.take(asks_head * n + wanted_tgt) > 0)
+    ).nonzero()[0]
+    has_offer = np.zeros(n, dtype=bool)
+    has_offer[wanted_obs.take(offers)] = True
+
+    t_ij = np.zeros(n)
+    t_ij[mem] = trust.mean.take(mem * n + head)
+    alive = net.alive
+    asking = (
+        has_offer.take(mem) & (t_ij.take(mem) > 0.0) & alive.take(mem) & alive.take(head)
+    ).nonzero()[0]
+    ask_mem, ask_head = mem.take(asking), head.take(asking)
+    answered = _charge_exchanges(
+        net, ask_mem, ask_head, net.control_tx.at(ask_mem * n + ask_head)
     )
-    rows = np.arange(len(askers)) * n
-    wanted.put(rows + ask_head, False)
-    wanted.put(rows + ask_mem, False)
-    offers = wanted & (trust.fh_count[ask_head] > 0)
-    worth_asking = np.flatnonzero(offers.any(axis=1) & (t_ij > 0.0))
-    ask_cost = net.control_tx.at(ask_pair[worth_asking]).tolist()
-    control_rx = rx_energy(cfg.control_bits, net.energy)
-    asked: list[int] = []
-    level, alive = net.level.tolist(), net.alive.tolist()
-    for i, control_tx in zip(worth_asking.tolist(), ask_cost):
-        head, member = askers[i]
-        if not alive[member] or not alive[head]:
-            continue
-        if (
-            spend(level, alive, member, control_tx)
-            and spend(level, alive, head, control_rx)
-            and spend(level, alive, head, control_tx)
-            and spend(level, alive, member, control_rx)
-        ):
-            asked.append(i)
-    net.level[:], net.alive[:] = level, alive
-    ask, rec_tgt = np.nonzero(offers[asked])
-    ask = np.asarray(asked, dtype=np.intp)[ask]
-    rec_obs = ask_mem[ask]
+    got_reply = np.zeros(n, dtype=bool)
+    got_reply[ask_mem[answered]] = True
+
+    rec = offers[got_reply.take(wanted_obs.take(offers))]
+    rec_obs, rec_tgt = wanted_obs.take(rec), wanted_tgt.take(rec)
+    recorded = wanted.take(rec)
     rec_val = recommend_trust(
-        trust.mean.take(rec_obs * n + rec_tgt),
-        trust.firsthand.take(ask_head[ask] * n + rec_tgt),
-        t_ij[ask],
+        trust.mean.take(recorded),
+        trust.firsthand.take(asks_head.take(rec) * n + rec_tgt),
+        t_ij.take(rec_obs),
     )
     record_trust(trust, rec_obs, rec_tgt, rec_val)
-    return rec_obs, rec_tgt
+    return recorded
+
+
+def classify_written(
+    net: NetworkState, written: np.ndarray, join: Decisions, normals
+) -> tuple[np.ndarray, np.ndarray, Decisions]:
+    """Judge the pairs written this round that have full windows.
+
+    ``written`` are the distinct flat indices of the round's trust writes
+    (sorted in place) and ``join`` its join decisions, by observer then target.  Returns the
+    judged pairs in index order, their verdicts, and the round's decisions:
+    the join decisions, then the verdicts on pairs not judged at joining (a
+    pair judged at joining keeps that decision).
+    """
+    n = len(net.level)
+    written.sort()
+    judged = written[_judgeable(net, written // n, written)]
+    obs = judged // n
+    tgt = judged - obs * n
+    verdicts = _judge(net, obs, tgt, normals)
+    fresh = slice(None)
+    if len(join.observer):
+        joined = join.observer * n + join.target
+        fresh = joined.take(joined.searchsorted(judged), mode="clip") != judged
+    decisions = Decisions(
+        np.concatenate([join.observer, obs[fresh]]),
+        np.concatenate([join.target, tgt[fresh]]),
+        np.concatenate([join.malicious, verdicts[fresh]]),
+    )
+    return judged, verdicts, decisions
+
+
+def update_standards(net: NetworkState, judged: np.ndarray, verdicts: np.ndarray) -> None:
+    """Pool the trust of each judged pair under its observer and verdict."""
+    cfg = net.cfg
+    net.pools.add(
+        judged // len(net.level),
+        verdicts,
+        net.trust.mean.take(judged),
+        net.std_table,
+        alpha=cfg.alpha,
+        beta=cfg.beta,
+    )
 
 
 def run_round(
@@ -650,127 +1009,43 @@ def run_round(
 ) -> ClusterRoundOutcome:
     """Execute one full protocol round and return its outcome.
 
-    ``rng`` draws the election, ``np_rng`` the channel events of reception
-    and the data phase, and ``normals`` (anything with ``standard_normal``)
-    the classifier's samples.
+    The round is its phases in order: election, reception, joining, data,
+    monitoring, inference, exchange, classification and update.  ``rng``
+    draws the election, ``np_rng`` the channel events of reception and the
+    data phase, and ``normals`` (anything with ``standard_normal``) the
+    classifier's samples.
     """
-    cfg = net.cfg
-    energy = net.energy
     phase = net.phase_for(r)
-    outcome = ClusterRoundOutcome(round_index=r)
+    outcome = ClusterRoundOutcome(round_index=r, phase=phase)
     if not net.alive.any():
         return outcome
 
-    # --- election ---------------------------------------------------------
     heads = elect_heads(net, r, rng)
-
     # Broadcast reception: election announcements are control-plane messages
     # heard across the deployment area, but a member only learns of heads
     # whose announcement its own channel actually delivered.  Each delivery
     # is one candidate row (member, head).
-    n = len(net.level)
-    placed = np.zeros(n, dtype=bool)
-    placed[heads] = True
-    members = np.flatnonzero(net.alive & ~placed)
+    listening = net.alive.copy()
+    listening[heads] = False
+    listeners = listening.nonzero()[0]
     cand_obs, cand_tgt = receive_announcements(
-        net, members, heads[net.alive[heads]], phase, np_rng
+        net, listeners, heads[net.alive[heads]], phase, np_rng
     )
-
-    # --- cluster joining --------------------------------------------------
-    # Trust is read and written one batch of distinct (observer, target)
-    # pairs at a time, each pair by its flat index.  Standard clouds only
-    # change in the update step at the end of the round, so one table of
-    # them serves both classifications.
-    trust = net.trust
-    stds = net.std_table
-    has_stds = ~np.isnan(stds[:, 0])
-
-    def judgeable(obs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-        return (trust.count.take(pairs) >= trust.window) & has_stds.take(obs)
-
-    def judge(obs: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-        """True where the observer classifies the target malicious."""
-        return classify_pairs(
-            trust, stds, obs, tgt, normals, kappa=cfg.kappa, n_drp=cfg.n_drp
-        )
-
-    cand = cand_obs * n + cand_tgt
-    judged = judgeable(cand_obs, cand)
-    join_obs, join_tgt = cand_obs[judged], cand_tgt[judged]
-    join_mal = judge(join_obs, join_tgt)
-    malicious = np.zeros(len(cand_obs), dtype=bool)
-    malicious[judged] = join_mal
-    joiners, chosen_heads = choose_heads(
-        trust, cand_obs, cand_tgt, net.dist.take(cand), judged, malicious
+    clusters, direct, join = join_clusters(
+        net, r, heads, listeners, cand_obs, cand_tgt, normals
     )
-    # A member that died listening joins no cluster.  One left without a
-    # head self-elects if it is eligible, and sends to the sink otherwise.
-    joined = net.alive[joiners]
-    clusters: dict[int, list[int]] = {h: [] for h in heads.tolist()}
-    for m, h in zip(joiners[joined].tolist(), chosen_heads[joined].tolist()):
-        clusters[h].append(m)
-    placed[joiners] = True
-    alone = np.flatnonzero(net.alive & ~placed)
-    eligible = net.eligible_from[alone] <= r
-    self_elected = alone[eligible]
-    net.eligible_from[self_elected] = r + net.epoch
-    charge(net.level, net.alive, self_elected, net.announce_tx)
-    clusters.update((m, []) for m in self_elected.tolist())
-    direct = alone[~eligible]
-    charge(net.level, net.alive, direct, net.sink_tx.at(direct))
-    outcome.direct_to_sink = direct.tolist()
     outcome.clusters = clusters
-
-    # --- data transfer and overhearing -------------------------------------
+    outcome.direct_to_sink = direct.tolist()
     evidence = run_data_phase(net, clusters, phase, np_rng, outcome)
     outcome.packets = evidence.packets
-
-    # Per-round monitoring duty for every device still alive.
-    monitor_cost = monitor_energy(cfg.monitor_seconds, energy)
-    charge(net.level, net.alive, np.flatnonzero(net.alive), monitor_cost)
-
-    # --- trust inference on own head ---------------------------------------
+    monitor(net)
     # Every pair written this round is distinct: a member infers trust in its
     # own head only, and hears recommendations about other devices only.
-    observed = net.alive[evidence.observer]
-    inf_obs = evidence.observer[observed]
-    inf_tgt = evidence.head[observed]
-    inf_val = trust_table.trust(
-        evidence.sent[observed], evidence.forwarded[observed], evidence.timely[observed]
-    )
-    record_trust(trust, inf_obs, inf_tgt, inf_val, direct=True)
-
-    # --- recommendations from the chosen head ------------------------------
-    rec_obs, rec_tgt = exchange_recommendations(net, clusters, cand_obs, cand_tgt)
-
-    # --- classification and standard-cloud updates -------------------------
-    upd_obs = np.concatenate([inf_obs, rec_obs])
-    upd_tgt = np.concatenate([inf_tgt, rec_tgt])
-    upd = upd_obs * n + upd_tgt
-    order = np.argsort(upd)
-    upd_obs, upd_tgt, upd = upd_obs[order], upd_tgt[order], upd[order]
-    judged = judgeable(upd_obs, upd)
-    post_obs, post_tgt, post = upd_obs[judged], upd_tgt[judged], upd[judged]
-    post_mal = judge(post_obs, post_tgt)
-
-    # A pair judged at joining keeps that decision.
-    joined = np.zeros(n * n, dtype=bool)
-    joined.put(join_obs * n + join_tgt, True)
-    fresh = ~joined.take(post)
-    outcome.decisions = Decisions(
-        np.concatenate([join_obs, post_obs[fresh]]),
-        np.concatenate([join_tgt, post_tgt[fresh]]),
-        np.concatenate([join_mal, post_mal[fresh]]),
-    )
-
-    net.pools.add(
-        post_obs,
-        post_mal,
-        trust.mean.take(post),
-        stds,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-    )
-
+    written = np.concatenate([
+        infer_head_trust(net, evidence),
+        exchange_recommendations(net, clusters, cand_obs, cand_tgt),
+    ])
+    judged, verdicts, outcome.decisions = classify_written(net, written, join, normals)
+    update_standards(net, judged, verdicts)
     net.mark_deaths(r)
     return outcome

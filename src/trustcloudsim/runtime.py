@@ -36,6 +36,8 @@ class TrustState:
     A pair is also addressed by one flat index, p = o n + t (``pairs``), and
     batches are read and written through it: ``take`` and ``put`` on any of
     the arrays, and for the rings slot s of pair p is flat entry s n^2 + p.
+    ``filling()`` lists the flat indices of the pairs whose window holds
+    some drops but is not full yet.
     """
 
     def __init__(self, n: int, window: int):
@@ -58,6 +60,18 @@ class TrustState:
         self._he = np.zeros((n, n))
         #: flat indices of the pairs whose cloud needs rebuilding
         self._stale: list[np.ndarray] = []
+        #: flat indices of pairs that started filling, some full by now
+        self._filling = [np.zeros(0, dtype=np.intp)]
+        #: ring offset s n^2 of slot s mod window, for s < 2 window; row j
+        #: of _window_rows is j, the place of a drop in its window
+        self._slot_offset = np.arange(2 * window) % window * (n * n)
+        self._window_rows = np.arange(window)[:, None]
+
+    def filling(self) -> np.ndarray:
+        """Flat indices, in no set order, of the pairs with a partial window."""
+        started = np.concatenate(self._filling)
+        self._filling = [started[self.count.take(started) < self.window]]
+        return self._filling[0]
 
     def pairs(self, observers, targets) -> np.ndarray:
         """Flat indices o n + t of the given pairs."""
@@ -67,15 +81,16 @@ class TrustState:
     def clouds(self, observers, targets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ex, en, he) of the given pairs, which must all have full windows."""
         p = self.pairs(observers, targets)
-        if not np.all(self.count.take(p) >= self.window):
+        if np.minimum.reduce(self.count.take(p), initial=self.window) < self.window:
             raise InsufficientEvidenceError("no individual trust cloud for target")
         if self._stale:
             stale = np.concatenate(self._stale)
             self._stale.clear()
             # one column per stale pair, its window's drops oldest first
-            oldest = self.count.take(stale)
-            slots = (oldest + np.arange(self.window)[:, None]) % self.window
-            windows = self._ring.take(slots * self._sum.size + stale)
+            oldest = self.count.take(stale) % self.window
+            windows = self._ring.take(
+                self._slot_offset.take(oldest + self._window_rows) + stale
+            )
             ex, en, he = backward_clouds(windows)
             self._ex.put(stale, ex)
             self._en.put(stale, en)
@@ -83,17 +98,28 @@ class TrustState:
         return self._ex.take(p), self._en.take(p), self._he.take(p)
 
 
-def _slide(ring, sums, count, pairs, values) -> np.ndarray:
-    """Write one drop into each (distinct) pair's window; returns the fills."""
+def _check_drops(values: np.ndarray) -> None:
+    """Raise unless every value is in [0, 1] (NaN is not)."""
+    if values.size and not (
+        np.minimum.reduce(values, axis=None) >= 0.0
+        and np.maximum.reduce(values, axis=None) <= 1.0
+    ):
+        raise DomainError(f"drops must be in [0, 1], got {values}")
+
+
+def _slide(ring, sums, count, pairs, values) -> tuple[np.ndarray, np.ndarray]:
+    """Write one drop into each (distinct) pair's window; returns the
+    pairs' drop counts and window sums."""
     window = len(ring)
     counts = count.take(pairs)
     at = counts % window * sums.size + pairs
     # the evicted drop is 0.0 while the window is still filling
-    sums.put(pairs, sums.take(pairs) + (values - ring.take(at)))
+    total = sums.take(pairs) + (values - ring.take(at))
+    sums.put(pairs, total)
     ring.put(at, values)
     counts += 1
     count.put(pairs, counts)
-    return np.minimum(counts, window)
+    return counts, total
 
 
 def recommend_trust(t_ik, t_jk, t_ij):
@@ -105,9 +131,12 @@ def recommend_trust(t_ik, t_jk, t_ij):
     """
     t_ik, t_jk, t_ij = (np.asarray(v, dtype=float) for v in (t_ik, t_jk, t_ij))
     for name, v in (("t_ik", t_ik), ("t_jk", t_jk), ("t_ij", t_ij)):
-        if not np.all((v >= 0.0) & (v <= 1.0)):
-            raise DomainError(f"{name} must be in [0, 1], got {v}")
-    fused = np.where(t_ik > 0.0, (t_ik + t_jk * t_ij) / (1.0 + t_ij), t_jk * t_ij)
+        try:
+            _check_drops(v)
+        except DomainError:
+            raise DomainError(f"{name} must be in [0, 1], got {v}") from None
+    relayed = t_jk * t_ij
+    fused = np.where(t_ik > 0.0, (t_ik + relayed) / (1.0 + t_ij), relayed)
     return fused[()]
 
 
@@ -123,15 +152,19 @@ def record_trust(
     """
     p = state.pairs(observers, targets)
     values = np.asarray(values, dtype=float)
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise DomainError(f"drops must be in [0, 1], got {values}")
-    fill = _slide(state._ring, state._sum, state.count, p, values)
-    state.mean.put(p, state._sum.take(p) / fill)
+    _check_drops(values)
+    window = state.window
+    counts, total = _slide(state._ring, state._sum, state.count, p, values)
+    state.mean.put(p, total / np.minimum(counts, window))
     if direct:
-        fh_fill = _slide(state._fh_ring, state._fh_sum, state.fh_count, p, values)
-        state.firsthand.put(p, state._fh_sum.take(p) / fh_fill)
-    full = fill >= state.window
-    if full.any():
+        fh_counts, fh_total = _slide(
+            state._fh_ring, state._fh_sum, state.fh_count, p, values
+        )
+        state.firsthand.put(p, fh_total / np.minimum(fh_counts, window))
+    if np.minimum.reduce(counts, initial=2) == 1:
+        state._filling.append(p[counts == 1])
+    full = counts >= window
+    if np.count_nonzero(full):
         state._stale.append(p[full])
     return state
 
@@ -246,17 +279,24 @@ def classify_pairs(
     check the margin width against.
     """
     ex, en, he = state.clouds(observers, targets)
-    stds = stds[observers]
-    ex_m, en_m, _, ex_n, en_n, _ = stds.T
-    if np.isnan(ex_m).any():
+    # each observer's margins: below `low` malicious, above `high` normal
+    low = stds[:, 0] - kappa * stds[:, 1]
+    high = stds[:, 3] + kappa * stds[:, 4]
+    low = low.take(observers)
+    if np.isnan(np.add.reduce(low)):
         raise InsufficientEvidenceError("observer has no standard clouds")
-    malicious = ex < ex_m - kappa * en_m
-    gray = np.flatnonzero(~malicious & ~(ex > ex_n + kappa * en_n))
-    if len(gray):
-        sim_m, sim_n = similarities(
-            ex[gray], en[gray], he[gray], stds[gray], normals, n_drp
-        )
-        malicious[gray] = sim_m >= sim_n
+    malicious = ex < low
+    gray = (~malicious & (ex <= high.take(observers))).nonzero()[0]
+    stds = stds[observers]
+    if not len(gray):
+        return malicious
+    if len(gray) == len(ex):
+        sim_m, sim_n = similarities(ex, en, he, stds, normals, n_drp)
+        return sim_m >= sim_n
+    sim_m, sim_n = similarities(
+        ex[gray], en[gray], he[gray], stds[gray], normals, n_drp
+    )
+    malicious[gray] = sim_m >= sim_n
     return malicious
 
 
@@ -298,45 +338,56 @@ class UpdatePools:
         the standard left by the one before.
         """
         values = np.asarray(values, dtype=float)
-        if not np.all((values >= 0.0) & (values <= 1.0)):
-            raise DomainError(f"drops must be in [0, 1], got {values}")
+        _check_drops(values)
         # Pool k of device i is row 2 i + k of the flat views; grouping the
         # rows by it keeps row order within a pool.
-        pools = self.values.reshape(-1, self.capacity)
+        capacity = self.capacity
+        pools = self.values.reshape(-1, capacity)
         fill = self.fill.reshape(-1)
-        normal = ~np.asarray(malicious, dtype=bool)
-        key = 2 * np.asarray(observers, dtype=np.intp) + normal
-        order = np.argsort(key, kind="stable")
+        key = 2 * np.asarray(observers, dtype=np.intp) + ~np.asarray(malicious, dtype=bool)
+        order = key.argsort(kind="stable")
         key, values = key[order], values[order]
-        first = np.ones(len(key), dtype=bool)
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        of_row = np.cumsum(first) - 1  # each row's index into starts
-        sizes = np.bincount(of_row, minlength=len(starts))
+        starts = first.nonzero()[0]
+        of_row = first.cumsum() - 1  # each row's index into starts
         group = key[starts]
         held = fill[group]
-        fills = held + sizes >= self.capacity
+        # each row's place in its pool, counting on past the capacity
+        slot = np.arange(len(key)) - (starts - held)[of_row]
+        total = held + np.bincount(of_row, minlength=len(starts))
+        fills = total >= capacity
 
         # Pools that stay below capacity: one scatter after the held values.
-        rows = ~fills[of_row]
-        slot = np.arange(len(key)) - (starts - held)[of_row]
-        pools[key[rows], slot[rows]] = values[rows]
-        fill[group[~fills]] += sizes[~fills]
+        kept = ~fills
+        if np.count_nonzero(fills):
+            rows = kept[of_row]
+            pools[key[rows], slot[rows]] = values[rows]
+        else:
+            pools[key, slot] = values
+        fill[group[kept]] = total[kept]
+        if not np.count_nonzero(fills):
+            return
 
-        for g in np.flatnonzero(fills).tolist():
-            o, k = divmod(int(group[g]), 2)
+        # Each pool that fills: its held values, then its rows, estimated a
+        # full pool at a time and blended in that order.
+        filled = fills.nonzero()[0]
+        for pool, first_row, before, after in zip(
+            *(column[filled].tolist() for column in (group, starts, held, total))
+        ):
+            o, k = divmod(pool, 2)
             cols = slice(3 * k, 3 * k + 3)
-            pooled = pools[group[g], : held[g]].tolist()
-            for value in values[starts[g] : starts[g] + sizes[g]].tolist():
-                pooled.append(value)
-                if len(pooled) == self.capacity:
-                    std = update_standard_cloud(
-                        TrustCloud(*std_table[o, cols].tolist()),
-                        backward_cloud(pooled),
-                        alpha,
-                        beta,
-                    )
-                    std_table[o, cols] = (std.ex, std.en, std.he)
-                    pooled = []
-            pools[group[g], : len(pooled)] = pooled
-            fill[group[g]] = len(pooled)
+            pooled = pools[pool, :before].tolist()
+            pooled += values[first_row : first_row + after - before].tolist()
+            whole = len(pooled) // capacity * capacity
+            for at in range(0, whole, capacity):
+                std = update_standard_cloud(
+                    TrustCloud(*std_table[o, cols].tolist()),
+                    backward_cloud(pooled[at : at + capacity]),
+                    alpha,
+                    beta,
+                )
+                std_table[o, cols] = (std.ex, std.en, std.he)
+            pools[pool, : len(pooled) - whole] = pooled[whole:]
+            fill[pool] = len(pooled) - whole

@@ -6,12 +6,21 @@ on ``NetworkState``.
 reference model can walk the objects while the production code runs on the
 network's arrays, and ``state`` reads either side as (levels, alive flags)
 for comparison.
+
+``scalar_exchanges`` and ``reference_exchange`` are the recommendation
+exchange as the simulator charged it one device at a time, with ``spend``
+on list copies of the network's arrays: the reference for the array
+charges of ``protocol.exchange_recommendations``.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from trustcloudsim.medium import rx_energy, spend
 from trustcloudsim.protocol import HONEST, NetworkState
+from trustcloudsim.runtime import record_trust, recommend_trust
 
 
 @dataclass(slots=True)
@@ -69,3 +78,73 @@ def state(devices) -> tuple[list[float], list[bool]]:
     if isinstance(devices, NetworkState):
         return devices.level.tolist(), devices.alive.tolist()
     return [d.energy for d in devices], [d.alive for d in devices]
+
+
+def scalar_exchanges(level: list, alive: list, rows, rx: float) -> list[bool]:
+    """Charge each (member, head, cost) row's exchange in turn, with ``spend``.
+
+    A member asks only while it and its head live.  Its request (``cost``),
+    the head's reception (``rx``), the head's reply (``cost``) and its own
+    reception (``rx``) follow in order, each only once the one before was
+    paid.  Returns, per row, whether the member paid for its reply.
+    """
+    return [
+        bool(alive[member] and alive[head])
+        and spend(level, alive, member, cost)
+        and spend(level, alive, head, rx)
+        and spend(level, alive, head, cost)
+        and spend(level, alive, member, rx)
+        for member, head, cost in rows
+    ]
+
+
+def reference_exchange(net: NetworkState, clusters, cand_obs, cand_tgt):
+    """The recommendation exchange with n x n masks and the scalar charges.
+
+    Returns the members that paid for their reply, in turn order, and the
+    (observer, target) rows recorded, by asker then target.
+    """
+    cfg, trust = net.cfg, net.trust
+    n = len(net.level)
+    askers = [(h, m) for h in sorted(clusters) for m in sorted(clusters[h])]
+    ask_head = np.array([h for h, _ in askers], dtype=np.intp)
+    ask_mem = np.array([m for _, m in askers], dtype=np.intp)
+    ask_pair = ask_mem * n + ask_head
+    t_ij = trust.mean.take(ask_pair)
+    heard = np.zeros((n, n), dtype=bool)
+    heard.put(np.asarray(cand_obs) * n + np.asarray(cand_tgt), True)
+    # wanted: heard of this round, or a neighbour never recorded, or a
+    # recorded pair without a full window yet
+    count = trust.count[ask_mem]
+    wanted = heard[ask_mem] | np.where(
+        count == 0, net.neighbor_mask[ask_mem], count < trust.window
+    )
+    rows = np.arange(len(askers)) * n
+    wanted.put(rows + ask_head, False)
+    wanted.put(rows + ask_mem, False)
+    offers = wanted & (trust.fh_count[ask_head] > 0)
+    worth_asking = np.flatnonzero(offers.any(axis=1) & (t_ij > 0.0)).tolist()
+    level, alive = net.level.tolist(), net.alive.tolist()
+    answered = scalar_exchanges(
+        level,
+        alive,
+        [
+            (askers[i][1], askers[i][0], cost)
+            for i, cost in zip(
+                worth_asking, net.control_tx.at(ask_pair[worth_asking]).tolist()
+            )
+        ],
+        rx_energy(cfg.control_bits, net.energy),
+    )
+    net.level[:], net.alive[:] = level, alive
+    asked = [i for i, got in zip(worth_asking, answered) if got]
+    ask, rec_tgt = np.nonzero(offers[asked])
+    ask = np.asarray(asked, dtype=np.intp)[ask]
+    rec_obs = ask_mem[ask]
+    rec_val = recommend_trust(
+        trust.mean.take(rec_obs * n + rec_tgt),
+        trust.firsthand.take(ask_head[ask] * n + rec_tgt),
+        t_ij[ask],
+    )
+    record_trust(trust, rec_obs, rec_tgt, rec_val)
+    return ask_mem[asked].tolist(), list(zip(rec_obs.tolist(), rec_tgt.tolist()))

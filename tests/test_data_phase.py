@@ -260,7 +260,7 @@ def run_both(net, devices, clusters, phase, seed, rounds=1):
     for r in range(rounds):
         outcome = ClusterRoundOutcome(round_index=r)
         model_outcome = ClusterRoundOutcome(round_index=r)
-        with mock.patch.object(protocol, "spend", side_effect=AssertionError):
+        with mock.patch.object(protocol, "spend", side_effect=AssertionError, create=True):
             evidence = run_data_phase(net, clusters, phase, rng, outcome)
         windows, packets = model_data_phase(
             net, model, clusters, phase, model_rng, model_outcome
@@ -381,7 +381,7 @@ def test_reception_matches_model(scenario, phase, seed):
     net, devices, listeners, heads = scenario
     model = copy.deepcopy(devices)
     rng, model_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    with mock.patch.object(protocol, "spend", side_effect=AssertionError):
+    with mock.patch.object(protocol, "spend", side_effect=AssertionError, create=True):
         obs, tgt = receive_announcements(net, listeners, heads, phase, rng)
     rows = model_reception(net, model, listeners, heads, phase, model_rng)
     assert list(zip(obs.tolist(), tgt.tolist())) == rows

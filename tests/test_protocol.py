@@ -207,13 +207,13 @@ def test_member_that_cannot_pay_its_request_costs_its_head_nothing():
     rx = rx_energy(CFG.control_bits, net.energy)
     tx_1, tx_2 = (tx_energy(CFG.control_bits, d, net.energy) for d in (1.0, 2.0))
     net.level[1] = tx_1 / 2
-    rec_obs, rec_tgt = exchange_recommendations(
+    recorded = exchange_recommendations(
         net, {0: [1, 2]}, np.array([1, 2]), np.array([0, 0])
     )
     assert not net.alive[1] and net.level[1] == 0.0
     assert net.level[0] == (1.0 - rx) - tx_2
     assert net.level[2] == (1.0 - tx_2) - rx
-    assert list(zip(rec_obs.tolist(), rec_tgt.tolist())) == [(2, 3)]
+    assert recorded.tolist() == [net.trust.pairs(2, 3)]
 
 
 def test_run_round_zero_alive():

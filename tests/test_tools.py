@@ -35,7 +35,13 @@ def test_phase_times_reports_every_section(phase_times, tmp_path):
     sections = {"data phase", "reception", "join classification",
                 "post classification", "round loop", "run", "rest",
                 *phase_times.SETUP, *phase_times.NESTED}
-    assert sections <= set(spent)
+    phases = [label for label, _ in phase_times.PHASES]
+    assert sections | set(phases) <= set(spent)
+    # every phase runs in every round, and with the rest they make the loop
+    assert all(spent[label] > 0.0 for label in phases)
+    assert sum(spent[label] for label in phases) + spent["rest"] == pytest.approx(
+        spent["round loop"]
+    )
     assert all(v >= 0.0 for v in spent.values())
     for section, parents in phase_times.NESTED.items():
         assert spent[section] <= sum(spent[p] for p in parents)

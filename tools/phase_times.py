@@ -1,20 +1,26 @@
 """Seconds per section of one default run, timed by wrapping from outside.
 
-Wraps ``engine.run_training_phase`` ("training": the set-up's training of
-the standard clouds, outside the round loop) and, in the ``protocol``
-module, the names a round calls: the data phase (``run_data_phase``),
-broadcast reception (``receive_announcements``) and the classifier
-(``classify_pairs``: a round's first call is join classification, its second
-post classification), and ``engine.run_round`` for the whole round loop.
-"The rest" is the round loop minus those sections.  "Classifier normals" is
-the time ``normals.ClassifierNormals`` spends obtaining the classifier's
+Wraps, in the ``protocol`` module, each phase function a round runs in
+order: election (``elect_heads``), reception (``receive_announcements``),
+joining (``join_clusters``), the data phase (``run_data_phase``),
+monitoring (``monitor``), inference (``infer_head_trust``), the
+recommendation exchange (``exchange_recommendations``), classification
+(``classify_written``) and the standard-cloud update (``update_standards``);
+``engine.run_round`` for the whole round loop, ``engine.build_scenario`` and
+``engine.run_training_phase`` ("set-up" and "training", outside the round
+loop).  "The rest" is the round loop minus its phases: ``run_round``'s own
+glue.  "Engine bookkeeping" is the run minus set-up, training and the round
+loop: the per-round statistics and the normals helper's start and stop.
+
+Some sections lie inside others and are not subtracted again: the
+classifier (``classify_pairs``: "join classification" inside joining,
+"post classification" inside classification); "classifier normals", the
+time ``normals.ClassifierNormals`` spends obtaining the classifier's
 standard normals (waiting on and copying from the helper, or drawing them
-locally); it lies inside the two classification sections and is not
-subtracted again; run the tool under ``taskset -c 0`` to time the
-in-process path.  "Individual clouds" is the time spent in
-``runtime.TrustState.clouds``, rebuilding stale individual clouds and
-reading them; it too lies inside the two classification sections.  Usage,
-from the root of the tree to time::
+locally; run the tool under ``taskset -c 0`` to time the in-process path);
+and "individual clouds", the time spent in ``runtime.TrustState.clouds``,
+rebuilding stale individual clouds and reading them.  Usage, from the root
+of the tree to time::
 
     PYTHONPATH=src python tools/phase_times.py [--config configs/default.ini]
         [--seed 1] [--repeat 3]
@@ -33,10 +39,25 @@ from trustcloudsim import engine, normals, protocol, runtime
 from trustcloudsim.config import load_config, with_overrides
 
 #: sections outside the round loop
-SETUP = ("training",)
+SETUP = ("set-up", "training", "engine bookkeeping")
+
+#: the round's phases, in order, and the protocol functions that run them
+PHASES = (
+    ("election", "elect_heads"),
+    ("reception", "receive_announcements"),
+    ("joining", "join_clusters"),
+    ("data phase", "run_data_phase"),
+    ("monitoring", "monitor"),
+    ("inference", "infer_head_trust"),
+    ("exchange", "exchange_recommendations"),
+    ("classification", "classify_written"),
+    ("update", "update_standards"),
+)
 
 #: sections timed inside other sections, each with the sections it lies in
 NESTED = {
+    "join classification": ("joining",),
+    "post classification": ("classification",),
     "classifier normals": ("join classification", "post classification"),
     "individual clouds": ("join classification", "post classification"),
 }
@@ -71,11 +92,11 @@ def time_sections(cfg) -> dict[str, float]:
         return "round loop"
 
     patched = [
-        (protocol, "run_data_phase", "data phase"),
+        *((protocol, name, label) for label, name in PHASES),
         (protocol, "classify_pairs", classification),
-        (protocol, "receive_announcements", "reception"),
         (normals.ClassifierNormals, "standard_normal", "classifier normals"),
         (runtime.TrustState, "clouds", "individual clouds"),
+        (engine, "build_scenario", "set-up"),
         (engine, "run_training_phase", "training"),
     ]
     originals = [(m, n, wrap(m, n, label)) for m, n, label in patched]
@@ -88,8 +109,10 @@ def time_sections(cfg) -> dict[str, float]:
         for module, name, original in originals:
             setattr(module, name, original)
     spent["rest"] = spent["round loop"] - sum(
-        v for k, v in spent.items()
-        if k not in ("round loop", "run", *SETUP, *NESTED)
+        spent.get(label, 0.0) for label, _ in PHASES
+    )
+    spent["engine bookkeeping"] = spent["run"] - spent["round loop"] - sum(
+        spent[k] for k in ("set-up", "training")
     )
     return spent
 
@@ -102,7 +125,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cfg = with_overrides(load_config(args.config), seed=args.seed)
     runs = [time_sections(cfg) for _ in range(args.repeat)]
-    print(json.dumps({k: round(statistics.median(r[k] for r in runs), 4)
+    print(json.dumps({k: round(statistics.median(r.get(k, 0.0) for r in runs), 4)
                       for k in runs[0]}))
     return 0
 
