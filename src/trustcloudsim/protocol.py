@@ -457,6 +457,11 @@ def receive_announcements(
 #: TransferRecord outcomes by code: not delivered, delivered on time, late.
 _OUTCOMES = ("dropped", "timely", "delayed")
 
+#: A slot's uplink, drop, delay and relay draws lie 0, k + k^2, 2k + k^2 and
+#: 3k + k^2 after its uplink draw, in a cluster of k members.
+_DRAW_K = np.array([0, 1, 2, 3])[:, None]
+_DRAW_K2 = np.array([0, 1, 1, 1])[:, None]
+
 
 def run_data_phase(
     net: NetworkState,
@@ -519,11 +524,9 @@ def run_data_phase(
     reps = k[cl]
     pairs_of = reps.cumsum() - reps  # each overhearer's first pair
     own = pairs_of + pos  # each overhearer's pair with itself
-    hearer = np.arange(len(ids)).repeat(reps)
     per_pair = k * k
-    pair_cl = np.arange(len(heads)).repeat(per_pair)
-    pair_index = np.arange(len(hearer))
-    sender = pair_index + (first_slot[cl] - pairs_of)[hearer]
+    pair_index = np.arange(int(per_pair.sum()))
+    sender = pair_index + (first_slot[cl] - pairs_of).repeat(reps)
 
     # Cluster c's draws start at start[c]: uplink (k), overhears (k × k),
     # drop, delay and relay (k each), relay overhears (k × k).
@@ -531,23 +534,31 @@ def run_data_phase(
     block = np_rng.random(int(size.sum()))
     start = size.cumsum() - size
     slot_at = start[cl] + pos
-    after = slot_at + (per_pair + k)[cl]
-    pair_at = pair_index + (start + k - per_pair.cumsum() + per_pair)[pair_cl]
-    mult = np.array([ATTACK_MULTIPLIER[net.attacker[h]] for h in heads.tolist()])
-    up_ok = block[slot_at] >= p0
-    heard_ok = block[pair_at] >= p0
+    # each slot's uplink, drop, delay and relay draws
+    uplink, drop, delay, relay = block.take(
+        slot_at + _DRAW_K * reps + _DRAW_K2 * (reps * reps)
+    )
+    # each pair's uplink and relay overhear draws
+    overhears = start + k - per_pair.cumsum() + per_pair
+    heard_ok, relay_heard_ok = block.take(
+        pair_index
+        + np.stack([overhears, overhears + per_pair + 3 * k]).repeat(per_pair, axis=1)
+    ) >= p0
     heard_ok[own] = True  # the sender knows its own uplink
-    kept = block[after] >= (mult * cfg.p_dp)[cl]
-    delay_hit = block[after + reps] < (mult * cfg.p_dy)[cl]
-    relay_ok = block[after + 2 * reps] >= p0
-    relay_heard_ok = block[pair_at + (per_pair + 3 * k)[pair_cl]] >= p0
+    mult = np.array([ATTACK_MULTIPLIER[net.attacker[h]] for h in heads.tolist()])
+    up_ok = uplink >= p0
+    kept = drop >= (mult * cfg.p_dp)[cl]
+    delay_hit = delay < (mult * cfg.p_dy)[cl]
+    relay_ok = relay >= p0
 
     member_level = net.level[ids]
     head_level = net.level[heads]
     was_alive = net.alive[ids]
     head_was_alive = net.alive[heads]
+    hearer = None  # each pair's overhearer, built where needed
     if np.count_nonzero(was_alive) < len(ids):
         # a member dead before the phase neither sends nor overhears
+        hearer = np.arange(len(ids)).repeat(reps)
         heard_ok &= was_alive[sender] & was_alive[hearer]
     over_cost = overhear_energy(bits, energy)
     rx_cost = rx_energy(bits, energy)
@@ -608,6 +619,8 @@ def run_data_phase(
             # j (i·s + 4 + w + j), for a step s of 2w + 4 with w the largest
             # cluster; the head's own report comes last.  A sender's own
             # uplink is known without an overhear (key -1).
+            if hearer is None:
+                hearer = np.arange(len(ids)).repeat(reps)
             step = 2 * width + 4
             tx_key = pos * step
             rx_key = tx_key + 1

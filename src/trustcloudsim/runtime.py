@@ -347,39 +347,34 @@ class UpdatePools:
         key = 2 * np.asarray(observers, dtype=np.intp) + ~np.asarray(malicious, dtype=bool)
         order = key.argsort(kind="stable")
         key, values = key[order], values[order]
-        first = np.empty(len(key), dtype=bool)
-        first[:1] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        starts = first.nonzero()[0]
-        of_row = first.cumsum() - 1  # each row's index into starts
-        group = key[starts]
-        held = fill[group]
+        sizes = np.bincount(key, minlength=len(fill))
+        first_row = sizes.cumsum() - sizes  # each pool's first row
+        total = fill + sizes
         # each row's place in its pool, counting on past the capacity
-        slot = np.arange(len(key)) - (starts - held)[of_row]
-        total = held + np.bincount(of_row, minlength=len(starts))
-        fills = total >= capacity
+        slot = np.arange(len(key)) + (fill - first_row).take(key)
+        fills = ((total >= capacity) & (sizes > 0)).nonzero()[0]
 
         # Pools that stay below capacity: one scatter after the held values.
-        kept = ~fills
-        if np.count_nonzero(fills):
-            rows = kept[of_row]
+        if len(fills):
+            rows = total.take(key) < capacity
             pools[key[rows], slot[rows]] = values[rows]
+            held = fill.take(fills)
+            fill[:] = np.where(total < capacity, total, fill)
         else:
             pools[key, slot] = values
-        fill[group[kept]] = total[kept]
-        if not np.count_nonzero(fills):
+            fill[:] = total
             return
 
         # Each pool that fills: its held values, then its rows, estimated a
         # full pool at a time and blended in that order.
-        filled = fills.nonzero()[0]
-        for pool, first_row, before, after in zip(
-            *(column[filled].tolist() for column in (group, starts, held, total))
+        for pool, start, before, after in zip(
+            fills.tolist(), first_row[fills].tolist(), held.tolist(),
+            total[fills].tolist(),
         ):
             o, k = divmod(pool, 2)
             cols = slice(3 * k, 3 * k + 3)
             pooled = pools[pool, :before].tolist()
-            pooled += values[first_row : first_row + after - before].tolist()
+            pooled += values[start : start + after - before].tolist()
             whole = len(pooled) // capacity * capacity
             for at in range(0, whole, capacity):
                 std = update_standard_cloud(
