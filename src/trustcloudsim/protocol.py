@@ -365,19 +365,20 @@ def choose_heads(
     Returns (members, heads) of the members left with a candidate, in
     member order; the others must become a head or send to the sink.
     """
-    pairs = trust.pairs(observers, heads)
-    if not len(pairs):
+    obs = np.asarray(observers, dtype=np.intp)
+    tgt = np.asarray(heads, dtype=np.intp)
+    if not len(obs):
         return _no_pairs(), _no_pairs()
+    pairs = trust.pairs(obs, tgt)
     judged = np.asarray(judged, dtype=bool)
     malicious = np.asarray(malicious, dtype=bool)
     dist = np.asarray(dist, dtype=float)
     if np.count_nonzero(pairs[1:] < pairs[:-1]):
         # by member, then head
         order = pairs.argsort()
-        pairs, judged, malicious, dist = (
-            a[order] for a in (pairs, judged, malicious, dist)
+        obs, tgt, pairs, judged, malicious, dist = (
+            a[order] for a in (obs, tgt, pairs, judged, malicious, dist)
         )
-    obs = pairs // trust.n
     # 0 normal, 1 unjudged and never recorded, 2 unjudged but recorded,
     # 3 malicious; a member's best rows are those of its least category,
     # then of the least distance (the highest trust estimate for category
@@ -395,7 +396,7 @@ def choose_heads(
     rows = best.nonzero()[0]
     rows = rows[member[rows].searchsorted(np.arange(len(starts)))]
     rows = rows[category[rows] != 3]
-    return obs[rows], pairs[rows] - obs[rows] * trust.n
+    return obs[rows], tgt[rows]
 
 
 def _first_death(paid, kind, costs, level) -> tuple[int, bool]:
@@ -438,7 +439,7 @@ def receive_announcements(
     cost = rx_energy(net.cfg.control_bits, net.energy)
     level = net.level[listeners]
     heard = np_rng.random((len(listeners), len(heads))) >= phase.bad_prob
-    deliveries = heard.sum(axis=1)
+    deliveries = np.count_nonzero(heard, axis=1)
     left = level - deliveries * cost
     # Only a listener whose deliveries cost its whole energy dies; a running
     # count over its deliveries finds the first it cannot pay or that
@@ -766,7 +767,8 @@ def join_clusters(
     alone[listeners.searchsorted(joiners)] = False
     alone = listeners[alone]
     joined = net.alive[joiners]
-    joiners, chosen = joiners[joined], chosen[joined]
+    if np.count_nonzero(joined) < len(joined):
+        joiners, chosen = joiners[joined], chosen[joined]
     direct = alone
     if len(alone):
         eligible = net.eligible_from[alone] <= r
@@ -947,10 +949,10 @@ def exchange_recommendations(
     has_offer[wanted_obs.take(offers)] = True
 
     t_ij = np.zeros(n)
-    t_ij[mem] = trust.mean.take(mem * n + head)
+    t_ij[mem] = t_mem = trust.mean.take(mem * n + head)
     alive = net.alive
     asking = (
-        has_offer.take(mem) & (t_ij.take(mem) > 0.0) & alive.take(mem) & alive.take(head)
+        has_offer.take(mem) & (t_mem > 0.0) & alive.take(mem) & alive.take(head)
     ).nonzero()[0]
     ask_mem, ask_head = mem.take(asking), head.take(asking)
     answered = _charge_exchanges(
