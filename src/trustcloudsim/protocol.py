@@ -979,10 +979,10 @@ def classify_written(
     """Judge the pairs written this round that have full windows.
 
     ``written`` are the distinct flat indices of the round's trust writes
-    (sorted in place) and ``join`` its join decisions, by observer then target.  Returns the
-    judged pairs in index order, their verdicts, and the round's decisions:
-    the join decisions, then the verdicts on pairs not judged at joining (a
-    pair judged at joining keeps that decision).
+    (sorted in place) and ``join`` its join decisions, by observer then
+    target.  Returns the judged pairs in index order, their verdicts, and
+    the round's decisions: the join decisions, then the verdicts on pairs
+    not judged at joining (a pair judged at joining keeps that decision).
     """
     n = len(net.level)
     written.sort()
@@ -1002,7 +1002,9 @@ def classify_written(
     return judged, verdicts, decisions
 
 
-def update_standards(net: NetworkState, judged: np.ndarray, verdicts: np.ndarray) -> None:
+def update_standards(
+    net: NetworkState, judged: np.ndarray, verdicts: np.ndarray
+) -> None:
     """Pool the trust of each judged pair under its observer and verdict."""
     cfg = net.cfg
     net.pools.add(

@@ -98,13 +98,13 @@ class TrustState:
         return self._ex.take(p), self._en.take(p), self._he.take(p)
 
 
-def _check_drops(values: np.ndarray) -> None:
+def _check_drops(values: np.ndarray, name: str = "drops") -> None:
     """Raise unless every value is in [0, 1] (NaN is not)."""
     if values.size and not (
         np.minimum.reduce(values, axis=None) >= 0.0
         and np.maximum.reduce(values, axis=None) <= 1.0
     ):
-        raise DomainError(f"drops must be in [0, 1], got {values}")
+        raise DomainError(f"{name} must be in [0, 1], got {values}")
 
 
 def _slide(ring, sums, count, pairs, values) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +131,7 @@ def recommend_trust(t_ik, t_jk, t_ij):
     """
     t_ik, t_jk, t_ij = (np.asarray(v, dtype=float) for v in (t_ik, t_jk, t_ij))
     for name, v in (("t_ik", t_ik), ("t_jk", t_jk), ("t_ij", t_ij)):
-        try:
-            _check_drops(v)
-        except DomainError:
-            raise DomainError(f"{name} must be in [0, 1], got {v}") from None
+        _check_drops(v, name)
     relayed = t_jk * t_ij
     fused = np.where(t_ik > 0.0, (t_ik + relayed) / (1.0 + t_ij), relayed)
     return fused[()]
@@ -287,9 +284,9 @@ def classify_pairs(
         raise InsufficientEvidenceError("observer has no standard clouds")
     malicious = ex < low
     gray = (~malicious & (ex <= high.take(observers))).nonzero()[0]
-    stds = stds[observers]
     if not len(gray):
         return malicious
+    stds = stds[observers]
     if len(gray) == len(ex):
         sim_m, sim_n = similarities(ex, en, he, stds, normals, n_drp)
         return sim_m >= sim_n
@@ -344,7 +341,8 @@ class UpdatePools:
         capacity = self.capacity
         pools = self.values.reshape(-1, capacity)
         fill = self.fill.reshape(-1)
-        key = 2 * np.asarray(observers, dtype=np.intp) + ~np.asarray(malicious, dtype=bool)
+        normal = ~np.asarray(malicious, dtype=bool)
+        key = 2 * np.asarray(observers, dtype=np.intp) + normal
         order = key.argsort(kind="stable")
         key, values = key[order], values[order]
         sizes = np.bincount(key, minlength=len(fill))

@@ -260,7 +260,9 @@ def run_both(net, devices, clusters, phase, seed, rounds=1):
     for r in range(rounds):
         outcome = ClusterRoundOutcome(round_index=r)
         model_outcome = ClusterRoundOutcome(round_index=r)
-        with mock.patch.object(protocol, "spend", side_effect=AssertionError, create=True):
+        with mock.patch.object(
+            protocol, "spend", side_effect=AssertionError, create=True
+        ):
             evidence = run_data_phase(net, clusters, phase, rng, outcome)
         windows, packets = model_data_phase(
             net, model, clusters, phase, model_rng, model_outcome
