@@ -130,6 +130,12 @@ class _GradeRows:
         filled[:old] = self._filled
         self._grades, self._filled = grades, filled
 
+    def rows(self, top: int) -> list[list[float]]:
+        """Rows 0 to top, filled if need be, as nested lists [den][num]."""
+        if top >= self._complete:
+            self._fill(np.arange(top + 1), top)
+        return self._grades[: top + 1, : top + 1].tolist()
+
 
 class TrustTable:
     """Trust values of evidence windows, looked up by their counts.
@@ -147,6 +153,22 @@ class TrustTable:
     def __init__(self):
         self._tfr = _GradeRows(TFR_SETS)
         self._sfr = _GradeRows(SFR_SETS)
+        self._lists: dict[int, tuple[list[list[float]], list[list[float]]]] = {}
+
+    def grade_lists(self, top: int) -> tuple[list[list[float]], list[list[float]]]:
+        """The TFR grades [forwarded][timely] and the SFR grades
+        [sent][forwarded] of every window with sent <= top, as nested lists.
+
+        Made once per ``top`` and shared: read them, do not change them.  A
+        window's trust is ``t if t < s else s`` of its two grades t and s,
+        which is ``np.minimum``'s choice bit for bit.  Reading them checks
+        nothing: the counts must satisfy 1 <= sent and 0 <= timely <=
+        forwarded <= sent, as in ``trust``.
+        """
+        lists = self._lists.get(top)
+        if lists is None:
+            lists = self._lists[top] = (self._tfr.rows(top), self._sfr.rows(top))
+        return lists
 
     def trust(self, sent, forwarded, timely) -> np.ndarray:
         """Trust values of the windows with these counts, one per entry."""

@@ -60,9 +60,11 @@ def run_training_round(
     embed the medium's own uncertainty.  Each packet's value is the trust of
     the label's cumulative window (sent, forwarded, timely) after it.
 
-    Devices are ids into ``level`` and ``alive``, charged with ``spend``
-    at the costs of the ``NetworkState`` ``net``'s distances and energy
-    model.
+    Devices are ids into ``level`` and ``alive``, charged at the costs of
+    the ``NetworkState`` ``net``'s distances and energy model.  The three
+    roles' levels and alive flags are played as locals and written back
+    once, at the end; each charge follows ``medium.spend``'s rule in the
+    order the packets make them.
     """
     candidates = sorted(j for j in neighborhood if alive[j] and j != initiator)
     if len(candidates) < 2:
@@ -81,83 +83,111 @@ def run_training_round(
     bad = channel.bad_prob
     clear = bad == 0.0
     random = rng.random
+    tfr, sfr = trust_table.grade_lists(n_f)
 
-    def to_router() -> bool:
-        """Initiator transmits to the router; True if the router received."""
-        return (
-            spend(level, alive, initiator, tx_ij)
-            and (clear or random() >= bad)
-            and spend(level, alive, router, rx)
-        )
-
-    def forward() -> tuple[bool, bool]:
-        """Router transmits toward the destination; the initiator overhears.
-
-        Returns whether the initiator overheard and whether the destination
-        received.
-        """
-        if not spend(level, alive, router, tx_jk):
-            return False, False
-        delivered = clear or random() >= bad
-        if delivered:
-            spend(level, alive, dest, rx)
-        if clear or random() >= bad:
-            spend(level, alive, initiator, overhear)
-            return True, delivered
-        return False, delivered
-
-    # The label window's forwarded and timely counts after each packet, the
-    # malicious label's packets first; its sent count is the packet number.
-    f_after: list[int] = []
-    t_after: list[int] = []
-    forwarded = timely = 0
-    for _ in range(n_f):
-        if not alive[initiator] or not alive[router]:
-            break
-        if not to_router():
-            pass  # dropped
-        elif random() < p_dp:
-            pass  # dropped
-        elif random() < p_dy:
-            rng.uniform(0.0, max_dur)  # attack delay duration, within the slot
-            forwarded += forward()[0]
-        elif forward()[0]:
-            forwarded += 1
-            timely += 1
-        f_after.append(forwarded)
-        t_after.append(timely)
-    n_malicious = len(f_after)
-
-    forwarded = timely = 0
-    for _ in range(n_f):
-        if not alive[initiator] or not alive[router]:
-            break
-        if to_router():
-            first_heard, delivered = forward()
-            # A destination that cannot pay its reply sends none, so the
-            # router pays to receive nothing and the timeout follows.
-            reply_seen = False
-            if delivered and spend(level, alive, dest, tx_jk):
-                reply_seen = clear or random() >= bad
-                if reply_seen:
-                    spend(level, alive, router, rx)
-            # Timeout: one retransmission.  A first attempt the initiator
-            # already overheard stays timely; otherwise a captured
-            # retransmission is recorded as a delaying event.
-            retrans_heard = not reply_seen and forward()[0]
-            if first_heard:
+    # Each charge is medium.spend on a role's locals: a device that cannot
+    # pay dies and the action fails; one that pays its last joule completes
+    # the action and then dies.
+    li, lr, ld = level[initiator], level[router], level[dest]
+    ai, ar, ad = alive[initiator], alive[router], alive[dest]
+    labels: list[list[float]] = []
+    for normal in (False, True):
+        values: list[float] = []
+        labels.append(values)
+        forwarded = timely = 0
+        for sent in range(1, n_f + 1):
+            if not (ai and ar):
+                break
+            # The initiator transmits to the router, which receives.
+            left = li - tx_ij
+            if left > 0.0:
+                li = left
+                received = clear or random() >= bad
+            else:
+                li, ai = 0.0, False
+                received = left == 0.0 and (clear or random() >= bad)
+            if received:
+                left = lr - rx
+                if left > 0.0:
+                    lr = left
+                else:
+                    lr, ar, received = 0.0, False, left == 0.0
+            # The router forwards: the normal label once, then again on a
+            # missing reply; the malicious label once, unless it drops the
+            # packet, and delayed with probability p_dy.
+            delayed = False
+            if normal:
+                tries = 2 if received else 0
+            elif not received or random() < p_dp:
+                tries = 0
+            else:
+                delayed = random() < p_dy
+                if delayed:
+                    rng.uniform(0.0, max_dur)  # attack delay duration, within the slot
+                tries = 1
+            # 1 if the first forwarding was overheard, 2 if only the second
+            heard = 0
+            for attempt in range(tries):
+                if not ar:
+                    break
+                left = lr - tx_jk
+                if left > 0.0:
+                    lr = left
+                else:
+                    lr, ar = 0.0, False
+                    if left < 0.0:
+                        break
+                delivered = clear or random() >= bad
+                if delivered and ad:
+                    left = ld - rx
+                    if left > 0.0:
+                        ld = left
+                    else:
+                        ld, ad = 0.0, False
+                if clear or random() >= bad:
+                    # overheard, whether or not the initiator can pay for it
+                    if ai:
+                        left = li - overhear
+                        if left > 0.0:
+                            li = left
+                        else:
+                            li, ai = 0.0, False
+                    if not heard:
+                        heard = attempt + 1
+                # only the normal label's first forwarding awaits a reply
+                if attempt or not normal:
+                    break
+                # The destination replies.  One that cannot pay sends none,
+                # so the router pays to receive nothing; without a reply
+                # seen, the timeout makes the router retransmit once.
+                if not (delivered and ad):
+                    continue
+                left = ld - tx_jk
+                if left > 0.0:
+                    ld = left
+                else:
+                    ld, ad = 0.0, False
+                    if left < 0.0:
+                        continue
+                if clear or random() >= bad:
+                    if ar:
+                        left = lr - rx
+                        if left > 0.0:
+                            lr = left
+                        else:
+                            lr, ar = 0.0, False
+                    break
+            # A first forwarding overheard is timely unless delayed; an
+            # overheard retransmission is recorded as a delaying event.
+            if heard:
                 forwarded += 1
-                timely += 1
-            elif retrans_heard:
-                forwarded += 1
-        f_after.append(forwarded)
-        t_after.append(timely)
-
-    sent_after = [
-        *range(1, n_malicious + 1), *range(1, len(f_after) - n_malicious + 1)
-    ]
-    values = trust_table.trust(sent_after, f_after, t_after).tolist()
-    return values[:n_malicious], values[n_malicious:]
+                timely += heard == 1 and not delayed
+            t = tfr[forwarded][timely]
+            s = sfr[sent][forwarded]
+            values.append(t if t < s else s)
+    level[initiator], level[router], level[dest] = li, lr, ld
+    alive[initiator], alive[router], alive[dest] = ai, ar, ad
+    return labels[0], labels[1]
 
 
 def train(

@@ -122,3 +122,62 @@ def test_rows_fill_alike_in_any_order(table, batches):
         rows.lookup(den, den // 2)
         for d in batch:
             assert filled_row(rows, d) == oracle_row(table, d)
+
+
+@lru_cache(maxsize=None)
+def oracle_trust(sent: int, forwarded: int, timely: int) -> float:
+    return scalar_trust(sent, forwarded, timely)
+
+
+def windows_up_to(top: int) -> list[tuple[int, int, int]]:
+    """Every (sent, forwarded, timely) window with 1 <= sent <= top."""
+    return [(s, f, t) for s in range(1, top + 1)
+            for f in range(s + 1) for t in range(f + 1)]
+
+
+def listed_trust(table: TrustTable, top: int, window) -> float:
+    """A window's trust read as training reads it, from the grade lists."""
+    tfr, sfr = table.grade_lists(top)
+    sent, forwarded, timely = window
+    t, s = tfr[forwarded][timely], sfr[sent][forwarded]
+    return t if t < s else s
+
+
+@pytest.mark.parametrize("top", [1, 20, 40])
+def test_grade_lists_give_the_trust_of_every_window(top):
+    # by float.hex, so that a signed zero or a swapped index shows; the
+    # lists are read before any trust() call on one table and after one on
+    # the other
+    windows = windows_up_to(top)
+    sent, forwarded, timely = (list(c) for c in zip(*windows))
+    lists_first, trust_first = TrustTable(), TrustTable()
+    lists_first.grade_lists(top)
+    batches = [table.trust(sent, forwarded, timely).tolist()
+               for table in (lists_first, trust_first)]
+    for table, batch in zip((lists_first, trust_first), batches):
+        for window, value in zip(windows, batch):
+            want = oracle_trust(*window).hex()
+            assert value.hex() == want, window
+            assert listed_trust(table, top, window).hex() == want, window
+    assert [[g.hex() for row in rows for g in row]
+            for rows in lists_first.grade_lists(top)] == [
+        [g.hex() for row in rows for g in row]
+        for rows in trust_first.grade_lists(top)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=4), st.integers(0, 40))
+def test_grade_lists_agree_after_rows_filled_in_any_order(dens, top):
+    # rows filled by earlier lookups, below or above top, change nothing
+    table = TrustTable()
+    for d in dens:
+        table.trust([d], [d // 2], [d // 3])
+    tfr, sfr = table.grade_lists(top)
+    assert len(tfr) == len(sfr) == top + 1
+    for den in range(top + 1):
+        for name, rows in (("tfr", tfr), ("sfr", sfr)):
+            assert [g.hex() for g in rows[den][: den + 1]] == [
+                g.hex() for g in oracle_row(name, den)
+            ]
+    assert table.grade_lists(top) is table.grade_lists(top)

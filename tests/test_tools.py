@@ -46,6 +46,9 @@ def test_phase_times_reports_every_section(phase_times, tmp_path):
     for section, parents in phase_times.NESTED.items():
         assert spent[section] <= sum(spent[p] for p in parents)
     assert spent["training"] > 0.0
+    # the labeling rounds and the standard clouds are disjoint parts of it
+    assert spent["training rounds"] > 0.0 and spent["standard clouds"] > 0.0
+    assert spent["training rounds"] + spent["standard clouds"] <= spent["training"]
     assert spent["training"] + spent["round loop"] <= spent["run"]
     timed = sum(v for k, v in spent.items()
                 if k not in ("round loop", "run", "rest", *phase_times.SETUP,

@@ -567,3 +567,80 @@ def test_train_matches_reference(case):
     )
     outcomes.append((result, rounds_played.calls, level[0], alive[0]))
     assert outcomes[0] == outcomes[1]
+
+
+class RecordingDevice(DeviceState):
+    """A device that logs each charge asked of it, paid or not."""
+
+    def __init__(self, device: DeviceState, log: list[float]):
+        super().__init__(device.id, device.x, device.y, device.energy,
+                         alive=device.alive)
+        self.log = log
+
+    def spend(self, cost: float) -> bool:
+        self.log.append(cost)
+        return super().spend(cost)
+
+
+#: Radio constants that are powers of two, so that at whole-metre distances
+#: every charge of a training round, and every balance of a role that pays
+#: them in turn, is exact: a level of the exact sum of a role's first k + 1
+#: charges leaves exactly 0.0 at charge k.
+DYADIC = ScenarioConfig(e_elec=2.0**-24, eps_fs=2.0**-36, e_h=2.0**-27)
+LOSSY = ChannelPhase(1.0, 3.0)
+
+
+def play_both(devs, channel, seed):
+    """The reference and run_training_round on copies of devs, at DYADIC's
+    costs; each outcome is (drops, level hex strings, alive flags, rng
+    state)."""
+    outcomes = []
+    for reference in (True, False):
+        mine = copy.deepcopy(devs)
+        rng = Random(seed)
+        if reference:
+            result = reference_training_round(
+                mine[0], mine[1:], channel, rng, energy=DYADIC.energy_params(),
+                **ROUND)
+            levels, alive = state(mine)
+        else:
+            net = network(DYADIC, mine)
+            levels, alive = state(net)
+            result = run_training_round(net, levels, alive, 0, [1, 2, 3], channel,
+                                        rng, **ROUND)
+        outcomes.append((result, [v.hex() for v in levels], alive, rng.getstate()))
+    return outcomes
+
+
+@pytest.mark.parametrize("channel", [CLEAR, JAMMED, LOSSY],
+                         ids=["clear", "jammed", "lossy"])
+def test_training_round_matches_reference_at_exact_zero_deaths(channel):
+    # Each charge of each role, transmissions and receptions in both
+    # labels: the role starts at the balance from which that charge leaves
+    # exactly 0.0, then one ulp below it, so that it pays its last joule
+    # there or cannot pay.
+    seed = 11
+    devs = devices(4, spacing=9.0)
+    logs = {d.id: [] for d in devs}
+    recording = [RecordingDevice(d, logs[d.id]) for d in devs]
+    reference_training_round(recording[0], recording[1:], channel, Random(seed),
+                             energy=DYADIC.energy_params(), **ROUND)
+    roles = [i for i, log in logs.items() if log]
+    # jammed, the router never hears the initiator
+    assert len(roles) == (1 if channel is JAMMED else 3)
+    assert all(recording[i].alive for i in roles)
+    for role in roles:
+        balance = 0.0
+        for k, cost in enumerate(logs[role]):
+            balance += cost
+            left = balance
+            for paid in logs[role][: k + 1]:
+                left -= paid
+            assert left == 0.0
+            for start in (balance, math.nextafter(balance, 0.0)):
+                devs[role].energy = start
+                reference, mine = play_both(devs, channel, seed)
+                assert mine == reference, (role, k, start.hex())
+                # the role dies at charge k: it paid its last joule or could not pay
+                assert not reference[2][role] and reference[1][role] == "0x0.0p+0"
+            devs[role].energy = 1.0

@@ -18,9 +18,11 @@ classifier (``classify_pairs``: "join classification" inside joining,
 time ``normals.ClassifierNormals`` spends obtaining the classifier's
 standard normals (waiting on and copying from the helper, or drawing them
 locally; run the tool under ``taskset -c 0`` to time the in-process path);
-and "individual clouds", the time spent in ``runtime.TrustState.clouds``,
-rebuilding stale individual clouds and reading them.  Usage, from the root
-of the tree to time::
+"individual clouds", the time spent in ``runtime.TrustState.clouds``,
+rebuilding stale individual clouds and reading them; and inside training,
+"training rounds", the labeling rounds (``engine.run_training_round``), and
+"standard clouds", the standard clouds built from their drops
+(``training.backward_cloud``).  Usage, from the root of the tree to time::
 
     PYTHONPATH=src python tools/phase_times.py [--config configs/default.ini]
         [--seed 1] [--repeat 3]
@@ -35,7 +37,7 @@ import json
 import statistics
 from time import perf_counter
 
-from trustcloudsim import engine, normals, protocol, runtime
+from trustcloudsim import engine, normals, protocol, runtime, training
 from trustcloudsim.config import load_config, with_overrides
 
 #: sections outside the round loop
@@ -60,6 +62,8 @@ NESTED = {
     "post classification": ("classification",),
     "classifier normals": ("join classification", "post classification"),
     "individual clouds": ("join classification", "post classification"),
+    "training rounds": ("training",),
+    "standard clouds": ("training",),
 }
 
 
@@ -98,6 +102,8 @@ def time_sections(cfg) -> dict[str, float]:
         (runtime.TrustState, "clouds", "individual clouds"),
         (engine, "build_scenario", "set-up"),
         (engine, "run_training_phase", "training"),
+        (engine, "run_training_round", "training rounds"),
+        (training, "backward_cloud", "standard clouds"),
     ]
     originals = [(m, n, wrap(m, n, label)) for m, n, label in patched]
     originals.append((engine, "run_round", wrap(engine, "run_round", round_loop)))
