@@ -606,8 +606,9 @@ def play_both(devs, channel, seed):
         else:
             net = network(DYADIC, mine)
             levels, alive = state(net)
-            result = run_training_round(net, levels, alive, 0, [1, 2, 3], channel,
-                                        rng, **ROUND)
+            result = run_training_round(net, levels, alive, 0,
+                                        [d.id for d in mine[1:]], channel, rng,
+                                        **ROUND)
         outcomes.append((result, [v.hex() for v in levels], alive, rng.getstate()))
     return outcomes
 
