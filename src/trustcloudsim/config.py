@@ -62,14 +62,14 @@ class ScenarioConfig:
     # clustering protocol
     p_ch: float = 0.07
     neighbor_radius: float = 25.0
-    # energy (joules)
-    e_elec: float = 50e-9
-    eps_fs: float = 10e-12
-    eps_amp: float = 0.0013e-12
-    e_da: float = 5e-9
-    e_h: float = 5e-9
-    e_m: float = 10e-9
-    e0: float = 1.0
+    # energy (joules), defaults as in EnergyParams
+    e_elec: float = EnergyParams.e_elec
+    eps_fs: float = EnergyParams.eps_fs
+    eps_amp: float = EnergyParams.eps_amp
+    e_da: float = EnergyParams.e_da
+    e_h: float = EnergyParams.e_h
+    e_m: float = EnergyParams.e_m
+    e0: float = EnergyParams.e0
     monitor_seconds: float = 1.0
 
     def validate(self) -> "ScenarioConfig":
@@ -124,13 +124,7 @@ class ScenarioConfig:
 
     def energy_params(self) -> EnergyParams:
         return EnergyParams(
-            e_elec=self.e_elec,
-            eps_fs=self.eps_fs,
-            eps_amp=self.eps_amp,
-            e_da=self.e_da,
-            e_h=self.e_h,
-            e_m=self.e_m,
-            e0=self.e0,
+            **{f.name: getattr(self, f.name) for f in fields(EnergyParams)}
         )
 
     def channel_schedule(self) -> tuple[ChannelPhase, ...]:

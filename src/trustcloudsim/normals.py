@@ -10,7 +10,7 @@ file (``memfd_create``).  Two counters on the file's first page hand the
 chunks over: the helper counts the chunks it has written, the run counts
 those it has read, and whichever side finds the ring full or empty sleeps
 ``POLL_S`` and looks again.  Only the helper maps the ring; the run copies
-each chunk out with ``preadv``, so the ring's 2 MiB count in the helper's
+each chunk out with ``preadv``, so the ring's 8 MiB count in the helper's
 memory and not again in the run's.  Each side writes one counter only,
 after it is done with the chunk the counter covers.  x86-64 keeps stores in
 program order and lets no load pass a later store, so neither counter runs
@@ -50,9 +50,9 @@ import numpy as np
 
 from .errors import NormalsHelperError
 
-#: doubles per chunk and chunks in the ring (2 MiB of doubles)
+#: doubles per chunk and chunks in the ring (8 MiB of doubles)
 CHUNK = 65_536
-SLOTS = 4
+SLOTS = 16
 #: seconds either side sleeps while the ring is empty (run) or full (helper)
 POLL_S = 100e-6
 #: the two counters sit a cache line apart on the first page, the ring

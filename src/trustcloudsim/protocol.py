@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import ScenarioConfig
+from .errors import DomainError
 from .fuzzy import trust_table
 from .medium import (
     ChannelPhase,
@@ -29,6 +30,7 @@ from .medium import (
     monitor_energy,
     overhear_energy,
     rx_energy,
+    spend,
     tx_energy,
 )
 from .runtime import (
@@ -211,10 +213,10 @@ class TransmitCosts:
     """tx_energy of one message size over each of an array of distances.
 
     Entry p is the cost of sending ``bits`` over ``dist.flat[p]``: for an
-    n x n distance matrix, from device i to device j at p = i n + j.  Each
-    entry is computed with the scalar tx_energy the first time it is asked
-    for, then kept: numpy's own powers round some distances differently
-    from Python's.
+    n x n distance matrix, from device i to device j at p = i n + j.  The
+    entries a call asks for first are filled in one batch, in tx_energy's
+    order, then kept; the powers are Python's, as numpy's own round some
+    distances differently.
     """
 
     def __init__(self, bits: int, dist: np.ndarray, energy: EnergyParams):
@@ -230,11 +232,15 @@ class TransmitCosts:
         if np.isnan(np.add.reduce(costs)):
             missing = np.flatnonzero(np.isnan(costs))
             new = flat[missing]
-            costs[missing] = [
-                tx_energy(self._bits, d, self._energy)
-                for d in self._dist.take(new).tolist()
-            ]
-            self._costs.put(new, costs[missing])
+            dist = self._dist.take(new)
+            bits, p = self._bits, self._energy
+            if bits < 0 or np.count_nonzero(dist < 0.0):
+                raise DomainError("bits and distance must be non-negative")
+            d0 = p.crossover_distance
+            power = np.array([d**2 if d < d0 else d**4 for d in dist.tolist()])
+            amp = np.where(dist < d0, bits * p.eps_fs, bits * p.eps_amp)
+            costs[missing] = fresh = bits * p.e_elec + amp * power
+            self._costs.put(new, fresh)
         return costs
 
 
@@ -815,80 +821,39 @@ def _charge_exchanges(
 
     Row j is member ``mem[j]`` asking its head ``head[j]``, with ``cost[j]``
     the control transmission between them.  Rows run by head, then member.
-    An exchange is four charges, in order: the member's request (``cost``),
-    the head's reception, the head's reply (``cost``) and the member's
-    reception.  A member has one row; a head pays its charges row by row.
+    A member asks only while it and its head live.  An exchange is four
+    charges by ``spend``'s rule, each made only once the one before was
+    paid: the member's request (``cost``), the head's reception, the head's
+    reply (``cost``) and the member's reception.
 
-    ``spend``'s rule holds charge by charge: a device that cannot pay dies
-    and the action fails; one that pays its last joule completes it and
-    then dies.  A sender that cannot pay sends nothing, so nobody pays to
-    receive it, and a head that died answers no later row.  A device's
-    charges are subtracted one at a time, in row order, as a chain of
-    scalar charges would (``np.subtract.at`` applies repeated indices in
-    sequence).  Passes find the deaths: a pass assumes that every device
-    not yet known to die pays all its charges; a device left with no
-    balance dies at the first charge its running balance
-    (``np.subtract.accumulate``) cannot pay or empties.  The earliest such
-    death of each head's rows is fixed and the rows are charged again.
+    When every device can pay all its charges, one array pass subtracts
+    them in row order, as the chain would (``np.subtract.at`` applies
+    repeated indices in sequence); otherwise the rows are charged one by
+    one with ``spend``.
     """
-    rows = len(mem)
     level, alive = net.level, net.alive
     rx = rx_energy(net.cfg.control_bits, net.energy)
-    # Pass 1: a member's two charges, then each head's, in row order.
     after = level.copy()
     after[mem] = (after[mem] - cost) - rx
-    head_costs = np.empty((rows, 2))
+    head_costs = np.empty((len(mem), 2))
     head_costs[:, 0] = rx
     head_costs[:, 1] = cost
     np.subtract.at(after, head.repeat(2), head_costs.ravel())
     if not np.count_nonzero((after <= 0.0) & alive):
         level[:] = after
-        return np.ones(rows, dtype=bool)
-
-    # Charge 4 j + e of the flat arrays is row j's e-th charge.
-    dev = np.stack([mem, head, head, mem], axis=1).ravel()
-    costs = np.stack([cost, head_costs[:, 0], cost, head_costs[:, 0]], axis=1).ravel()
-    # Rows of a head fail from the first it cannot pay; `member_paid` and
-    # `head_paid` count the charges each side pays at a row (0 to 2), -1 for
-    # a head's rows after its death.
-    member_paid = np.full(rows, 2)
-    head_paid = np.full(rows, 2)
-    involved = np.zeros(len(level), dtype=bool)
-    involved[dev] = True
-    dead = np.zeros(len(level), dtype=bool)
-    row_index = np.arange(rows)
-    while True:
-        request = (head_paid >= 0) & (member_paid >= 1)
-        receive = request & (head_paid >= 1)
-        reply = receive & (head_paid >= 2)
-        answered = reply & (member_paid >= 2)
-        paid = np.stack([request, receive, reply, answered], axis=1).ravel()
-        after = level.copy()
-        np.subtract.at(after, dev[paid], costs[paid])
-        dying = ((after <= 0.0) & involved & ~dead).nonzero()[0]
-        if not len(dying):
-            break
-        # head -> (row, charge, paid it) of the earliest death of its rows
-        deaths: dict[int, tuple[int, int, bool]] = {}
-        for d in dying.tolist():
-            charges = (paid & (dev == d)).nonzero()[0]
-            balance = np.subtract.accumulate(np.append(level[d], costs[charges]))[1:]
-            at = int(np.argmax(balance <= 0.0))
-            row, e = divmod(int(charges[at]), 4)
-            h = int(head[row])
-            if h not in deaths or (row, e) < deaths[h][:2]:
-                deaths[h] = (row, e, bool(balance[at] == 0.0))
-        for row, e, last_joule in deaths.values():
-            dead[dev[4 * row + e]] = True
-            if e in (0, 3):
-                member_paid[row] = (e == 3) + last_joule
-            else:
-                head_paid[(head == head[row]) & (row_index > row)] = -1
-                head_paid[row] = e - 1 + last_joule
-    after[dead] = 0.0
-    level[:] = after
-    alive[dead] = False
-    return answered
+        return np.ones(len(mem), dtype=bool)
+    levels, lives = level.tolist(), alive.tolist()
+    answered = [
+        lives[m] and lives[h]
+        and spend(levels, lives, m, c)
+        and spend(levels, lives, h, rx)
+        and spend(levels, lives, h, c)
+        and spend(levels, lives, m, rx)
+        for m, h, c in zip(mem.tolist(), head.tolist(), cost.tolist())
+    ]
+    level[:] = levels
+    alive[:] = lives
+    return np.array(answered, dtype=bool)
 
 
 def exchange_recommendations(

@@ -211,23 +211,23 @@ def similarities(
     np.clip(drops, 0.0, 1.0, out=drops)
     sigma_s *= ((he_m + he_n) / 2.0)[:, None]
     sigma_s += ((en_m + en_n) / 2.0)[:, None]
-    np.abs(sigma_s, out=sigma_s)
-    denom = np.multiply(sigma_s, 2.0, out=sigma)
+    # sigma_s enters squared, so its sign is immaterial; the denominator is
+    # negated, x / -d being -(x / d) bit for bit, -0.0 and inf included.
+    denom = np.multiply(sigma_s, -2.0, out=sigma)
     denom *= sigma_s
-    # A drop on a standard's expectation scores exp(-0.0 / denom) = 1.0
-    # wherever denom is positive; a zero (zero entropies, or 2 sigma^2
+    # A drop on a standard's expectation scores exp(0.0 / denom) = 1.0
+    # wherever denom is negative; a zero (zero entropies, or 2 sigma^2
     # underflowed) or a NaN denom takes the masked path.
-    degenerate = not denom.min() > 0.0
+    degenerate = not denom.max() < 0.0
     if degenerate:
-        # Zero denominators are scored by their limit below; any positive
+        # Zero denominators are scored by their limit below; any negative
         # one keeps their division finite until then.
         zero = denom == 0.0
-        denom[zero] = 1.0
+        denom[zero] = -1.0
     sims = []
     for ex_s in (ex_m[:, None], ex_n[:, None]):
         sim = np.subtract(drops, ex_s, out=sigma_s)
         np.square(sim, out=sim)
-        np.negative(sim, out=sim)
         # A subnormal denominator overflows the quotient to -inf, which exp
         # takes to its limit 0: an expected overflow, so it does not warn.
         with np.errstate(over="ignore"):
@@ -236,7 +236,7 @@ def similarities(
         if degenerate:
             sim[zero] = 0.0
             sim[drops == ex_s] = 1.0
-        sims.append(sim.mean(axis=1))
+        sims.append(np.add.reduce(sim, axis=1) / n_drp)
     return sims[0], sims[1]
 
 

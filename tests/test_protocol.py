@@ -7,6 +7,7 @@ from device_oracle import DeviceState, is_eligible
 from trustcloudsim.cloud import TrustCloud
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import build_scenario, run_training_phase
+from trustcloudsim.errors import DomainError
 from trustcloudsim.medium import ChannelPhase, EnergyParams, rx_energy, tx_energy
 from trustcloudsim.protocol import (
     ClusterRoundOutcome,
@@ -304,3 +305,28 @@ def test_transmit_costs_equal_the_scalar_model(bits):
     assert costs.at(everything).tobytes() == want.tobytes()
     assert costs.at(np.zeros(0, dtype=np.intp)).shape == (0,)
 
+
+
+@pytest.mark.parametrize("devices, side", [(100, 100.0), (400, 200.0)])
+def test_cost_tables_equal_tx_energy_over_a_deployment(devices, side):
+    """Every pair's data and control cost, and every sink cost, filled in one
+    batch, is tx_energy's value to the last bit; so are the costs at and one
+    ulp either side of the amplifier crossover."""
+    cfg = ScenarioConfig(device_count=devices, area_width=side, area_height=side)
+    net = build_scenario(cfg, Random(cfg.seed))
+    p = net.energy
+    d0 = p.crossover_distance
+    edge = np.array([0.0, np.nextafter(d0, 0.0), d0, np.nextafter(d0, np.inf)])
+    tables = [
+        (net.data_tx, cfg.data_bits, net.dist),
+        (net.control_tx, cfg.control_bits, net.dist),
+        (net.sink_tx, cfg.data_bits, np.array(net.sink_dist)),
+        (TransmitCosts(cfg.data_bits, edge, p), cfg.data_bits, edge),
+        (TransmitCosts(cfg.control_bits, edge, p), cfg.control_bits, edge),
+    ]
+    for table, bits, dist in tables:
+        got = table.at(np.arange(dist.size)).tolist()
+        want = [tx_energy(bits, d, p) for d in dist.ravel().tolist()]
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+    with pytest.raises(DomainError):
+        TransmitCosts(cfg.data_bits, np.array([1.0, -1.0]), p).at(np.arange(2))
