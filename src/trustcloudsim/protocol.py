@@ -820,11 +820,12 @@ def _charge_exchanges(
     """Charge each row's exchange in turn; True where the member got its reply.
 
     Row j is member ``mem[j]`` asking its head ``head[j]``, with ``cost[j]``
-    the control transmission between them.  Rows run by head, then member.
-    A member asks only while it and its head live.  An exchange is four
-    charges by ``spend``'s rule, each made only once the one before was
-    paid: the member's request (``cost``), the head's reception, the head's
-    reply (``cost``) and the member's reception.
+    the control transmission between them.  Rows run by head, then member,
+    and a member has one row.  A member asks only while it and its head
+    live.  An exchange is four charges by ``spend``'s rule, each made only
+    once the one before was paid: the member's request (``cost``), the
+    head's reception, the head's reply (``cost``) and the member's
+    reception.
 
     When every device can pay all its charges, one array pass subtracts
     them in row order, as the chain would (``np.subtract.at`` applies

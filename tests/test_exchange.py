@@ -1,7 +1,7 @@
 """The recommendation exchange against its scalar reference.
 
-``protocol._charge_exchanges`` charges a round's exchanges as arrays and
-finds the rare device that cannot pay in passes;
+``protocol._charge_exchanges`` charges a round's exchanges as arrays, or
+row by row with ``spend`` in a round where some device cannot pay;
 ``device_oracle.scalar_exchanges`` charges them one device at a time with
 ``spend``.  The whole phase, ``exchange_recommendations``, is checked
 against ``device_oracle.reference_exchange``, which finds the wanted pairs

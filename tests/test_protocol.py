@@ -306,7 +306,6 @@ def test_transmit_costs_equal_the_scalar_model(bits):
     assert costs.at(np.zeros(0, dtype=np.intp)).shape == (0,)
 
 
-
 @pytest.mark.parametrize("devices, side", [(100, 100.0), (400, 200.0)])
 def test_cost_tables_equal_tx_energy_over_a_deployment(devices, side):
     """Every pair's data and control cost, and every sink cost, filled in one
