@@ -86,6 +86,9 @@ class ScenarioConfig:
             raise ConfigError(
                 "must be in [0, 1]", field="scenario.malicious_fraction"
             )
+        for name in ("generic_share", "advanced_share", "super_share"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError("must be in [0, 1]", field=name)
         share_sum = self.generic_share + self.advanced_share + self.super_share
         if abs(share_sum - 1.0) > 1e-9:
             raise ConfigError(
@@ -100,6 +103,13 @@ class ScenarioConfig:
         ):
             if value < low:
                 raise ConfigError(f"must be at least {low}", field=key)
+        starts = sorted(p.start_round for p in self.phases)
+        if starts and (starts[0] != 0 or len(set(starts)) < len(starts)):
+            raise ConfigError(
+                f"phases must start at round 0 and in distinct rounds, got "
+                f"starts {starts}",
+                field="channel.phases",
+            )
         if not 0.0 < self.p_ch < 1.0:
             raise ConfigError("must be in (0, 1)", field="protocol.p_ch")
         if abs(self.alpha + self.beta - 1.0) > 1e-9:

@@ -144,7 +144,6 @@ def run_training_phase(net: NetworkState, rng: Random) -> list[TrainingReport]:
             p_dp=cfg.p_dp,
             p_dy=cfg.p_dy,
             max_dur=cfg.max_dur,
-            bits=cfg.training_bits,
         )
         rounds, clouds = train(
             level, alive, dev, play_round,

@@ -85,55 +85,45 @@ def _grades(x: np.ndarray, sets) -> np.ndarray:
 class _GradeRows:
     """Grades of the rates num/den, 0 <= num <= den, one row per denominator.
 
-    The rows of new denominators are graded together, as arrays, on their
-    first use, so every entry is bit-equal to grading that rate directly.  A
-    denominator of 0 has the one rate 1.0: a window with nothing forwarded
-    has a TFR of 1, so that the SFR alone carries the penalty for drops.
+    Rows are graded as a prefix: the first use of a denominator beyond the
+    graded rows grades every row up to it together, as arrays, so every
+    entry is bit-equal to grading that rate directly.  A denominator of 0
+    has the one rate 1.0: a window with nothing forwarded has a TFR of 1,
+    so that the SFR alone carries the penalty for drops.
     """
 
     def __init__(self, sets):
         self._sets = sets
         self._grades = np.zeros((0, 0))
-        self._filled = np.zeros(0, dtype=bool)
-        #: rows 0 to _complete - 1 are all filled
-        self._complete = 0
+        #: rows 0 to _count - 1 are graded
+        self._count = 0
 
     def lookup(self, den: np.ndarray, num: np.ndarray) -> np.ndarray:
         """Grades of num/den for non-empty arrays with 0 <= num <= den."""
-        top = int(den.max())
-        if top >= self._complete:
-            self._fill(den, top)
+        self._fill(int(den.max()))
         return self._grades.take(den * self._grades.shape[1] + num)
 
-    def _fill(self, den: np.ndarray, top: int) -> None:
-        """Fill the rows of den not filled yet."""
-        if top >= len(self._filled):
-            self._grow(max(top + 1, 2 * len(self._filled)))
-        filled = self._filled.take(den)
-        if not filled.all():
-            # a set, not np.unique: with np.unique here a 300-round sweep
-            # replica's peak RSS (ru_maxrss) was ≈1 MB higher
-            new = sorted(set(den[~filled].tolist()))
-            k = np.concatenate([np.arange(d + 1) for d in new])
-            d = np.repeat(new, np.add(new, 1))
-            rates = np.divide(k, d, out=np.ones(len(d)), where=d > 0)
-            self._grades[d, k] = _grades(rates, self._sets)
-            self._filled[new] = True
-        unfilled = np.flatnonzero(~self._filled)
-        self._complete = unfilled[0] if len(unfilled) else len(self._filled)
-
-    def _grow(self, size: int) -> None:
-        grades = np.zeros((size, size))
-        old = len(self._filled)
-        grades[:old, :old] = self._grades
-        filled = np.zeros(size, dtype=bool)
-        filled[:old] = self._filled
-        self._grades, self._filled = grades, filled
+    def _fill(self, top: int) -> None:
+        """Grade the rows up to top not graded yet, doubling the table's
+        side if it is too small."""
+        old = self._count
+        if top < old:
+            return
+        size = len(self._grades)
+        if top >= size:
+            grades = np.zeros((max(top + 1, 2 * size),) * 2)
+            grades[:size, :size] = self._grades
+            self._grades = grades
+        new = np.arange(old, top + 1)
+        d = np.repeat(new, new + 1)
+        k = np.concatenate([np.arange(den + 1) for den in range(old, top + 1)])
+        rates = np.divide(k, d, out=np.ones(len(d)), where=d > 0)
+        self._grades[d, k] = _grades(rates, self._sets)
+        self._count = top + 1
 
     def rows(self, top: int) -> list[list[float]]:
-        """Rows 0 to top, filled if need be, as nested lists [den][num]."""
-        if top >= self._complete:
-            self._fill(np.arange(top + 1), top)
+        """Rows 0 to top, graded if need be, as nested lists [den][num]."""
+        self._fill(top)
         return self._grades[: top + 1, : top + 1].tolist()
 
 
@@ -146,8 +136,8 @@ class TrustTable:
     attributes.  Each grade depends on one rate only, so a table of TFR
     grades by (forwarded, timely) and one of SFR grades by (sent, forwarded)
     give a window's trust as the minimum of two lookups, bit-equal to the
-    minimum of the two grades of its rates.  Rows are filled on
-    first use, in any order, with the same values.
+    minimum of the two grades of its rates.  Rows are graded on first use,
+    as a prefix; the values do not depend on the order rows are graded in.
     """
 
     def __init__(self):

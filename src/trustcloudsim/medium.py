@@ -78,13 +78,20 @@ class EnergyParams:
         return math.sqrt(self.eps_fs / self.eps_amp)
 
 
-def tx_energy(bits: int, distance: float, p: EnergyParams) -> float:
-    """Transmit cost over a given distance."""
-    if bits < 0 or distance < 0:
+def tx_energy(bits: int, distance, p: EnergyParams):
+    """Transmit cost over a distance, or over each of an array of distances.
+
+    A scalar distance gives a float, bit-equal to the entry of that distance
+    in an array's result.
+    """
+    d = np.asarray(distance, dtype=float)
+    if bits < 0 or np.count_nonzero(d < 0.0):
         raise DomainError("bits and distance must be non-negative")
-    if distance < p.crossover_distance:
-        return bits * p.e_elec + bits * p.eps_fs * distance**2
-    return bits * p.e_elec + bits * p.eps_amp * distance**4
+    sq = d * d
+    cost = bits * p.e_elec + np.where(
+        d < p.crossover_distance, (bits * p.eps_fs) * sq, (bits * p.eps_amp) * (sq * sq)
+    )
+    return cost if cost.ndim else float(cost)
 
 
 def rx_energy(bits: int, p: EnergyParams) -> float:

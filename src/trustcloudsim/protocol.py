@@ -20,11 +20,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .config import ScenarioConfig
-from .errors import DomainError
 from .fuzzy import trust_table
 from .medium import (
     ChannelPhase,
-    EnergyParams,
     aggregate_energy,
     charge,
     monitor_energy,
@@ -209,41 +207,6 @@ class ClusterRoundOutcome:
     )
 
 
-class TransmitCosts:
-    """tx_energy of one message size over each of an array of distances.
-
-    Entry p is the cost of sending ``bits`` over ``dist.flat[p]``: for an
-    n x n distance matrix, from device i to device j at p = i n + j.  The
-    entries a call asks for first are filled in one batch, in tx_energy's
-    order, then kept; the powers are Python's, as numpy's own round some
-    distances differently.
-    """
-
-    def __init__(self, bits: int, dist: np.ndarray, energy: EnergyParams):
-        self._bits = bits
-        self._dist = dist
-        self._energy = energy
-        self._costs = np.full(dist.size, np.nan)
-
-    def at(self, flat: np.ndarray) -> np.ndarray:
-        """The costs at the given flat indices."""
-        costs = self._costs.take(flat)
-        # a sum of finite costs is NaN only where one is missing
-        if np.isnan(np.add.reduce(costs)):
-            missing = np.flatnonzero(np.isnan(costs))
-            new = flat[missing]
-            dist = self._dist.take(new)
-            bits, p = self._bits, self._energy
-            if bits < 0 or np.count_nonzero(dist < 0.0):
-                raise DomainError("bits and distance must be non-negative")
-            d0 = p.crossover_distance
-            power = np.array([d**2 if d < d0 else d**4 for d in dist.tolist()])
-            amp = np.where(dist < d0, bits * p.eps_fs, bits * p.eps_amp)
-            costs[missing] = fresh = bits * p.e_elec + amp * power
-            self._costs.put(new, fresh)
-        return costs
-
-
 class NetworkState:
     """Devices, the static topology, scenario parameters and all trust state.
 
@@ -255,16 +218,18 @@ class NetworkState:
     ``std_table``.
 
     ``dist[i, j]`` is the distance from device i to device j, and
-    ``data_tx`` and ``control_tx`` the cost of sending a data or a control
-    message over it (``sink_tx``: a data message from device i to the
-    sink).  The standard clouds' update pools are ``pools``.
+    ``data_tx``, ``control_tx`` and ``training_tx`` the cost of sending a
+    data, a control or a training message over it (``sink_dist[i]`` and
+    ``sink_tx[i]``: device i to the sink, with a data message).  The
+    standard clouds' update pools are ``pools``.
     """
 
     def __init__(self, cfg: ScenarioConfig, x, y, attacker: Sequence[str]):
         self.cfg = cfg
-        self.energy: EnergyParams = cfg.energy_params()
+        self.energy = energy = cfg.energy_params()
+        self.x = x = np.array(x, dtype=float)
+        self.y = y = np.array(y, dtype=float)
         n = len(x)
-        self.x, self.y = x, y = list(x), list(y)
         self.attacker = list(attacker)
         self.malicious = np.array([a != HONEST for a in self.attacker], dtype=bool)
         self.level = np.full(n, cfg.e0)
@@ -275,21 +240,10 @@ class NetworkState:
         self.phases = cfg.channel_schedule()
         self.epoch = math.ceil(1.0 / cfg.p_ch)
         #: an election announcement's cost
-        self.announce_tx = tx_energy(
-            cfg.control_bits, cfg.neighbor_radius, self.energy
-        )
-        self.sink_dist = [
-            math.hypot(xi - self.sink[0], yi - self.sink[1]) for xi, yi in zip(x, y)
-        ]
-        # each unordered pair's distance once, mirrored: fl(a - b) is
-        # -fl(b - a) and hypot takes absolute values, so both halves are
-        # what hypot gives in either direction
-        upper = np.zeros((n, n))
-        for i, (xi, yi) in enumerate(zip(x, y)):
-            upper[i, i + 1 :] = [
-                math.hypot(xi - xj, yi - yj) for xj, yj in zip(x[i + 1 :], y[i + 1 :])
-            ]
-        self.dist = upper + upper.T
+        self.announce_tx = tx_energy(cfg.control_bits, cfg.neighbor_radius, energy)
+        self.sink_dist = np.hypot(x - self.sink[0], y - self.sink[1])
+        # exactly symmetric: fl(a - b) is -fl(b - a)
+        self.dist = np.hypot(x[:, None] - x, y[:, None] - y)
         self.neighbor_mask = self.dist <= cfg.neighbor_radius
         np.fill_diagonal(self.neighbor_mask, False)
         #: flat indices of the neighbour pairs with no trust recorded yet, as
@@ -297,11 +251,10 @@ class NetworkState:
         self.quiet_neighbors = np.flatnonzero(self.neighbor_mask)
         #: a False flag per pair, for a phase to set, read and clear again
         self.pair_mark = np.zeros(n * n, dtype=bool)
-        self.data_tx = TransmitCosts(cfg.data_bits, self.dist, self.energy)
-        self.control_tx = TransmitCosts(cfg.control_bits, self.dist, self.energy)
-        self.sink_tx = TransmitCosts(
-            cfg.data_bits, np.array(self.sink_dist), self.energy
-        )
+        self.data_tx = tx_energy(cfg.data_bits, self.dist, energy)
+        self.control_tx = tx_energy(cfg.control_bits, self.dist, energy)
+        self.training_tx = tx_energy(cfg.training_bits, self.dist, energy)
+        self.sink_tx = tx_energy(cfg.data_bits, self.sink_dist, energy)
         self.trust = TrustState(n, cfg.thr_drp)
         self.pools = UpdatePools(n, cfg.max_drp)
         #: every device's standard clouds as a standard_table row; a row of
@@ -570,8 +523,8 @@ def run_data_phase(
     over_cost = overhear_energy(bits, energy)
     rx_cost = rx_energy(bits, energy)
     aggregate_cost = aggregate_energy(bits, 1, energy)
-    tx_cost = net.data_tx.at(ids * len(net.level) + clusters.head_of)
-    sink_tx = net.sink_tx.at(heads)
+    tx_cost = net.data_tx.take(ids * len(net.level) + clusters.head_of)
+    sink_tx = net.sink_tx.take(heads)
 
     # The first pass assumes that every device alive at the start lives to
     # the end.  Once a death is found, each device's charges succeed up to
@@ -782,7 +735,7 @@ def join_clusters(
         net.eligible_from[self_elected] = r + net.epoch
         charge(net.level, net.alive, self_elected, net.announce_tx)
         direct = alone[~eligible]
-        charge(net.level, net.alive, direct, net.sink_tx.at(direct))
+        charge(net.level, net.alive, direct, net.sink_tx.take(direct))
         heads = np.concatenate([heads, self_elected])
         heads.sort()
     order = chosen.argsort(kind="stable")
@@ -922,7 +875,7 @@ def exchange_recommendations(
     ).nonzero()[0]
     ask_mem, ask_head = mem.take(asking), head.take(asking)
     answered = _charge_exchanges(
-        net, ask_mem, ask_head, net.control_tx.at(ask_mem * n + ask_head)
+        net, ask_mem, ask_head, net.control_tx.take(ask_mem * n + ask_head)
     )
     got_reply = np.zeros(n, dtype=bool)
     got_reply[ask_mem[answered]] = True

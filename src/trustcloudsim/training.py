@@ -20,13 +20,7 @@ from typing import Callable, Optional, Sequence
 from .cloud import TrustCloud, backward_cloud
 from .errors import NoNeighborError
 from .fuzzy import trust_table
-from .medium import (
-    ChannelPhase,
-    overhear_energy,
-    rx_energy,
-    spend,
-    tx_energy,
-)
+from .medium import ChannelPhase, overhear_energy, rx_energy, spend
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,6 @@ def run_training_round(
     p_dp: float,
     p_dy: float,
     max_dur: float,
-    bits: int,
 ) -> tuple[list[float], list[float]]:
     """One active training round; returns (malicious drops, normal drops).
 
@@ -60,11 +53,11 @@ def run_training_round(
     embed the medium's own uncertainty.  Each packet's value is the trust of
     the label's cumulative window (sent, forwarded, timely) after it.
 
-    Devices are ids into ``level`` and ``alive``, charged at the costs of
-    the ``NetworkState`` ``net``'s distances and energy model.  The three
-    roles' levels and alive flags are played as locals and written back
-    once, at the end; each charge follows ``medium.spend``'s rule in the
-    order the packets make them.
+    Devices are ids into ``level`` and ``alive``, charged for messages of
+    ``net.cfg.training_bits`` at the ``NetworkState`` ``net``'s costs.  The
+    three roles' levels and alive flags are played as locals and written
+    back once, at the end; each charge follows ``medium.spend``'s rule in
+    the order the packets make them.
     """
     candidates = sorted(j for j in neighborhood if alive[j] and j != initiator)
     if len(candidates) < 2:
@@ -72,10 +65,9 @@ def run_training_round(
             f"device {initiator}: no router/destination pair in range"
         )
     router, dest = rng.sample(candidates, 2)
-    energy = net.energy
-    # a Python float: tx_energy's powers round a numpy float differently
-    tx_ij = tx_energy(bits, net.dist.item(initiator, router), energy)
-    tx_jk = tx_energy(bits, net.dist.item(router, dest), energy)
+    bits, energy = net.cfg.training_bits, net.energy
+    tx_ij = net.training_tx.item(initiator, router)
+    tx_jk = net.training_tx.item(router, dest)
     rx = rx_energy(bits, energy)
     overhear = overhear_energy(bits, energy)
     # One draw per opportunity against the stationary bad probability; a

@@ -131,7 +131,7 @@ def reference_exchange(net: NetworkState, clusters, cand_obs, cand_tgt):
         [
             (askers[i][1], askers[i][0], cost)
             for i, cost in zip(
-                worth_asking, net.control_tx.at(ask_pair[worth_asking]).tolist()
+                worth_asking, net.control_tx.take(ask_pair[worth_asking]).tolist()
             )
         ],
         rx_energy(cfg.control_bits, net.energy),

@@ -136,6 +136,13 @@ def test_cmd_sweep_rejects_bad_values(config_path, tmp_path, capsys,
         ("scenario", "sink_y_m = inf", "scenario.sink_y_m"),
         ("trust", "alpha = 1.5\nbeta = -0.5", "trust.alpha"),
         ("trust", "alpha = -0.5\nbeta = 1.5", "trust.alpha"),
+        ("scenario", "generic_share = -0.5\nadvanced_share = 1.0\nsuper_share = 0.5",
+         "scenario.generic_share"),
+        ("scenario", "generic_share = 0.5\nadvanced_share = 1.0\nsuper_share = -0.5",
+         "scenario.super_share"),
+        ("channel", "phases = 250:2:8", "channel.phases"),
+        ("channel", "phases = 0:1:9, 0:3:7", "channel.phases"),
+        ("channel", "phases = -4:2:8", "channel.phases"),
     ],
 )
 def test_cmd_run_config_error_names_the_file_key(tmp_path, capsys, section, line, key):

@@ -73,6 +73,26 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError) as info:
             ScenarioConfig(**{field: value}).validate()
         assert field in str(info.value)
+    # shares that sum to 1 but lie outside [0, 1]: -0.5 generic attackers
+    # would take attackers from the other classes
+    for shares in ((-0.5, 1.0, 0.5), (1.5, -0.5, 0.0), (0.0, 1.5, -0.5)):
+        cfg = ScenarioConfig(
+            generic_share=shares[0], advanced_share=shares[1], super_share=shares[2]
+        )
+        with pytest.raises(ConfigError, match="must be in") as info:
+            cfg.validate()
+        first_bad = next(
+            name for name, share in zip(("generic", "advanced", "super"), shares)
+            if not 0.0 <= share <= 1.0
+        )
+        assert str(info.value).startswith(f"{first_bad}_share: ")
+    # a channel schedule must start at round 0, in distinct rounds
+    for starts in ((250,), (0, 0), (-4,), (-4, 0), (0, 10, 10)):
+        phases = tuple(ChannelPhase(2.0, 8.0, start_round=s) for s in starts)
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(phases=phases).validate()
+        assert "channel.phases" in str(info.value)
+    ScenarioConfig(phases=(ChannelPhase(1.0, 9.0, 10), ChannelPhase(2.0, 8.0))).validate()
 
 
 def small_cfg(**overrides):

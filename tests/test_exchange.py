@@ -120,7 +120,7 @@ def exchange_rounds(draw):
     )
     cand_obs = np.array([m for m, _ in cand], dtype=np.intp)
     cand_tgt = np.array([h for _, h in cand], dtype=np.intp)
-    cost = net.control_tx.at(np.arange(n * n)).reshape(n, n)
+    cost = net.control_tx
     for h, members in by_head.items():
         net.level[h] = level_for(
             draw, head_charges(members, {m: cost[m, h] for m in members})

@@ -76,6 +76,41 @@ def test_tx_energy_monotone_in_distance():
         prev = e
 
 
+def radio_cost(bits: int, d: float, p: EnergyParams) -> float:
+    """The first-order radio model's transmit cost, in plain Python."""
+    sq = d * d
+    if d < p.crossover_distance:
+        return bits * p.e_elec + (bits * p.eps_fs) * sq
+    return bits * p.e_elec + (bits * p.eps_amp) * (sq * sq)
+
+
+@pytest.mark.parametrize("bits", [300, 3000])
+def test_tx_energy_on_an_array_equals_each_element(bits):
+    """An array's costs, each element's cost as a float and the plain
+    statement agree to the last bit, at and one ulp either side of the
+    amplifier crossover too."""
+    p = EnergyParams()
+    d0 = p.crossover_distance
+    rng = np.random.default_rng(bits)
+    edge = [0.0, np.nextafter(d0, 0.0), d0, np.nextafter(d0, np.inf), 1.0, 500.0]
+    dist = np.concatenate([edge, rng.uniform(0.0, 2.5 * d0, 19_994)]).reshape(200, 100)
+    costs = tx_energy(bits, dist, p)
+    assert costs.shape == dist.shape
+    got = [c.hex() for c in costs.ravel().tolist()]
+    each = [tx_energy(bits, d, p) for d in dist.ravel().tolist()]
+    assert all(type(c) is float for c in each)
+    assert got == [c.hex() for c in each]
+    assert got == [radio_cost(bits, d, p).hex() for d in dist.ravel().tolist()]
+    assert tx_energy(bits, np.zeros(0), p).shape == (0,)
+
+
+def test_tx_energy_rejects_negative_distances():
+    p = EnergyParams()
+    for distance in (-1.0, np.array([1.0, -1.0]), np.array([[2.0], [-0.5]])):
+        with pytest.raises(DomainError):
+            tx_energy(10, distance, p)
+
+
 def test_simple_energy_terms():
     p = EnergyParams()
     assert rx_energy(3000, p) == pytest.approx(1.5e-4, rel=REL)

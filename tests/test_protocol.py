@@ -1,3 +1,4 @@
+import math
 from random import Random
 
 import numpy as np
@@ -7,12 +8,10 @@ from device_oracle import DeviceState, is_eligible
 from trustcloudsim.cloud import TrustCloud
 from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.engine import build_scenario, run_training_phase
-from trustcloudsim.errors import DomainError
-from trustcloudsim.medium import ChannelPhase, EnergyParams, rx_energy, tx_energy
+from trustcloudsim.medium import ChannelPhase, rx_energy, tx_energy
 from trustcloudsim.protocol import (
     ClusterRoundOutcome,
     NetworkState,
-    TransmitCosts,
     choose_heads,
     elect_heads,
     election_threshold,
@@ -282,50 +281,42 @@ def test_run_round_detects_malicious_around_round_60():
     assert hits > 10
 
 
-@pytest.mark.parametrize("bits", [CFG.control_bits, CFG.data_bits])
-def test_transmit_costs_equal_the_scalar_model(bits):
-    """Every memo entry, filled lazily in any order, is tx_energy's value.
+def deployment(devices, side, **overrides):
+    cfg = ScenarioConfig(device_count=devices, area_width=side, area_height=side,
+                         **overrides)
+    return build_scenario(cfg, Random(cfg.seed))
 
-    numpy's own ``d**2`` and ``d**4`` differ from Python's in the last bit
-    for some distances (151 and 10,546 of 200,000 random ones), so a memo
-    filled from numpy arithmetic fails on these 20,000.
-    """
-    p = EnergyParams()
-    d0 = p.crossover_distance
-    rng = np.random.default_rng(bits)
-    edge = [0.0, np.nextafter(d0, 0.0), d0, np.nextafter(d0, np.inf), 1.0, 500.0]
-    dist = np.concatenate([edge, rng.uniform(0.0, 2.5 * d0, 19_994)]).reshape(200, 100)
-    costs = TransmitCosts(bits, dist, p)
-    want = np.array([tx_energy(bits, d, p) for d in dist.ravel().tolist()])
-    # several overlapping batches, repeats included, then everything at once
-    for batch in np.array_split(rng.permutation(dist.size), 7):
-        batch = np.concatenate([batch, batch[:5]])
-        assert costs.at(batch).tobytes() == want[batch].tobytes()
-    everything = np.arange(dist.size)
-    assert costs.at(everything).tobytes() == want.tobytes()
-    assert costs.at(np.zeros(0, dtype=np.intp)).shape == (0,)
+
+@pytest.mark.parametrize("devices, side", [(100, 100.0), (400, 200.0)])
+def test_distances_are_symmetric_and_within_an_ulp_of_math_hypot(devices, side):
+    net = deployment(devices, side)
+    x, y = net.x.tolist(), net.y.tolist()
+    assert np.array_equal(net.dist, net.dist.T)
+    assert not net.dist.diagonal().any()
+    sx, sy = net.sink
+    for got, want in (
+        (net.dist, [[math.hypot(xi - xj, yi - yj) for xj, yj in zip(x, y)]
+                    for xi, yi in zip(x, y)]),
+        (net.sink_dist, [math.hypot(xi - sx, yi - sy) for xi, yi in zip(x, y)]),
+    ):
+        want = np.array(want)
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= np.spacing(want)).all()
 
 
 @pytest.mark.parametrize("devices, side", [(100, 100.0), (400, 200.0)])
 def test_cost_tables_equal_tx_energy_over_a_deployment(devices, side):
-    """Every pair's data and control cost, and every sink cost, filled in one
-    batch, is tx_energy's value to the last bit; so are the costs at and one
-    ulp either side of the amplifier crossover."""
-    cfg = ScenarioConfig(device_count=devices, area_width=side, area_height=side)
-    net = build_scenario(cfg, Random(cfg.seed))
-    p = net.energy
-    d0 = p.crossover_distance
-    edge = np.array([0.0, np.nextafter(d0, 0.0), d0, np.nextafter(d0, np.inf)])
+    """Every pair's data, control and training cost, and every sink cost, is
+    tx_energy's value at that distance to the last bit."""
+    net = deployment(devices, side, training_bits=1000)
+    cfg, p = net.cfg, net.energy
     tables = [
         (net.data_tx, cfg.data_bits, net.dist),
         (net.control_tx, cfg.control_bits, net.dist),
-        (net.sink_tx, cfg.data_bits, np.array(net.sink_dist)),
-        (TransmitCosts(cfg.data_bits, edge, p), cfg.data_bits, edge),
-        (TransmitCosts(cfg.control_bits, edge, p), cfg.control_bits, edge),
+        (net.training_tx, cfg.training_bits, net.dist),
+        (net.sink_tx, cfg.data_bits, net.sink_dist),
     ]
     for table, bits, dist in tables:
-        got = table.at(np.arange(dist.size)).tolist()
-        want = [tx_energy(bits, d, p) for d in dist.ravel().tolist()]
-        assert [c.hex() for c in got] == [c.hex() for c in want]
-    with pytest.raises(DomainError):
-        TransmitCosts(cfg.data_bits, np.array([1.0, -1.0]), p).at(np.arange(2))
+        assert table.shape == dist.shape
+        want = [tx_energy(bits, d, p).hex() for d in dist.ravel().tolist()]
+        assert [c.hex() for c in table.ravel().tolist()] == want

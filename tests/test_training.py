@@ -1,7 +1,7 @@
 import copy
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Optional, Sequence
 
@@ -18,7 +18,6 @@ from trustcloudsim.config import ScenarioConfig
 from trustcloudsim.errors import DomainError, NoNeighborError
 from trustcloudsim.medium import (
     ChannelPhase,
-    EnergyParams,
     overhear_energy,
     rx_energy,
     tx_energy,
@@ -36,24 +35,22 @@ DEFAULT = ChannelPhase(1.0, 9.0)
 
 CFG = ScenarioConfig()
 MAX_TR = CFG.max_tr
-ROUND = dict(
-    n_f=CFG.n_f, p_dp=CFG.p_dp, p_dy=CFG.p_dy, max_dur=CFG.max_dur,
-    bits=CFG.training_bits,
-)
+ROUND = dict(n_f=CFG.n_f, p_dp=CFG.p_dp, p_dy=CFG.p_dy, max_dur=CFG.max_dur)
 
 
 def devices(n, spacing=5.0):
     return [DeviceState(id=i, x=i * spacing, y=0.0, energy=1.0) for i in range(n)]
 
 
-def play(run, devs, channel, rng, **kwargs):
-    """A training round of devs[0] among devs[1:], charged on list copies
-    of the arrays of a network of them (``run_training_round``) or on the
-    objects (the reference); returns (drops, (levels, alive flags))."""
+def play(run, devs, channel, rng, cfg=CFG, **kwargs):
+    """A training round of devs[0] among devs[1:] in a network of them
+    under cfg, charged on list copies of the network's arrays
+    (``run_training_round``) or on the objects (the reference); returns
+    (drops, (levels, alive flags))."""
+    net = network(cfg, devs)
     if run is not run_training_round:
-        result = run(devs[0], devs[1:], channel, rng, energy=ENERGY, **kwargs)
+        result = run(devs[0], devs[1:], channel, rng, net=net, **kwargs)
         return result, state(devs)
-    net = network(CFG, devs)
     level, alive = state(net)
     ids = [d.id for d in devs]
     result = run(net, level, alive, ids[0], ids[1:], channel, rng, **kwargs)
@@ -206,8 +203,8 @@ def test_destination_that_cannot_pay_its_reply_sends_none():
     devs = devices(3)
     kwargs = dict(ROUND, n_f=1, p_dp=0.0, p_dy=0.0)
     router, dest = Random(7).sample([1, 2], 2)
-    rx = rx_energy(kwargs["bits"], ENERGY)
-    tx_jk = tx_energy(kwargs["bits"], math.hypot(devs[router].x - devs[dest].x, 0.0),
+    rx = rx_energy(CFG.training_bits, ENERGY)
+    tx_jk = tx_energy(CFG.training_bits, network(CFG, devs).dist.item(router, dest),
                       ENERGY)
     devs[dest].energy = 2 * rx + tx_jk / 2
     (malicious, normal), (level, alive) = play(
@@ -271,14 +268,14 @@ def reference_training_round(
     p_dp: float,
     p_dy: float,
     max_dur: float,
-    bits: int,
-    energy: EnergyParams,
+    net,
 ) -> tuple[list[float], list[float]]:
     """run_training_round as it was written per packet, kept as the reference.
 
     It records each packet's outcome in the label's (sent, forwarded,
     timely) window, charges through a closure and calls tx_energy per
-    transmission; a window's trust comes from the scalar oracle.
+    transmission, over ``net``'s distances at its training bits; a window's
+    trust comes from the scalar oracle.
     """
     candidates = [d for d in neighborhood if d.alive and d.id != initiator.id]
     if len(candidates) < 2:
@@ -287,8 +284,9 @@ def reference_training_round(
         )
     candidates.sort(key=lambda d: d.id)
     router, dest = rng.sample(candidates, 2)
-    d_ij = math.hypot(initiator.x - router.x, initiator.y - router.y)
-    d_jk = math.hypot(router.x - dest.x, router.y - dest.y)
+    bits, energy = net.cfg.training_bits, net.energy
+    d_ij = net.dist.item(initiator.id, router.id)
+    d_jk = net.dist.item(router.id, dest.id)
 
     def pay(device, cost: float) -> bool:
         return device.spend(cost)
@@ -399,7 +397,9 @@ def training_rounds(draw):
         p_dp=draw(probability),
         p_dy=draw(probability),
         max_dur=draw(st.floats(0.0, 20.0)),
-        bits=draw(st.sampled_from([CFG.training_bits, 1, 3000])),
+        cfg=replace(
+            CFG, training_bits=draw(st.sampled_from([CFG.training_bits, 1, 3000]))
+        ),
     )
     return devs, draw(channels), draw(st.integers(0, 2**32)), kwargs
 
@@ -600,7 +600,7 @@ def play_both(devs, channel, seed):
         rng = Random(seed)
         if reference:
             result = reference_training_round(
-                mine[0], mine[1:], channel, rng, energy=DYADIC.energy_params(),
+                mine[0], mine[1:], channel, rng, net=network(DYADIC, mine),
                 **ROUND)
             levels, alive = state(mine)
         else:
@@ -625,7 +625,7 @@ def test_training_round_matches_reference_at_exact_zero_deaths(channel):
     logs = {d.id: [] for d in devs}
     recording = [RecordingDevice(d, logs[d.id]) for d in devs]
     reference_training_round(recording[0], recording[1:], channel, Random(seed),
-                             energy=DYADIC.energy_params(), **ROUND)
+                             net=network(DYADIC, recording), **ROUND)
     roles = [i for i, log in logs.items() if log]
     # jammed, the router never hears the initiator
     assert len(roles) == (1 if channel is JAMMED else 3)
