@@ -23,7 +23,6 @@ from .errors import (
     UndefinedMetricError,
 )
 from .medium import monitor_energy
-from .normals import ClassifierNormals
 from .protocol import (
     ADVANCED,
     GENERIC,
@@ -179,6 +178,7 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
     cfg.validate()
     rng = Random(cfg.seed)
     np_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+    normals = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
     net = build_scenario(cfg, rng)
     training = run_training_phase(net, rng)
     log = MetricsLog(
@@ -186,46 +186,43 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
         attacker_class=dict(enumerate(net.attacker)),
         training=training,
     )
-    # The helper drawing the classifier's normals ahead, if one starts,
-    # lives only as long as the rounds.
     honest = ~net.malicious
-    with ClassifierNormals(cfg.seed) as normals:
-        for r in range(cfg.max_rounds):
-            if not net.alive.any():
-                break
-            outcome = run_round(net, r, rng, np_rng, normals)
-            received, timely, delayed = outcome.packets
-            clusters = outcome.clusters
-            with_members = clusters.heads[clusters.sizes > 0]
-            decisions = outcome.decisions
-            verdicts = decisions.malicious
-            sent = len(outcome.transfers)
-            log.round_stats.append(
-                RoundStats(
-                    round_index=r,
-                    bad_prob=outcome.phase.bad_prob,
-                    alive=int(np.count_nonzero(net.alive)),
-                    honest_alive=int(np.count_nonzero(net.alive & honest)),
-                    heads=len(clusters.heads),
-                    clusters_with_members=len(with_members),
-                    malicious_clusters=int(
-                        np.count_nonzero(net.malicious[with_members])
-                    ),
-                    packets_sent=sent,
-                    packets_received=received,
-                    timely=timely,
-                    delayed=delayed,
-                    dropped=sent - timely - delayed,
-                    attack_drops=outcome.attack_drops,
-                    attack_delays=outcome.attack_delays,
-                    direct_to_sink=len(outcome.direct_to_sink),
-                    decisions=len(verdicts),
-                    correct_decisions=int(np.count_nonzero(
-                        verdicts == net.malicious[decisions.target]
-                    )),
-                    malicious_verdicts=int(np.count_nonzero(verdicts)),
-                )
+    for r in range(cfg.max_rounds):
+        if not net.alive.any():
+            break
+        outcome = run_round(net, r, rng, np_rng, normals)
+        received, timely, delayed = outcome.packets
+        clusters = outcome.clusters
+        with_members = clusters.heads[clusters.sizes > 0]
+        decisions = outcome.decisions
+        verdicts = decisions.malicious
+        sent = len(outcome.transfers)
+        log.round_stats.append(
+            RoundStats(
+                round_index=r,
+                bad_prob=outcome.phase.bad_prob,
+                alive=int(np.count_nonzero(net.alive)),
+                honest_alive=int(np.count_nonzero(net.alive & honest)),
+                heads=len(clusters.heads),
+                clusters_with_members=len(with_members),
+                malicious_clusters=int(
+                    np.count_nonzero(net.malicious[with_members])
+                ),
+                packets_sent=sent,
+                packets_received=received,
+                timely=timely,
+                delayed=delayed,
+                dropped=sent - timely - delayed,
+                attack_drops=outcome.attack_drops,
+                attack_delays=outcome.attack_delays,
+                direct_to_sink=len(outcome.direct_to_sink),
+                decisions=len(verdicts),
+                correct_decisions=int(np.count_nonzero(
+                    verdicts == net.malicious[decisions.target]
+                )),
+                malicious_verdicts=int(np.count_nonzero(verdicts)),
             )
+        )
     log.death_round = {
         i: r for i, r in enumerate(net.death_round.tolist()) if r >= 0
     }

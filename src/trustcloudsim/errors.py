@@ -50,7 +50,3 @@ class ReplicationError(TrustCloudSimError):
     def __init__(self, message: str, results: dict[int, tuple[dict, list[float]]]):
         super().__init__(message)
         self.results = results
-
-
-class NormalsHelperError(TrustCloudSimError):
-    """The helper process drawing the classifier's normals ahead exited."""

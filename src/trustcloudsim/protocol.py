@@ -948,8 +948,8 @@ def run_round(
     The round is its phases in order: election, reception, joining, data,
     monitoring, inference, exchange, classification and update.  ``rng``
     draws the election, ``np_rng`` the channel events of reception and the
-    data phase, and ``normals`` (anything with ``standard_normal``) the
-    classifier's samples.
+    data phase, and ``normals`` (a Generator) the classifier's samples, one
+    block per classification.
     """
     phase = net.phase_for(r)
     outcome = ClusterRoundOutcome(round_index=r, phase=phase)

@@ -190,26 +190,29 @@ def similarities(
     """Drop-sampled similarities of each row's individual cloud to its standards.
 
     Row r's individual cloud is (ex[r], en[r], he[r]) and ``stds[r]`` is its
-    observer's standard_table row.  ``normals`` (anything with a numpy-style
-    ``standard_normal(shape)``) gives one (3, rows, n_drp) block z.  Per
-    drop: sigma_i = |en + he z1|, drop = clip(ex + sigma_i z2, 0, 1), and
-    one dispersion sigma_s = |(en_m + en_n)/2 + (he_m + he_n)/2 z3| shared
-    by both standards.  The drop's membership in a standard of expectation
-    mu is exp(-(drop - mu)^2 / (2 sigma_s^2)), or, where 2 sigma_s^2 is zero
+    observer's standard_table row.  ``normals`` (a numpy Generator) gives
+    one (3, 1, n_drp) block z, shared by every row of the call.  Per drop:
+    sigma_i = |en + he z1|, drop = clip(ex + sigma_i z2, 0, 1), and one
+    dispersion sigma_s = |(en_m + en_n)/2 + (he_m + he_n)/2 z3| shared by
+    both standards.  The drop's membership in a standard of expectation mu
+    is exp(-(drop - mu)^2 / (2 sigma_s^2)), or, where 2 sigma_s^2 is zero
     (exactly, or by underflow), its limit: 1.0 on mu, 0.0 elsewhere.
     Returns the mean membership in the malicious and in the normal standard.
+
+    Each row's drops follow the cloud's sampling law; rows judged in the
+    same call share their normals, so their similarities are correlated.
     """
     ex_m, en_m, he_m, ex_n, en_n, he_n = stds.T
-    # One draw fills the three sampling steps in C order, the same stream as
-    # three (rows, n_drp) draws; every step then works in place in its block.
-    sigma, drops, sigma_s = normals.standard_normal((3, len(ex), n_drp))
-    np.multiply(sigma, he[:, None], out=sigma)
+    # One draw of 3 n_drp normals, broadcast over the rows; every later step
+    # works in place in the (rows, n_drp) blocks the first products make.
+    z1, z2, z3 = normals.standard_normal((3, 1, n_drp))
+    sigma = np.multiply(z1, he[:, None])
     sigma += en[:, None]
     np.abs(sigma, out=sigma)
-    drops *= sigma
+    drops = np.multiply(z2, sigma)
     drops += ex[:, None]
     np.clip(drops, 0.0, 1.0, out=drops)
-    sigma_s *= ((he_m + he_n) / 2.0)[:, None]
+    sigma_s = np.multiply(z3, ((he_m + he_n) / 2.0)[:, None])
     sigma_s += ((en_m + en_n) / 2.0)[:, None]
     # sigma_s enters squared, so its sign is immaterial; the denominator is
     # negated, x / -d being -(x / d) bit for bit, -0.0 and inf included.
@@ -255,9 +258,9 @@ def classify_pairs(
     ``stds`` is the standard_table of the observers.  An expectation clearly
     below the malicious cloud (by kappa entropies) is malicious, clearly
     above the normal cloud is normal; the rows in between are resolved by
-    comparing their ``similarities`` to the two standards, in one draw from
-    ``normals`` (a Generator or an engine's ``ClassifierNormals``), with
-    ties breaking to malicious as the fail-safe.
+    comparing their ``similarities`` to the two standards, in one draw of
+    3 n_drp normals from the Generator ``normals`` that all of them share,
+    with ties breaking to malicious as the fail-safe.
 
     The two similarities are compared under a shared membership dispersion
     pooled from both standard clouds.  The update pools give the two

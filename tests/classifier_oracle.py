@@ -11,8 +11,9 @@ drops,
 and the drop's membership exp(-(drop - mu)^2 / (2 sigma_s^2)) in each
 standard of expectation mu, or its limit (1 on mu, 0 elsewhere) where
 2 sigma_s^2 is 0.  A row whose mean membership in the malicious standard is
-at least that in the normal one is malicious.  z is the same (3, rows,
-n_drp) draw the kernel takes, so the two can be compared row by row.
+at least that in the normal one is malicious.  z is the same (3, 1, n_drp)
+draw the kernel takes, one per call and shared by its rows, so the two can
+be compared row by row.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ def classify(state, stds, observers, targets, normals, *, kappa, n_drp):
     sims: list = [None] * len(verdicts)
     gray = [r for r, v in enumerate(verdicts) if v is None]
     if gray:
-        z1, z2, z3 = normals.standard_normal((3, len(gray), n_drp)).tolist()
-        for g, r in enumerate(gray):
+        (z1,), (z2,), (z3,) = normals.standard_normal((3, 1, n_drp)).tolist()
+        for r in gray:
             ex_m, en_m, he_m, ex_n, en_n, he_n = rows[r]
             sum_m = sum_n = 0.0
             for j in range(n_drp):
-                sigma_i = abs(en[r] + he[r] * z1[g][j])
-                drop = min(max(ex[r] + sigma_i * z2[g][j], 0.0), 1.0)
-                sigma_s = abs((en_m + en_n) / 2.0 + (he_m + he_n) / 2.0 * z3[g][j])
+                sigma_i = abs(en[r] + he[r] * z1[j])
+                drop = min(max(ex[r] + sigma_i * z2[j], 0.0), 1.0)
+                sigma_s = abs((en_m + en_n) / 2.0 + (he_m + he_n) / 2.0 * z3[j])
                 sum_m += membership(drop, ex_m, sigma_s)
                 sum_n += membership(drop, ex_n, sigma_s)
             sims[r] = (sum_m / n_drp, sum_n / n_drp)

@@ -1,15 +1,16 @@
 """classify_pairs against the sampling expressions it replaced and its oracle.
 
 ``reference_classify`` is the classifier as it was written before its kernel
-moved into place: three separate normal draws, temporary arrays for every
-step and ``np.where`` on each similarity, with a sampled dispersion whose
-2 sigma^2 is zero scored by the membership's limit (1 on the expectation,
-0 elsewhere).  On the same trust state, standard table and generator, the
-in-place kernel must return the same verdicts and leave the generator in the
-same state.  ``classifier_oracle.classify`` states the law one drop at a
-time from the same normals; its verdicts must agree wherever its two mean
-memberships are more than 1e-12 apart (numpy sums a row's memberships
-pairwise, the oracle in order).
+moved into place: temporary arrays for every step and ``np.where`` on each
+similarity, reading the call's one (3, 1, n_drp) block of normals broadcast
+over its rows, with a sampled dispersion whose 2 sigma^2 is zero scored by
+the membership's limit (1 on the expectation, 0 elsewhere).  On the same
+trust state, standard table and generator, the in-place kernel must return
+the same verdicts and leave the generator in the same state.
+``classifier_oracle.classify`` states the law one drop at a time from the
+same normals; its verdicts must agree wherever its two mean memberships are
+more than 1e-12 apart (numpy sums a row's memberships pairwise, the oracle
+in order).
 """
 
 import math
@@ -38,14 +39,14 @@ def reference_classify(state, stds, observers, targets, np_rng, kappa, n_drp):
     # subnormal denominator, so its warnings are silenced.
     with np.errstate(over="ignore"):
         if len(gray):
-            shape = (len(gray), n_drp)
             ex_i, en_i, he_i = ex[gray, None], en[gray, None], he[gray, None]
             ex_m, ex_n = ex_m[gray, None], ex_n[gray, None]
             en_p = ((en_m + en_n) / 2.0)[gray, None]
             he_p = ((he_m + he_n) / 2.0)[gray, None]
-            sigma_i = np.abs(np_rng.standard_normal(shape) * he_i + en_i)
-            drops = np.clip(np_rng.standard_normal(shape) * sigma_i + ex_i, 0.0, 1.0)
-            sigma_s = np.abs(np_rng.standard_normal(shape) * he_p + en_p)
+            z1, z2, z3 = np_rng.standard_normal((3, 1, n_drp))
+            sigma_i = np.abs(z1 * he_i + en_i)
+            drops = np.clip(z2 * sigma_i + ex_i, 0.0, 1.0)
+            sigma_s = np.abs(z3 * he_p + en_p)
             denom = 2.0 * sigma_s * sigma_s
             zero = denom == 0.0
             denom = np.where(zero, 1.0, denom)
@@ -260,3 +261,25 @@ def test_pooled_dispersion_keeps_a_tight_normal_standard_winning_at_its_center()
         np.random.default_rng(5), 20_000,
     )
     assert sim_n[0] > sim_m[0] + 0.5
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+def test_a_call_draws_one_block_that_its_rows_share(rows):
+    # Every row judged in one call reads the same 3 n_drp normals: the
+    # generator advances by one block whatever the row count, and identical
+    # gray rows get identical similarities.
+    state = TrustState(2, 4)
+    for v in (0.4, 0.5, 0.6, 0.45):
+        record_trust(state, [0], [1], [v])
+    stds = np.array([[0.3, 0.05, 0.01, 0.7, 0.05, 0.01]] * 2)
+    obs, tgt = [0] * rows, [1] * rows
+    np_rng = np.random.default_rng(9)
+    classify_pairs(state, stds, obs, tgt, np_rng, kappa=3.0, n_drp=50)
+    one_block = np.random.default_rng(9)
+    one_block.standard_normal(3 * 50)
+    assert np_rng.bit_generator.state == one_block.bit_generator.state
+    ex, en, he = state.clouds(obs, tgt)
+    sim_m, sim_n = similarities(ex, en, he, stds[obs], np.random.default_rng(9), 50)
+    assert 0.0 < sim_m[0] < 1.0 and 0.0 < sim_n[0] < 1.0
+    assert sim_m.tolist() == [sim_m[0]] * rows
+    assert sim_n.tolist() == [sim_n[0]] * rows

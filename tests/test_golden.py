@@ -70,34 +70,34 @@ TRAINING_GOLDEN = {
 
 GOLDEN = {
     ('small', 1): {
-        'rounds.csv': '41ce607ec241ba07e3319829b58efd89296073c2ae929b6c45964d23167a447d',
-        'cycles.csv': '3d224ba77a48b13aacf13e303e555b1850c7b7d63f4bdaf0602c971535e2c5a6',
-        'summary.txt': 'ffa133f8f2c8e77084f9cfcbe29bcf0418125682726eee4ffdcb6c47bb5dbb3e',
+        'rounds.csv': '84002dfa7f7fac860d96cb03af9f903a6fea9643ca07c15e52cfffa2062e7a80',
+        'cycles.csv': 'd2bac5b494c4987b887195bb518139472d4e24c004278596f6d2d5882f3a1f5f',
+        'summary.txt': 'd74ac82968db8a5dab2a5b51aebdc0e1b11c0bf147d1909a9e1108d83775ed6c',
     },
     ('small', 2): {
-        'rounds.csv': '52cba695c15e4d1a608a7b6e4b7e3cf4dd6f2da01fbf46e0415b75ac599540e4',
-        'cycles.csv': 'e08789fffaa3550234bb9bf3c2a540294f8b25f72af44656dbe1c529c1cf21fa',
-        'summary.txt': '19103e8aa7cd3d476bbfea906ca9eff8a9ff8ad7090fb6a87c5be161ad8d3c7e',
+        'rounds.csv': 'e41ebcd2f0d0c7eeb795acd900c3967c62718e58ce5dea08ef5ff350fdf673c5',
+        'cycles.csv': 'af4384f03f0c5d9b9983409c8473b72ae4ebdeacc1355093507812471d8c8277',
+        'summary.txt': 'd271fa0e3b95815781df8b4ef1ecd3fd58954c990fea7e5740a96614eadc54de',
     },
     ('small', 3): {
-        'rounds.csv': 'fcfb4579e1ad8bd8c1d8a1edf82bd73db173c00480b8c3c7fcee5b63ff53f45f',
-        'cycles.csv': '76e0f3f9316f73a15a864929693d985a84947e1e97b6af6d3102078111436e21',
-        'summary.txt': '2a4c39553e7581d7b78babdcb328931ebdcef58f48bb0deb385399c803ce4276',
+        'rounds.csv': '9e0179f4e4c4434cfbb9a11c38717639779382d7aea3e34f1dbc0955c762b716',
+        'cycles.csv': '9bc4d1fb74b317d4ad0ac1bab7d08a660111c055e36ba2f3ba9c007e77d102bf',
+        'summary.txt': '021318816165cecb5cdbc883e9e3af6caadade0284382e815ba499c035433170',
     },
     ('tiny', 1): {
-        'rounds.csv': 'b65abb6492aa8454bb66c70a7eac29a9ecf7a955e54d731cff71d6fe9919a221',
-        'cycles.csv': '0441d541e94a85b1529e65db8266e2e6a1a15f72c35fea8f962160a50ad89c6d',
-        'summary.txt': '2f2b27d49c8f59c8503f2d5a8ca6cce6c0ff51820f074a5e0c95a5f3602756a0',
+        'rounds.csv': '1f4d6f8983cd179f8664ecbea764184358046b7c11906b1bc154260d3ff4b3f3',
+        'cycles.csv': 'e68aa9c27dc10d7baf54cec74f4006ac6c243bc435f1c4e0af46ccd31b51dd30',
+        'summary.txt': 'a3a738aff5a0920ca8630463002d360ca790c045dfa108e891e910899b92ac66',
     },
     ('tiny', 2): {
-        'rounds.csv': 'f1308900308a9a66c5c0c552f41efbf6afc2824a36bdb14aff6d1063511bf9dc',
-        'cycles.csv': '5c392ed769772fe37f9a2eb2d08a5cce93985c708b24c2f82c00c0eccb7b0308',
+        'rounds.csv': '51818b59c025ea5bd91e206e9c9e6638f51ec555a73902b459fff359f180ff75',
+        'cycles.csv': 'a1155b1eaada8d725fb6378aae51ddc433e3d6ce7b90a2ba88dd507709191914',
         'summary.txt': '4df9b4ce31f0d368df79269037bac824969541f7de29ee3632b4b5206ddc6c0a',
     },
     ('tiny', 3): {
-        'rounds.csv': 'bb35d1abfe98d6073484d4974b0c5e326246e2d4e473fc08e6f67315d1c0c1f1',
-        'cycles.csv': '51a98694d374390082fcb2e80ddd5b5d28d922180077b768de54c56537730440',
-        'summary.txt': '673742005e198b5c4d1e4de1b744980ef861d23629c568a0e2d9bcad046e0cb2',
+        'rounds.csv': '4080bcccb48d24108ba67c863c3993bd31c62dec3da4f78e93637dbf3336c9e7',
+        'cycles.csv': '39a87e9ae4842f7c544d945038c42b571f9c8c3bf6fcbae72a1cea3497bef7e4',
+        'summary.txt': '7fe8b902ab932f593899dd4f6b0c974de6cbb1a9ee3b110c8a198ea32cd27167',
     },
 }
 

@@ -10,16 +10,15 @@ recommendation exchange (``exchange_recommendations``), classification
 ``engine.run_training_phase`` ("set-up" and "training", outside the round
 loop).  "The rest" is the round loop minus its phases: ``run_round``'s own
 glue.  "Engine bookkeeping" is the run minus set-up, training and the round
-loop: the per-round statistics and the normals helper's start and stop.
+loop: the per-round statistics.
 
 Some sections lie inside others and are not subtracted again: the
 classifier (``classify_pairs``: "join classification" inside joining,
-"post classification" inside classification); "classifier normals", the
-time ``normals.ClassifierNormals`` spends obtaining the classifier's
-standard normals (waiting on and copying from the helper, or drawing them
-locally; run the tool under ``taskset -c 0`` to time the in-process path);
-"individual clouds", the time spent in ``runtime.TrustState.clouds``,
-rebuilding stale individual clouds and reading them; and inside training,
+"post classification" inside classification); "similarities", the
+classifier's drop sampling (``runtime.similarities``: its normals and the
+memberships of the rows the margin rules leave open); "individual clouds",
+the time spent in ``runtime.TrustState.clouds``, rebuilding stale
+individual clouds and reading them; and inside training,
 "training rounds", the labeling rounds (``engine.run_training_round``), and
 "standard clouds", the standard clouds built from their drops
 (``training.backward_cloud``).  Usage, from the root of the tree to time::
@@ -37,7 +36,7 @@ import json
 import statistics
 from time import perf_counter
 
-from trustcloudsim import engine, normals, protocol, runtime, training
+from trustcloudsim import engine, protocol, runtime, training
 from trustcloudsim.config import load_config, with_overrides
 
 #: sections outside the round loop
@@ -60,7 +59,7 @@ PHASES = (
 NESTED = {
     "join classification": ("joining",),
     "post classification": ("classification",),
-    "classifier normals": ("join classification", "post classification"),
+    "similarities": ("join classification", "post classification"),
     "individual clouds": ("join classification", "post classification"),
     "training rounds": ("training",),
     "standard clouds": ("training",),
@@ -98,7 +97,7 @@ def time_sections(cfg) -> dict[str, float]:
     patched = [
         *((protocol, name, label) for label, name in PHASES),
         (protocol, "classify_pairs", classification),
-        (normals.ClassifierNormals, "standard_normal", "classifier normals"),
+        (runtime, "similarities", "similarities"),
         (runtime.TrustState, "clouds", "individual clouds"),
         (engine, "build_scenario", "set-up"),
         (engine, "run_training_phase", "training"),
