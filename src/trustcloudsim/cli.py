@@ -31,6 +31,23 @@ from .errors import ConfigError, TrustCloudSimError, UndefinedMetricError
 
 OUTDIR_ENV = "TRUSTCLOUDSIM_OUTDIR"
 
+#: rounds.csv's columns, as RoundStats fields; round_index is headed "round"
+ROUND_COLUMNS = (
+    "round_index", "bad_prob", "alive", "honest_alive", "heads",
+    "clusters_with_members", "malicious_clusters", "packets_sent",
+    "packets_received", "timely", "delayed", "dropped", "attack_drops",
+    "attack_delays", "direct_to_sink", "decisions", "correct_decisions",
+)
+#: cycles.csv's columns, as cycle_table keys
+CYCLE_COLUMNS = ("cycle", "rounds", "malicious_clusters", "accuracy",
+                 "timely_rate", "attacks", "alive")
+#: training.csv's columns: TrainingReport fields, then its clouds' ex, en, he
+TRAINING_COLUMNS = (
+    "device", "rounds_used", "boundary_ok", "forced",
+    "malicious_ex", "malicious_en", "malicious_he",
+    "normal_ex", "normal_en", "normal_he",
+)
+
 SWEEP_PARAMETERS = {
     "malicious_fraction": ("malicious_fraction", float),
     "device_count": ("device_count", int),
@@ -90,37 +107,17 @@ def cmd_run(args) -> int:
     _write_manifest(outdir, cfg, outputs, "run")
     log = run_simulation(cfg)
 
-    round_header = [
-        "round", "bad_prob", "alive", "honest_alive", "heads",
-        "clusters_with_members", "malicious_clusters", "packets_sent",
-        "packets_received", "timely", "delayed", "dropped", "attack_drops",
-        "attack_delays", "direct_to_sink", "decisions", "correct_decisions",
-    ]
     _write_csv(
         outdir / "rounds.csv",
-        round_header,
-        [
-            [
-                s.round_index, s.bad_prob, s.alive, s.honest_alive, s.heads,
-                s.clusters_with_members, s.malicious_clusters, s.packets_sent,
-                s.packets_received, s.timely, s.delayed, s.dropped,
-                s.attack_drops, s.attack_delays, s.direct_to_sink,
-                s.decisions, s.correct_decisions,
-            ]
-            for s in log.round_stats
-        ],
+        ["round", *ROUND_COLUMNS[1:]],
+        [[getattr(s, c) for c in ROUND_COLUMNS] for s in log.round_stats],
     )
-    cycles = cycle_table(log)
     _write_csv(
         outdir / "cycles.csv",
-        ["cycle", "rounds", "malicious_clusters", "accuracy", "timely_rate",
-         "attacks", "alive"],
-        [
-            [c["cycle"], c["rounds"], c["malicious_clusters"], c["accuracy"],
-             c["timely_rate"], c["attacks"], c["alive"]]
-            for c in cycles
-        ],
+        CYCLE_COLUMNS,
+        [[row[c] for c in CYCLE_COLUMNS] for row in cycle_table(log)],
     )
+
     def metric_or_undefined(fn) -> str:
         try:
             return _fmt(fn(log))
@@ -166,14 +163,15 @@ def cmd_sweep(args) -> int:
         runs.append((value, run_cfg))
     if not runs:
         raise ConfigError("sweep needs a non-empty value list", field="--values")
-    if args.replications < 2:
+    replications = cfg.replications if args.replications is None else args.replications
+    if replications < 2:
         raise ConfigError("must be at least 2", field="--replications")
     outdir = _outdir(args)
     _write_manifest(outdir, cfg, ["sweep.csv"], f"sweep {args.parameter}")
     rows = []
     for value, run_cfg in runs:
         summary: ReplicationSummary = replicate(
-            run_cfg, args.replications, workers=args.workers
+            run_cfg, replications, workers=args.workers
         )
         for metric, stats in summary.scalars.items():
             rows.append([args.parameter, value, metric, stats.mean,
@@ -197,31 +195,22 @@ def cmd_train_only(args) -> int:
     rng = Random(cfg.seed)
     net = build_scenario(cfg, rng)
     reports = run_training_phase(net, rng)
-    rows = []
-    for rep in reports:
-        clouds = rep.clouds
-        rows.append([
-            rep.device,
-            rep.rounds_used,
-            int(rep.boundary_ok),
-            int(rep.forced),
-            clouds.malicious.ex if clouds else float("nan"),
-            clouds.malicious.en if clouds else float("nan"),
-            clouds.malicious.he if clouds else float("nan"),
-            clouds.normal.ex if clouds else float("nan"),
-            clouds.normal.en if clouds else float("nan"),
-            clouds.normal.he if clouds else float("nan"),
-        ])
     _write_csv(
         outdir / "training.csv",
-        ["device", "rounds_used", "boundary_ok", "forced",
-         "malicious_ex", "malicious_en", "malicious_he",
-         "normal_ex", "normal_en", "normal_he"],
-        rows,
+        TRAINING_COLUMNS,
+        [[_training_value(rep, c) for c in TRAINING_COLUMNS] for rep in reports],
     )
-    ok = sum(r[2] for r in rows)
-    print(f"wrote {outdir / 'training.csv'}: {ok}/{len(rows)} boundary-satisfied")
+    ok = sum(rep.boundary_ok for rep in reports)
+    print(f"wrote {outdir / 'training.csv'}: {ok}/{len(reports)} boundary-satisfied")
     return 0
+
+
+def _training_value(rep, column: str):
+    """A report field, or ``<cloud>_<param>`` of its clouds (NaN if it has none)."""
+    cloud, _, param = column.rpartition("_")
+    if cloud not in ("malicious", "normal"):
+        return getattr(rep, column)
+    return getattr(getattr(rep.clouds, cloud), param) if rep.clouds else float("nan")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,8 +254,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep" and args.replications is None:
-            args.replications = load_config(args.config).replications
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

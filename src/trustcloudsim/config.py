@@ -7,8 +7,9 @@ parameter set, so a minimal file is just::
     [scenario]
     devices = 100
 
-Energy keys carry their unit in the name (nJ, pJ, J, m, s) and are converted
-to SI on load.
+Each field declares the file key that sets it and the unit that key is
+written in.  Keys carry their unit in the name (nJ, pJ, J, m, s), and values
+are converted to SI on load.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal
 from typing import Optional
 
 from .errors import ConfigError
@@ -24,53 +26,58 @@ from .medium import ChannelPhase, EnergyParams
 DEFAULT_PHASE_RATES = ((1.0, 9.0), (2.0, 8.0), (3.0, 7.0), (1.0, 9.0))
 
 
+def _param(default, key: str, exp: int = 0):
+    """A field set by file key ``key``, written there in 10**exp SI units."""
+    return field(default=default, metadata={"key": key, "exp": exp})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     # deployment
-    area_width: float = 100.0
-    area_height: float = 100.0
-    device_count: int = 100
-    malicious_fraction: float = 0.2
-    generic_share: float = 0.3
-    advanced_share: float = 0.4
-    super_share: float = 0.3
-    rounds_per_cycle: int = 50
-    max_rounds: int = 1000
-    seed: int = 1
-    replications: int = 20
-    sink_x: Optional[float] = None
-    sink_y: Optional[float] = None
-    # channel schedule; empty means quarter-lifetime defaults
+    area_width: float = _param(100.0, "scenario.width_m")
+    area_height: float = _param(100.0, "scenario.height_m")
+    device_count: int = _param(100, "scenario.devices")
+    malicious_fraction: float = _param(0.2, "scenario.malicious_fraction")
+    generic_share: float = _param(0.3, "scenario.generic_share")
+    advanced_share: float = _param(0.4, "scenario.advanced_share")
+    super_share: float = _param(0.3, "scenario.super_share")
+    rounds_per_cycle: int = _param(50, "scenario.rounds_per_cycle")
+    max_rounds: int = _param(1000, "scenario.max_rounds")
+    seed: int = _param(1, "scenario.seed")
+    replications: int = _param(20, "scenario.replications")
+    sink_x: Optional[float] = _param(None, "scenario.sink_x_m")
+    sink_y: Optional[float] = _param(None, "scenario.sink_y_m")
+    # channel schedule (channel.phases); empty means quarter-lifetime defaults
     phases: tuple[ChannelPhase, ...] = ()
     # packet sizes (bits)
-    data_bits: int = 3000
-    control_bits: int = 300
-    training_bits: int = 300
+    data_bits: int = _param(3000, "packets.data_bits")
+    control_bits: int = _param(300, "packets.control_bits")
+    training_bits: int = _param(300, "packets.training_bits")
     # training
-    n_f: int = 20
-    p_dp: float = 0.05
-    p_dy: float = 0.05
-    max_dur: float = 10.0
-    max_tr: int = 20
-    max_drp: int = 100
+    n_f: int = _param(20, "training.n_f")
+    p_dp: float = _param(0.05, "training.p_dp")
+    p_dy: float = _param(0.05, "training.p_dy")
+    max_dur: float = _param(10.0, "training.max_dur_s")
+    max_tr: int = _param(20, "training.max_tr")
+    max_drp: int = _param(100, "training.max_drp")
     # trust runtime
-    thr_drp: int = 20
-    n_drp: int = 50
-    kappa: float = 3.0
-    alpha: float = 0.8
-    beta: float = 0.2
+    thr_drp: int = _param(20, "trust.thr_drp")
+    n_drp: int = _param(50, "trust.n_drp")
+    kappa: float = _param(3.0, "trust.kappa")
+    alpha: float = _param(0.8, "trust.alpha")
+    beta: float = _param(0.2, "trust.beta")
     # clustering protocol
-    p_ch: float = 0.07
-    neighbor_radius: float = 25.0
+    p_ch: float = _param(0.07, "protocol.p_ch")
+    neighbor_radius: float = _param(25.0, "protocol.neighbor_radius_m")
     # energy (joules), defaults as in EnergyParams
-    e_elec: float = EnergyParams.e_elec
-    eps_fs: float = EnergyParams.eps_fs
-    eps_amp: float = EnergyParams.eps_amp
-    e_da: float = EnergyParams.e_da
-    e_h: float = EnergyParams.e_h
-    e_m: float = EnergyParams.e_m
-    e0: float = EnergyParams.e0
-    monitor_seconds: float = 1.0
+    e_elec: float = _param(EnergyParams.e_elec, "energy.e_elec_nj", -9)
+    eps_fs: float = _param(EnergyParams.eps_fs, "energy.eps_fs_pj", -12)
+    eps_amp: float = _param(EnergyParams.eps_amp, "energy.eps_amp_pj", -12)
+    e_da: float = _param(EnergyParams.e_da, "energy.e_da_nj", -9)
+    e_h: float = _param(EnergyParams.e_h, "energy.e_h_nj", -9)
+    e_m: float = _param(EnergyParams.e_m, "energy.e_m_nj", -9)
+    e0: float = _param(EnergyParams.e0, "energy.initial_j")
+    monitor_seconds: float = _param(1.0, "energy.monitor_s")
 
     def validate(self) -> "ScenarioConfig":
         for f in fields(self):
@@ -162,57 +169,22 @@ class ScenarioConfig:
         return out
 
 
-# file key -> (dataclass field, converter); converters map file units to SI
-_SCALE_NANO = 1e-9
-_SCALE_PICO = 1e-12
-
-_FILE_KEYS = {
-    ("scenario", "width_m"): ("area_width", float),
-    ("scenario", "height_m"): ("area_height", float),
-    ("scenario", "devices"): ("device_count", int),
-    ("scenario", "malicious_fraction"): ("malicious_fraction", float),
-    ("scenario", "generic_share"): ("generic_share", float),
-    ("scenario", "advanced_share"): ("advanced_share", float),
-    ("scenario", "super_share"): ("super_share", float),
-    ("scenario", "rounds_per_cycle"): ("rounds_per_cycle", int),
-    ("scenario", "max_rounds"): ("max_rounds", int),
-    ("scenario", "seed"): ("seed", int),
-    ("scenario", "replications"): ("replications", int),
-    ("scenario", "sink_x_m"): ("sink_x", float),
-    ("scenario", "sink_y_m"): ("sink_y", float),
-    ("packets", "data_bits"): ("data_bits", int),
-    ("packets", "control_bits"): ("control_bits", int),
-    ("packets", "training_bits"): ("training_bits", int),
-    ("training", "n_f"): ("n_f", int),
-    ("training", "p_dp"): ("p_dp", float),
-    ("training", "p_dy"): ("p_dy", float),
-    ("training", "max_dur_s"): ("max_dur", float),
-    ("training", "max_tr"): ("max_tr", int),
-    ("training", "max_drp"): ("max_drp", int),
-    ("trust", "thr_drp"): ("thr_drp", int),
-    ("trust", "n_drp"): ("n_drp", int),
-    ("trust", "kappa"): ("kappa", float),
-    ("trust", "alpha"): ("alpha", float),
-    ("trust", "beta"): ("beta", float),
-    ("protocol", "p_ch"): ("p_ch", float),
-    ("protocol", "neighbor_radius_m"): ("neighbor_radius", float),
-    ("energy", "e_elec_nj"): ("e_elec", lambda s: float(s) * _SCALE_NANO),
-    ("energy", "eps_fs_pj"): ("eps_fs", lambda s: float(s) * _SCALE_PICO),
-    ("energy", "eps_amp_pj"): ("eps_amp", lambda s: float(s) * _SCALE_PICO),
-    ("energy", "e_da_nj"): ("e_da", lambda s: float(s) * _SCALE_NANO),
-    ("energy", "e_h_nj"): ("e_h", lambda s: float(s) * _SCALE_NANO),
-    ("energy", "e_m_nj"): ("e_m", lambda s: float(s) * _SCALE_NANO),
-    ("energy", "initial_j"): ("e0", float),
-    ("energy", "monitor_s"): ("monitor_seconds", float),
-}
+#: file key -> the dataclass field it sets
+_FILE_KEYS = {f.metadata["key"]: f for f in fields(ScenarioConfig) if f.metadata}
 
 #: dataclass field -> the file key that sets it, for error messages
-_FIELD_KEYS = {
-    name: f"{section}.{key}" for (section, key), (name, _) in _FILE_KEYS.items()
-}
+_FIELD_KEYS = {f.name: key for key, f in _FILE_KEYS.items()}
 
-_KNOWN_SECTIONS = {"scenario", "channel", "packets", "training", "trust",
-                   "protocol", "energy"}
+_KNOWN_SECTIONS = {key.split(".")[0] for key in _FILE_KEYS} | {"channel"}
+
+
+def _convert(f, raw: str):
+    """An int or a float by the type of the default; a unit key is scaled
+    exactly in decimal, then rounded once to a float."""
+    exp = f.metadata["exp"]
+    if exp:
+        return float(Decimal(raw).scaleb(exp))
+    return int(raw) if isinstance(f.default, int) else float(raw)
 
 
 def _parse_phases(raw: str) -> tuple[ChannelPhase, ...]:
@@ -251,20 +223,18 @@ def load_config(path: str) -> ScenarioConfig:
     for section in parser.sections():
         if section not in _KNOWN_SECTIONS:
             raise ConfigError("unknown section", field=section)
-        for key, raw in parser.items(section):
-            if (section, key) == ("channel", "phases"):
+        for name, raw in parser.items(section):
+            key = f"{section}.{name}"
+            if key == "channel.phases":
                 values["phases"] = _parse_phases(raw)
                 continue
-            spec = _FILE_KEYS.get((section, key))
-            if spec is None:
-                raise ConfigError("unknown field", field=f"{section}.{key}")
-            name, conv = spec
+            f = _FILE_KEYS.get(key)
+            if f is None:
+                raise ConfigError("unknown field", field=key)
             try:
-                values[name] = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"invalid value {raw!r}", field=f"{section}.{key}"
-                ) from exc
+                values[f.name] = _convert(f, raw)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"invalid value {raw!r}", field=key) from exc
     if "device_count" not in values:
         raise ConfigError("required field missing", field="scenario.devices")
     try:

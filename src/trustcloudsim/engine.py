@@ -267,12 +267,7 @@ def metric_total_attacks(log: MetricsLog) -> int:
 
 def metric_malicious_clusters(log: MetricsLog) -> list[float]:
     """Per-cycle mean count of clusters whose head is malicious."""
-    cycle = log.config.rounds_per_cycle
-    out = []
-    for start in range(0, len(log.round_stats), cycle):
-        chunk = log.round_stats[start : start + cycle]
-        out.append(sum(s.malicious_clusters for s in chunk) / len(chunk))
-    return out
+    return [row["malicious_clusters"] for row in cycle_table(log)]
 
 
 def cycle_table(log: MetricsLog) -> list[dict]:

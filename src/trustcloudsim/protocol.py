@@ -159,18 +159,6 @@ class Clusters(Mapping):
         self.sizes = np.bincount(self.cluster, minlength=len(heads))
         self.first = self.sizes.cumsum() - self.sizes
 
-    @classmethod
-    def of(cls, clusters: Mapping[int, Sequence[int]]) -> "Clusters":
-        """The Clusters of a mapping of each head to its members."""
-        if isinstance(clusters, Clusters):
-            return clusters
-        rows = [(h, m) for h in sorted(clusters) for m in sorted(clusters[h])]
-        return cls(
-            np.array(sorted(clusters), dtype=np.intp),
-            np.array([m for _, m in rows], dtype=np.intp),
-            np.array([h for h, _ in rows], dtype=np.intp),
-        )
-
     def __getitem__(self, head) -> list[int]:
         c = int(np.searchsorted(self.heads, head))
         if c == len(self.heads) or self.heads[c] != head:
@@ -425,7 +413,7 @@ _DRAW_K2 = np.array([0, 1, 1, 1])[:, None]
 
 def run_data_phase(
     net: NetworkState,
-    clusters: Mapping[int, Sequence[int]],
+    clusters: Clusters,
     phase: ChannelPhase,
     np_rng: np.random.Generator,
     outcome: ClusterRoundOutcome,
@@ -437,8 +425,7 @@ def run_data_phase(
     while malicious heads drop or delay with their class probabilities.
     Members overhear both the uplinks and the relays through independent
     channel draws, producing the evidence counts of each (observer, head)
-    pair for this round.  ``clusters`` maps each head to its members; the
-    round passes its ``Clusters``.
+    pair for this round.  ``clusters`` are the round's ``Clusters``.
 
     The phase's channel events come from one ``np_rng.random`` block, laid
     out per cluster (heads by id) as: uplink reception (k values for k
@@ -457,15 +444,17 @@ def run_data_phase(
     known to die lives to the end.  Only a device whose charges then add up
     to its energy can die; for each such device a running count over its
     ordered charges finds the first charge it cannot pay, or that empties
-    it.  The earliest such death in each cluster is fixed and the phase is
-    resolved again; clusters share no device, so a death in one changes
-    nothing in another.  A round with no death takes one pass.
+    it.  Charges are ordered by a key of five steps per member slot:
+    transmit; reception and uplink overhears; aggregation; relay; relay
+    overhears, with the head's report last.  The earliest such death in
+    each cluster, by key, is fixed and the phase is resolved again; clusters
+    share no device, so a death in one changes nothing in another.  A round
+    with no death takes one pass.
 
     Sets ``outcome.transfers`` to the phase's TransferRecords, one per
     packet sent, and adds the attacks to its counters; the returned
     Evidence also carries the phase's packet counts.
     """
-    clusters = Clusters.of(clusters)
     heads = clusters.heads
     if not len(heads):
         return _no_evidence()
@@ -476,7 +465,6 @@ def run_data_phase(
     ids, cl, k, first_slot = (
         clusters.members, clusters.cluster, clusters.sizes, clusters.first
     )
-    width = max(int(k.max()), 1)
 
     # One slot per member, by head id then member id; a pair is an
     # (overhearer, sender) pair of slots of one cluster, in the drawn order.
@@ -543,12 +531,12 @@ def run_data_phase(
         else:
             at_head = head_until[cl]
             sends = tx_key <= until
-            received = sends & up_ok & (rx_key <= at_head)
+            received = sends & up_ok & (tx_key + 1 <= at_head)
             # The head relays once; a lost relay surfaces as a drop, so a
             # delaying event can only come from an actual delaying attack.
             relayed = received & kept
-            aggregated = relayed & (aggregate_key <= at_head)
-            attempted = relayed & (relay_key <= at_head)
+            aggregated = relayed & (tx_key + 2 <= at_head)
+            attempted = relayed & (tx_key + 3 <= at_head)
             # Cluster mates that catch an uplink know the packet awaits
             # forwarding; the sender knows its own.
             hearer_until = until[hearer]
@@ -572,24 +560,21 @@ def run_data_phase(
             break
         if until is None:
             # Every charge has a key that orders it within its cluster's
-            # phase: slot i holds the sender's transmit (i·s), the head's
-            # reception (i·s + 1), the uplink overhear of the member at
-            # position j (i·s + 2 + j), the head's aggregation and relay
-            # (i·s + 2 + w, i·s + 3 + w), then the relay overhear of position
-            # j (i·s + 4 + w + j), for a step s of 2w + 4 with w the largest
-            # cluster; the head's own report comes last.  A sender's own
+            # phase, five steps per slot: slot i holds the sender's transmit
+            # (5i), the head's reception and the uplink overhears (5i + 1),
+            # the head's aggregation (5i + 2) and relay (5i + 3), then the
+            # relay overhears (5i + 4).  The head's own report comes last
+            # (5w, for w members in the largest cluster).  Charges that
+            # share a key fall on different devices and none waits on
+            # another, so they may die in either order.  A sender's own
             # uplink is known without an overhear (key -1).
             if hearer is None:
                 hearer = np.arange(len(ids)).repeat(reps)
-            step = 2 * width + 4
-            tx_key = pos * step
-            rx_key = tx_key + 1
-            aggregate_key = tx_key + (2 + width)
-            relay_key = tx_key + (3 + width)
-            over_key = tx_key[sender] + 2 + pos[hearer]
-            relay_over_key = over_key + (2 + width)
+            tx_key = pos * 5
+            over_key = tx_key[sender] + 1
+            relay_over_key = over_key + 3
             over_key[own] = -1
-            report_key = width * step
+            report_key = 5 * int(k.max())
             never = report_key + 1
             until = np.where(was_alive, never, -1)
             head_until = np.where(head_was_alive, never, -1)
@@ -606,9 +591,7 @@ def run_data_phase(
                 member_level[r],
             )
             # charge `at` is slot at // 2's own transmit, uplink or relay overhear
-            key = (at // 2) * step + (
-                (4 + width + j) if at % 2 else 0 if at == 2 * j else 2 + j
-            )
+            key = (at // 2) * 5 + (4 if at % 2 else 0 if at == 2 * j else 1)
             c = int(cl[r])
             if c not in deaths or key < deaths[c][0]:
                 deaths[c] = (key, r, last_joule)
@@ -623,9 +606,8 @@ def run_data_phase(
                 (rx_cost, aggregate_cost, sink_tx[c]),
                 head_level[c],
             )
-            key = report_key if at == 3 * k[c] else (
-                (at // 3) * step + (1, 2 + width, 3 + width)[at % 3]
-            )
+            # charge `at` is slot at // 3's reception, aggregation or relay
+            key = report_key if at == 3 * k[c] else (at // 3) * 5 + at % 3 + 1
             if c not in deaths or key < deaths[c][0]:
                 deaths[c] = (key, None, last_joule)
         # Fix the earliest death of each cluster, then resolve again.
@@ -812,7 +794,7 @@ def _charge_exchanges(
 
 def exchange_recommendations(
     net: NetworkState,
-    clusters: Mapping[int, Sequence[int]],
+    clusters: Clusters,
     cand_obs: np.ndarray,
     cand_tgt: np.ndarray,
 ) -> np.ndarray:
@@ -834,7 +816,6 @@ def exchange_recommendations(
     rows, the window fills (``TrustState.filling``) and the neighbours not
     yet recorded, so the phase costs the pairs it touches, not n².
     """
-    clusters = Clusters.of(clusters)
     trust = net.trust
     n = len(net.level)
     mem, head = clusters.members, clusters.head_of

@@ -5,7 +5,8 @@ on ``NetworkState``.
 ``network`` builds a ``NetworkState`` holding such devices, so that a
 reference model can walk the objects while the production code runs on the
 network's arrays, and ``state`` reads either side as (levels, alive flags)
-for comparison.
+for comparison.  ``clusters_of`` turns a mapping of each head to its members
+into the round's ``Clusters``.
 
 ``scalar_exchanges`` and ``reference_exchange`` are the recommendation
 exchange as the simulator charged it one device at a time, with ``spend``
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from trustcloudsim.medium import rx_energy, spend
-from trustcloudsim.protocol import HONEST, NetworkState
+from trustcloudsim.protocol import HONEST, Clusters, NetworkState
 from trustcloudsim.runtime import record_trust, recommend_trust
 
 
@@ -71,6 +72,16 @@ def network(cfg, devices: list[DeviceState]) -> NetworkState:
         for d in devices
     ]
     return net
+
+
+def clusters_of(by_head) -> Clusters:
+    """The ``Clusters`` of a mapping of each head to its members."""
+    rows = [(h, m) for h in sorted(by_head) for m in sorted(by_head[h])]
+    return Clusters(
+        np.array(sorted(by_head), dtype=np.intp),
+        np.array([m for _, m in rows], dtype=np.intp),
+        np.array([h for h, _ in rows], dtype=np.intp),
+    )
 
 
 def state(devices) -> tuple[list[float], list[bool]]:

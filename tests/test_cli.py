@@ -1,10 +1,16 @@
+import configparser
 import json
+from dataclasses import fields
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from trustcloudsim.cli import main
-from trustcloudsim.config import config_from_dict, load_config
+from trustcloudsim.config import ScenarioConfig, config_from_dict, load_config
 from trustcloudsim.engine import run_simulation
+
+DEFAULT_INI = Path(__file__).resolve().parent.parent / "configs" / "default.ini"
 
 SMALL = """
 [scenario]
@@ -190,6 +196,28 @@ def test_manifest_config_round_trip(config_path, tmp_path):
     loaded = load_config(str(config_path))
     assert rebuilt.as_dict() == loaded.as_dict()
     assert run_simulation(rebuilt).round_stats == run_simulation(loaded).round_stats
+
+
+def test_default_ini_gives_the_built_in_defaults():
+    assert load_config(str(DEFAULT_INI)).as_dict() == ScenarioConfig().as_dict()
+
+
+@pytest.mark.parametrize(
+    "field", [f for f in fields(ScenarioConfig) if f.name != "phases"],
+    ids=lambda f: f.name,
+)
+def test_every_field_has_a_file_key_load_config_reads(tmp_path, field):
+    section, key = field.metadata["key"].split(".")
+    value = 40.0 if field.default is None else field.default
+    # the value in the key's unit, exactly
+    written = Decimal(str(value)).scaleb(-field.metadata["exp"])
+    parser = configparser.ConfigParser()
+    parser.read_dict({"scenario": {"devices": "100"}})
+    parser.read_dict({section: {key: str(written)}})
+    path = tmp_path / "one.ini"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    assert getattr(load_config(str(path)), field.name) == value
 
 
 def test_cmd_sweep_device_count(config_path, tmp_path):

@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
-from device_oracle import DeviceState, network, state
+from device_oracle import DeviceState, clusters_of, network, state
 from hypothesis import strategies as st
 
 from trustcloudsim import protocol
@@ -263,7 +263,7 @@ def run_both(net, devices, clusters, phase, seed, rounds=1):
         with mock.patch.object(
             protocol, "spend", side_effect=AssertionError, create=True
         ):
-            evidence = run_data_phase(net, clusters, phase, rng, outcome)
+            evidence = run_data_phase(net, clusters_of(clusters), phase, rng, outcome)
         windows, packets = model_data_phase(
             net, model, clusters, phase, model_rng, model_outcome
         )
@@ -344,7 +344,7 @@ def test_last_joule_completes_the_action():
     ]
     net = network(cfg, devices)
     outcome = ClusterRoundOutcome(round_index=0)
-    evidence = run_data_phase(net, {0: [1, 2]}, ChannelPhase(0.0, 1.0),
+    evidence = run_data_phase(net, clusters_of({0: [1, 2]}), ChannelPhase(0.0, 1.0),
                               np.random.default_rng(1), outcome)
     assert [(t.member, t.received, t.outcome) for t in outcome.transfers] == [
         (1, True, "timely"), (2, False, "dropped"),

@@ -13,7 +13,7 @@ devices die at each of the four charges of an exchange.
 import copy
 
 import numpy as np
-from device_oracle import reference_exchange, scalar_exchanges
+from device_oracle import clusters_of, reference_exchange, scalar_exchanges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,7 +136,7 @@ def test_exchange_matches_the_reference(case):
     net, by_head, cand_obs, cand_tgt = case
     reference = copy.deepcopy(net)
     asked, rows = reference_exchange(reference, by_head, cand_obs, cand_tgt)
-    recorded = exchange_recommendations(net, by_head, cand_obs, cand_tgt)
+    recorded = exchange_recommendations(net, clusters_of(by_head), cand_obs, cand_tgt)
     n = len(net.level)
     got = sorted((p // n, p % n) for p in recorded.tolist())
     assert got == sorted(rows)

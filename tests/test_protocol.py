@@ -3,7 +3,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from device_oracle import DeviceState, is_eligible
+from device_oracle import DeviceState, clusters_of, is_eligible
 
 from trustcloudsim.cloud import TrustCloud
 from trustcloudsim.config import ScenarioConfig
@@ -158,7 +158,8 @@ def test_run_data_phase_honest_perfect_channel():
     clusters = {0: list(range(1, 6))}
     outcome = ClusterRoundOutcome(round_index=0)
     evidence = run_data_phase(
-        net, clusters, ChannelPhase(0.0, 1.0), np.random.default_rng(4), outcome
+        net, clusters_of(clusters), ChannelPhase(0.0, 1.0),
+        np.random.default_rng(4), outcome,
     )
     assert evidence.observer.tolist() == clusters[0]
     assert evidence.head.tolist() == [0] * 5
@@ -172,12 +173,12 @@ def test_run_data_phase_super_attack_drop_fraction():
                          malicious_fraction=0.0, seed=3, max_rounds=50)
     net = build_scenario(cfg, Random(cfg.seed))
     net.attacker[0] = "super"
-    members = list(range(1, 11))
+    clusters = clusters_of({0: range(1, 11)})
     rng = np.random.default_rng(99)
     received = dropped = 0
     for _ in range(10_000):
         outcome = ClusterRoundOutcome(round_index=0)
-        run_data_phase(net, {0: members}, ChannelPhase(0.0, 1.0), rng, outcome)
+        run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), rng, outcome)
         for t in outcome.transfers:
             received += t.received
             dropped += t.attack_drop
@@ -191,7 +192,7 @@ def test_run_data_phase_depleted_member_sends_nothing():
     net = small_net()
     net.level[1] = 0.0
     net.alive[1] = False
-    clusters = {0: [1, 2, 3]}
+    clusters = clusters_of({0: [1, 2, 3]})
     outcome = ClusterRoundOutcome(round_index=0)
     run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), np.random.default_rng(4), outcome)
     senders = {t.member for t in outcome.transfers}
@@ -208,7 +209,7 @@ def test_member_that_cannot_pay_its_request_costs_its_head_nothing():
     tx_1, tx_2 = (tx_energy(CFG.control_bits, d, net.energy) for d in (1.0, 2.0))
     net.level[1] = tx_1 / 2
     recorded = exchange_recommendations(
-        net, {0: [1, 2]}, np.array([1, 2]), np.array([0, 0])
+        net, clusters_of({0: [1, 2]}), np.array([1, 2]), np.array([0, 0])
     )
     assert not net.alive[1] and net.level[1] == 0.0
     assert net.level[0] == (1.0 - rx) - tx_2
