@@ -191,12 +191,13 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
         if not net.alive.any():
             break
         outcome = run_round(net, r, rng, np_rng, normals)
-        received, timely, delayed = outcome.packets
         clusters = outcome.clusters
         with_members = clusters.heads[clusters.sizes > 0]
+        packets = outcome.transfers
+        sent = len(packets)
+        _, timely, delayed = np.bincount(packets.code, minlength=3).tolist()
         decisions = outcome.decisions
         verdicts = decisions.malicious
-        sent = len(outcome.transfers)
         log.round_stats.append(
             RoundStats(
                 round_index=r,
@@ -209,12 +210,12 @@ def run_simulation(cfg: ScenarioConfig) -> MetricsLog:
                     np.count_nonzero(net.malicious[with_members])
                 ),
                 packets_sent=sent,
-                packets_received=received,
+                packets_received=int(np.count_nonzero(packets.received)),
                 timely=timely,
                 delayed=delayed,
                 dropped=sent - timely - delayed,
-                attack_drops=outcome.attack_drops,
-                attack_delays=outcome.attack_delays,
+                attack_drops=int(np.count_nonzero(packets.attack_drop)),
+                attack_delays=int(np.count_nonzero(packets.attack_delay)),
                 direct_to_sink=len(outcome.direct_to_sink),
                 decisions=len(verdicts),
                 correct_decisions=int(np.count_nonzero(

@@ -12,7 +12,7 @@ the standard-cloud update pools.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple, Optional
@@ -48,28 +48,8 @@ SUPER = "super"
 ATTACK_MULTIPLIER = {HONEST: 0.0, GENERIC: 2.0, ADVANCED: 4.0, SUPER: 6.0}
 
 
-@dataclass(slots=True)
-class TransferRecord:
-    """Ground truth for one member packet handed to a head."""
-
-    member: int
-    head: int
-    received: bool
-    outcome: str  # timely | delayed | dropped
-    attack_drop: bool = False
-    attack_delay: bool = False
-
-
 def _no_pairs() -> np.ndarray:
     return np.zeros(0, dtype=np.intp)
-
-
-class PacketCounts(NamedTuple):
-    """A data phase's packets: accepted by a head, relayed on time, late."""
-
-    received: int
-    timely: int
-    delayed: int
 
 
 class Evidence(NamedTuple):
@@ -77,7 +57,6 @@ class Evidence(NamedTuple):
 
     Rows run by head id, then observer id, and only pairs with a packet
     sent are listed; ``timely <= forwarded <= sent`` holds in every row.
-    ``packets`` totals the phase's packets.
     """
 
     observer: np.ndarray
@@ -85,11 +64,6 @@ class Evidence(NamedTuple):
     sent: np.ndarray
     forwarded: np.ndarray
     timely: np.ndarray
-    packets: PacketCounts
-
-
-def _no_evidence() -> Evidence:
-    return Evidence(*(_no_pairs() for _ in range(5)), PacketCounts(0, 0, 0))
 
 
 class Decisions(NamedTuple):
@@ -101,49 +75,34 @@ class Decisions(NamedTuple):
     malicious: np.ndarray
 
 
-class Transfers(Sequence):
-    """A data phase's TransferRecords, one per packet sent, made when read.
+@dataclass(eq=False)
+class Transfers:
+    """A data phase's packets, one entry per packet sent, by head then member.
 
-    Slot i of the column arrays is a member's packet, listed where ``sent[i]``
-    holds; ``code`` indexes ``_OUTCOMES``.
+    Packet i went from ``member[i]`` to ``head[i]``, which ``received`` it
+    or not.  ``code[i]`` is 0 if it was dropped, 1 if the head relayed it
+    on time and 2 if late; ``attack_drop`` and ``attack_delay`` mark the
+    head's attacks on it.  Its length is the number of packets sent.
     """
 
-    def __init__(self, sent, member, head, received, code, attack_drop, attack_delay):
-        self._count = int(np.count_nonzero(sent))
-        self._columns = (sent, member, head, received, code, attack_drop, attack_delay)
-        self._records: Optional[list[TransferRecord]] = None
-
-    def _list(self) -> list[TransferRecord]:
-        if self._records is None:
-            sent, *columns = self._columns
-            member, head, received, code, drop, delay = (
-                c[sent].tolist() for c in columns
-            )
-            self._records = list(
-                map(TransferRecord, member, head, received,
-                    map(_OUTCOMES.__getitem__, code), drop, delay)
-            )
-        return self._records
+    member: np.ndarray
+    head: np.ndarray
+    received: np.ndarray
+    code: np.ndarray
+    attack_drop: np.ndarray
+    attack_delay: np.ndarray
 
     def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i):
-        return self._list()[i]
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence):
-            return self._list() == list(other)
-        return NotImplemented
-
-    __hash__ = None
+        return len(self.member)
 
 
-class Clusters(Mapping):
-    """A round's clusters, held as arrays; as a mapping, each head's members.
+_NO_TRANSFERS = Transfers(
+    *(np.zeros(0, dtype=t) for t in (np.intp, np.intp, bool, np.intp, bool, bool))
+)
+
+
+class Clusters:
+    """A round's clusters, held as arrays.
 
     ``heads`` are the round's heads in id order.  ``members`` lists every
     head's members, by head then member id; ``head_of[s]`` is the head of
@@ -159,40 +118,25 @@ class Clusters(Mapping):
         self.sizes = np.bincount(self.cluster, minlength=len(heads))
         self.first = self.sizes.cumsum() - self.sizes
 
-    def __getitem__(self, head) -> list[int]:
-        c = int(np.searchsorted(self.heads, head))
-        if c == len(self.heads) or self.heads[c] != head:
-            raise KeyError(head)
-        return self.members[self.first[c] : self.first[c] + self.sizes[c]].tolist()
-
-    def __iter__(self):
-        return iter(self.heads.tolist())
-
-    def __len__(self) -> int:
-        return len(self.heads)
-
 
 _NO_CLUSTERS = Clusters(_no_pairs(), _no_pairs(), _no_pairs())
 
 
 @dataclass
 class ClusterRoundOutcome:
-    """Everything observable about one protocol round."""
+    """Everything observable about one protocol round, as arrays.
+
+    A round with no live device keeps the empty defaults.
+    """
 
     round_index: int
     #: the channel phase the round ran in
     phase: Optional[ChannelPhase] = None
-    clusters: Clusters = field(default_factory=lambda: _NO_CLUSTERS)
-    direct_to_sink: list[int] = field(default_factory=list)
-    transfers: Sequence[TransferRecord] = field(default_factory=list)
-    attack_drops: int = 0
-    attack_delays: int = 0
-    packets: PacketCounts = PacketCounts(0, 0, 0)
-    decisions: Decisions = field(
-        default_factory=lambda: Decisions(
-            _no_pairs(), _no_pairs(), np.zeros(0, dtype=bool)
-        )
-    )
+    clusters: Clusters = _NO_CLUSTERS
+    #: the devices that sent their packet to the sink, in id order
+    direct_to_sink: np.ndarray = field(default_factory=_no_pairs)
+    transfers: Transfers = _NO_TRANSFERS
+    decisions: Decisions = Decisions(_no_pairs(), _no_pairs(), np.zeros(0, dtype=bool))
 
 
 class NetworkState:
@@ -402,9 +346,6 @@ def receive_announcements(
     return listeners[obs], heads[tgt]
 
 
-#: TransferRecord outcomes by code: not delivered, delivered on time, late.
-_OUTCOMES = ("dropped", "timely", "delayed")
-
 #: A slot's uplink, drop, delay and relay draws lie 0, k + k^2, 2k + k^2 and
 #: 3k + k^2 after its uplink draw, in a cluster of k members.
 _DRAW_K = np.array([0, 1, 2, 3])[:, None]
@@ -451,13 +392,12 @@ def run_data_phase(
     share no device, so a death in one changes nothing in another.  A round
     with no death takes one pass.
 
-    Sets ``outcome.transfers`` to the phase's TransferRecords, one per
-    packet sent, and adds the attacks to its counters; the returned
-    Evidence also carries the phase's packet counts.
+    Sets ``outcome.transfers`` to the phase's ``Transfers``, one entry per
+    packet sent, and returns the phase's ``Evidence``.
     """
     heads = clusters.heads
     if not len(heads):
-        return _no_evidence()
+        return Evidence(*(_no_pairs() for _ in range(5)))
     cfg = net.cfg
     energy = net.energy
     bits = cfg.data_bits
@@ -633,25 +573,18 @@ def run_data_phase(
     delayed = relayed & delay_hit
     dropped = received & ~kept
     code = (attempted & relay_ok) * (1 + delayed)
-    outcome.transfers = Transfers(
-        sends, ids, clusters.head_of, received, code, dropped, delayed
-    )
-    outcome.attack_drops += int(np.count_nonzero(dropped))
-    outcome.attack_delays += int(np.count_nonzero(delayed))
+    packets = (ids, clusters.head_of, received, code, dropped, delayed)
+    if np.count_nonzero(sends) < len(sends):
+        r = sends.nonzero()[0]
+        packets = tuple(column[r] for column in packets)
+    outcome.transfers = Transfers(*packets)
 
     timely = np.add.reduceat(relay_seen & (~delayed)[sender], pairs_of, dtype=np.intp)
     rows = (ids, clusters.head_of, sent, forwarded, timely)
     if np.count_nonzero(sent) < len(sent):
         r = sent.nonzero()[0]
         rows = tuple(column[r] for column in rows)
-    return Evidence(
-        *rows,
-        PacketCounts(
-            int(np.count_nonzero(received)),
-            int(np.count_nonzero(code == 1)),
-            int(np.count_nonzero(code == 2)),
-        ),
-    )
+    return Evidence(*rows)
 
 
 def _judgeable(net: NetworkState, obs: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -736,7 +669,7 @@ def infer_head_trust(net: NetworkState, evidence: Evidence) -> np.ndarray:
 
     Returns the flat indices of the pairs written.
     """
-    obs, head, sent, forwarded, timely, _ = evidence
+    obs, head, sent, forwarded, timely = evidence
     live = net.alive[obs]
     if np.count_nonzero(live) < len(live):
         rows = live.nonzero()[0]
@@ -952,9 +885,8 @@ def run_round(
         net, r, heads, listeners, cand_obs, cand_tgt, normals
     )
     outcome.clusters = clusters
-    outcome.direct_to_sink = direct.tolist()
+    outcome.direct_to_sink = direct
     evidence = run_data_phase(net, clusters, phase, np_rng, outcome)
-    outcome.packets = evidence.packets
     monitor(net)
     # Every pair written this round is distinct: a member infers trust in its
     # own head only, and hears recommendations about other devices only.

@@ -6,7 +6,7 @@ on ``NetworkState``.
 reference model can walk the objects while the production code runs on the
 network's arrays, and ``state`` reads either side as (levels, alive flags)
 for comparison.  ``clusters_of`` turns a mapping of each head to its members
-into the round's ``Clusters``.
+into the round's ``Clusters``, and ``members_by_head`` turns it back.
 
 ``scalar_exchanges`` and ``reference_exchange`` are the recommendation
 exchange as the simulator charged it one device at a time, with ``spend``
@@ -82,6 +82,14 @@ def clusters_of(by_head) -> Clusters:
         np.array([m for _, m in rows], dtype=np.intp),
         np.array([h for h, _ in rows], dtype=np.intp),
     )
+
+
+def members_by_head(clusters: Clusters) -> dict[int, list[int]]:
+    """Each head of the ``Clusters`` mapped to its members, in id order."""
+    by_head = {h: [] for h in clusters.heads.tolist()}
+    for m, h in zip(clusters.members.tolist(), clusters.head_of.tolist()):
+        by_head[h].append(m)
+    return by_head
 
 
 def state(devices) -> tuple[list[float], list[bool]]:

@@ -8,8 +8,9 @@ far, the count times that kind's cost.  A device that cannot pay dies and
 the action fails; one that pays its last joule completes the action and
 dies.  The models charge ``DeviceState`` objects (``device_oracle``), and
 production the network's arrays.  On the same scenario and generator,
-model and production must leave every packet record, evidence window,
-attack counter, device energy, alive flag and the generator itself in the
+model and production must give every packet's member, head, received flag,
+outcome code and attack flags, the phase's totals and evidence windows,
+and leave every device energy, alive flag and the generator itself in the
 same state.
 """
 
@@ -37,8 +38,6 @@ from trustcloudsim.protocol import (
     HONEST,
     SUPER,
     ClusterRoundOutcome,
-    PacketCounts,
-    TransferRecord,
     receive_announcements,
     run_data_phase,
 )
@@ -77,22 +76,29 @@ class Ledger:
                 dev.energy = self.level[dev.id] - self.spent(dev)
 
 
-def model_data_phase(net, devices, clusters, phase, np_rng, outcome):
+def model_data_phase(net, devices, clusters, phase, np_rng):
     """The data phase one event at a time over ``devices``, reading only the
-    topology and parameters of ``net``; returns (windows, packet counts)."""
+    topology and parameters of ``net``.
+
+    Returns the packets sent, as (member, head, received, code, attack_drop,
+    attack_delay) tuples with code 0 dropped, 1 timely and 2 delayed; the
+    phase's totals (received, timely, delayed, attack drops, attack delays);
+    and the evidence windows.
+    """
     cfg = net.cfg
     energy = net.energy
     bits = cfg.data_bits
     p0 = phase.bad_prob
     heads = sorted(clusters)
+    packets = []
+    received_n = timely_n = delayed_n = drops_n = delays_n = 0
     if not heads:
-        return {}, PacketCounts(0, 0, 0)
+        return packets, (0, 0, 0, 0, 0), {}
     sizes = [len(clusters[h]) for h in heads]
     block = iter(np_rng.random(sum(2 * k * k + 4 * k for k in sizes)).tolist())
     ledger = Ledger(devices)
     over_cost = overhear_energy(bits, energy)
     windows = {}
-    received_n = timely_n = delayed_n = 0
 
     for head_id, k in zip(heads, sizes):
         uplink, over, drop, delay, relay, relay_over = (
@@ -119,8 +125,6 @@ def model_data_phase(net, devices, clusters, phase, np_rng, outcome):
                 continue
             received = head.alive and uplink[i] >= p0 and ledger.pay(head, 0)
             received_n += received
-            record = TransferRecord(member.id, head_id, received, "dropped")
-            outcome.transfers.append(record)
             # overhear draws run by overhearer, then sender
             watchers = [i] + [
                 j for j, o in enumerate(members)
@@ -128,22 +132,21 @@ def model_data_phase(net, devices, clusters, phase, np_rng, outcome):
                 and ledger.pay(o, 1)
             ]
             if not received or drop[i] < mult * cfg.p_dp:
-                if received:
-                    record.attack_drop = True
-                    outcome.attack_drops += 1
+                packets.append((member.id, head_id, received, 0, received, False))
+                drops_n += received
                 for j in watchers:
                     sent[j] += 1
                 continue
             delayed = delay[i] < mult * cfg.p_dy
-            if delayed:
-                record.attack_delay = True
-                outcome.attack_delays += 1
+            delays_n += delayed
             ledger.pay(head, 1)
             attempted = ledger.pay(head, 2)
+            code = 0
             if attempted and relay[i] >= p0:
-                record.outcome = "delayed" if delayed else "timely"
+                code = 2 if delayed else 1
                 delayed_n += delayed
                 timely_n += not delayed
+            packets.append((member.id, head_id, True, code, False, delayed))
             for j in watchers:
                 sent[j] += 1
                 if (
@@ -159,7 +162,7 @@ def model_data_phase(net, devices, clusters, phase, np_rng, outcome):
                 windows[(m.id, head_id)] = (sent[j], forwarded[j], timely[j])
 
     ledger.settle(devices)
-    return windows, PacketCounts(received_n, timely_n, delayed_n)
+    return packets, (received_n, timely_n, delayed_n, drops_n, delays_n), windows
 
 
 def model_reception(net, devices, listeners, heads, phase, np_rng):
@@ -241,36 +244,47 @@ def as_windows(evidence):
     return {(o, h): (s, f, t) for o, h, s, f, t in rows}
 
 
-def state_of(devices, outcome, windows, packets, np_rng):
-    return (
-        outcome.transfers,
-        windows,
-        packets,
-        (outcome.attack_drops, outcome.attack_delays),
-        *state(devices),
-        np_rng.bit_generator.state,
+def packets_of(transfers):
+    """The phase's packets as the model's tuples, one per packet sent."""
+    assert all(len(column) == len(transfers) for column in vars(transfers).values())
+    return list(zip(
+        *(column.tolist() for column in (
+            transfers.member, transfers.head, transfers.received, transfers.code,
+            transfers.attack_drop, transfers.attack_delay,
+        ))
+    ))
+
+
+def totals_of(transfers):
+    """(received, timely, delayed, attack drops, attack delays) of the packets."""
+    return tuple(
+        int(np.count_nonzero(flags)) for flags in (
+            transfers.received, transfers.code == 1, transfers.code == 2,
+            transfers.attack_drop, transfers.attack_delay,
+        )
     )
 
 
 def run_both(net, devices, clusters, phase, seed, rounds=1):
-    """Production and model side by side; returns the production network
-    and its last outcome."""
+    """Production and model side by side; returns the production network,
+    its last outcome and its last evidence."""
     model = copy.deepcopy(devices)
     rng, model_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for r in range(rounds):
         outcome = ClusterRoundOutcome(round_index=r)
-        model_outcome = ClusterRoundOutcome(round_index=r)
         with mock.patch.object(
             protocol, "spend", side_effect=AssertionError, create=True
         ):
             evidence = run_data_phase(net, clusters_of(clusters), phase, rng, outcome)
-        windows, packets = model_data_phase(
-            net, model, clusters, phase, model_rng, model_outcome
+        packets, totals, windows = model_data_phase(
+            net, model, clusters, phase, model_rng
         )
-        assert state_of(net, outcome, as_windows(evidence), evidence.packets, rng) == (
-            state_of(model, model_outcome, windows, packets, model_rng)
-        )
-    return net, outcome
+        assert packets_of(outcome.transfers) == packets
+        assert totals_of(outcome.transfers) == totals
+        assert as_windows(evidence) == windows
+        assert state(net) == state(model)
+        assert rng.bit_generator.state == model_rng.bit_generator.state
+    return net, outcome, evidence
 
 
 @settings(max_examples=300, deadline=None)
@@ -301,14 +315,17 @@ def test_head_that_dies_partway_stops_relaying():
     devices = [DeviceState(id=0, x=50.0, y=50.0, energy=3.5 * RX)]
     devices += [DeviceState(id=i, x=50.0 + i, y=50.0, energy=1.0) for i in range(1, 9)]
     net = network(ScenarioConfig(device_count=len(devices)), devices)
-    net, outcome = run_both(
+    net, outcome, _ = run_both(
         net, devices, {0: list(range(1, 9))}, ChannelPhase(0.0, 1.0), 3
     )
     assert (net.level[0], net.alive[0]) == (0.0, False)
-    assert [(t.received, t.outcome) for t in outcome.transfers[:3]] == [
-        (True, "timely"), (True, "dropped"), (False, "dropped"),
+    # code 1 is a timely packet, 0 a dropped one
+    transfers = outcome.transfers
+    assert len(transfers) == 8
+    assert list(zip(transfers.received[:3].tolist(), transfers.code[:3].tolist())) == [
+        (True, 1), (True, 0), (False, 0),
     ]
-    assert not any(t.received for t in outcome.transfers[2:])
+    assert not transfers.received[2:].any()
 
 
 def test_overhear_that_empties_a_device_kills_it():
@@ -323,7 +340,7 @@ def test_overhear_that_empties_a_device_kills_it():
         DeviceState(id=1, x=10.0, y=10.0, energy=2 * unit),
         DeviceState(id=2, x=10.0, y=10.0, energy=1.0),
     ]
-    net, _ = run_both(
+    net, _, _ = run_both(
         network(cfg, devices), devices, {0: [1, 2]}, ChannelPhase(0.0, 1.0), 1
     )
     assert (net.level[1], net.alive[1]) == (0.0, False)
@@ -342,18 +359,19 @@ def test_last_joule_completes_the_action():
         DeviceState(id=1, x=10.0, y=10.0, energy=1.0),
         DeviceState(id=2, x=10.0, y=10.0, energy=1.0),
     ]
-    net = network(cfg, devices)
-    outcome = ClusterRoundOutcome(round_index=0)
-    evidence = run_data_phase(net, clusters_of({0: [1, 2]}), ChannelPhase(0.0, 1.0),
-                              np.random.default_rng(1), outcome)
-    assert [(t.member, t.received, t.outcome) for t in outcome.transfers] == [
-        (1, True, "timely"), (2, False, "dropped"),
-    ]
+    net, outcome, evidence = run_both(
+        network(cfg, devices), devices, {0: [1, 2]}, ChannelPhase(0.0, 1.0), 1
+    )
+    transfers = outcome.transfers
+    # code 1 is a timely packet, 0 a dropped one
+    assert packets_of(transfers) == [(1, 0, True, 1, False, False),
+                                     (2, 0, False, 0, False, False)]
     assert (net.level[0], net.alive[0]) == (0.0, False)
     assert as_windows(evidence) == {
         (1, 0): (2, 1, 1), (2, 0): (2, 1, 1),
     }
-    assert evidence.packets == PacketCounts(1, 1, 0)
+    # received, timely, delayed, attack drops, attack delays
+    assert totals_of(transfers) == (1, 1, 0, 0, 0)
 
 
 @st.composite

@@ -1,6 +1,8 @@
+import inspect
 import math
 from random import Random
 
+import numpy as np
 import pytest
 
 from trustcloudsim import engine, protocol
@@ -160,6 +162,29 @@ def test_oracle_classifier_accuracy_is_one(monkeypatch):
     monkeypatch.setattr(protocol, "classify_pairs", oracle)
     log = run_simulation(cfg)
     assert metric_decision_accuracy(log) == 1.0
+
+
+def test_data_phase_outcome_counts_the_packets_sent(monkeypatch):
+    # The benchmark's traced run counts a round's packets as
+    # len(args[4].transfers) after each run_data_phase call: the fifth
+    # parameter is the round's outcome, and its transfers hold one entry per
+    # packet sent, as RoundStats.packets_sent counts them.
+    assert list(inspect.signature(protocol.run_data_phase).parameters)[4] == "outcome"
+    run_data_phase = protocol.run_data_phase
+    counted = []
+
+    def data_phase(*args):
+        net, clusters = args[0], args[1]
+        could_send = np.count_nonzero(net.alive[clusters.members])
+        evidence = run_data_phase(*args)
+        counted.append(len(args[4].transfers))
+        assert counted[-1] <= could_send
+        return evidence
+
+    monkeypatch.setattr(protocol, "run_data_phase", data_phase)
+    log = run_simulation(small_cfg(max_rounds=60))
+    assert counted == [s.packets_sent for s in log.round_stats]
+    assert sum(counted) > 0
 
 
 def test_replicate_deterministic_metric_has_zero_width():

@@ -17,6 +17,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from device_oracle import members_by_head
 
 from trustcloudsim import engine, protocol
 from trustcloudsim.config import ScenarioConfig
@@ -92,8 +93,9 @@ def test_round_invariants(cfg):
             assert (net.death_round[~died] == death_round[~died]).all()
             energy, alive = now, net.alive.copy()
 
-            placed = list(out.clusters) + [
-                m for members in out.clusters.values() for m in members
+            by_head = members_by_head(out.clusters)
+            placed = list(by_head) + [
+                m for members in by_head.values() for m in members
             ]
             assert len(placed) == len(set(placed))
             assert not set(placed) & set(out.direct_to_sink)
@@ -102,7 +104,7 @@ def test_round_invariants(cfg):
                 evidence = evidence_seen.pop()
                 for observer, head in zip(evidence.observer.tolist(),
                                           evidence.head.tolist()):
-                    assert observer in out.clusters[head]
+                    assert observer in by_head[head]
                 assert np.all(0 <= evidence.timely)
                 assert np.all(evidence.timely <= evidence.forwarded)
                 assert np.all(evidence.forwarded <= evidence.sent)

@@ -3,7 +3,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from device_oracle import DeviceState, clusters_of, is_eligible
+from device_oracle import DeviceState, clusters_of, is_eligible, members_by_head
 
 from trustcloudsim.cloud import TrustCloud
 from trustcloudsim.config import ScenarioConfig
@@ -165,7 +165,7 @@ def test_run_data_phase_honest_perfect_channel():
     assert evidence.head.tolist() == [0] * 5
     for counts in (evidence.sent, evidence.forwarded, evidence.timely):
         assert counts.tolist() == [5] * 5
-    assert all(t.outcome == "timely" for t in outcome.transfers)
+    assert outcome.transfers.code.tolist() == [1] * 5  # all timely
 
 
 def test_run_data_phase_super_attack_drop_fraction():
@@ -179,9 +179,8 @@ def test_run_data_phase_super_attack_drop_fraction():
     for _ in range(10_000):
         outcome = ClusterRoundOutcome(round_index=0)
         run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), rng, outcome)
-        for t in outcome.transfers:
-            received += t.received
-            dropped += t.attack_drop
+        received += np.count_nonzero(outcome.transfers.received)
+        dropped += np.count_nonzero(outcome.transfers.attack_drop)
         net.level[:] = 1.0
         net.alive[:] = True
     assert received == 100_000
@@ -195,7 +194,7 @@ def test_run_data_phase_depleted_member_sends_nothing():
     clusters = clusters_of({0: [1, 2, 3]})
     outcome = ClusterRoundOutcome(round_index=0)
     run_data_phase(net, clusters, ChannelPhase(0.0, 1.0), np.random.default_rng(4), outcome)
-    senders = {t.member for t in outcome.transfers}
+    senders = set(outcome.transfers.member.tolist())
     assert 1 not in senders and {2, 3} <= senders
 
 
@@ -222,7 +221,7 @@ def test_run_round_zero_alive():
     net.alive[:] = False
     np_rng = np.random.default_rng(1)
     out = run_round(net, 0, Random(1), np_rng, np_rng)
-    assert out.clusters == {} and out.transfers == []
+    assert members_by_head(out.clusters) == {} and len(out.transfers) == 0
     assert len(out.decisions.observer) == 0
 
 
@@ -231,8 +230,8 @@ def test_run_round_all_recently_heads_direct_to_sink():
     net.eligible_from[:] = 0 + net.epoch  # all headed in round 0
     np_rng = np.random.default_rng(1)
     out = run_round(net, 1, Random(1), np_rng, np_rng)
-    assert out.clusters == {}
-    assert sorted(out.direct_to_sink) == list(range(len(net.level)))
+    assert members_by_head(out.clusters) == {}
+    assert sorted(out.direct_to_sink.tolist()) == list(range(len(net.level)))
 
 
 def test_run_round_accounting_invariants():
@@ -246,9 +245,10 @@ def test_run_round_accounting_invariants():
     head_rounds: dict[int, list[int]] = {}
     for r in range(60):
         out = run_round(net, r, rng, np_rng, np_rng)
-        counted = sum(1 for t in out.transfers if t.outcome in ("timely", "delayed", "dropped"))
+        # every packet is dropped (0), timely (1) or delayed (2)
+        counted = np.count_nonzero(np.isin(out.transfers.code, (0, 1, 2)))
         assert counted == len(out.transfers)
-        for h in out.clusters:
+        for h in members_by_head(out.clusters):
             head_rounds.setdefault(h, []).append(r)
         for i, e in enumerate(net.level.tolist()):
             assert e <= prev_energy[i] + 1e-15
